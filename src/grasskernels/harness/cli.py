@@ -10,10 +10,8 @@ import argparse
 import sys
 
 from ..exceptions import InputError, InvalidKernelParameter
-from .config import TASKS, build_config, load_config_file
+from .config import LIST_KEYS, TASKS, build_config, load_config_file
 from .experiments import run_experiment
-
-_LIST_KEYS = ("seeds", "kernels", "bits", "beta_grid", "alpha_grid")
 
 
 def _build_parser():
@@ -93,17 +91,14 @@ def main(argv=None):
         for key, value in args.items():
             if value is None:
                 continue
-            if key in _LIST_KEYS:
+            if key in LIST_KEYS:
                 value = value.replace(",", " ")
             overrides[key] = value
         config = build_config(task, file_values, overrides)
         result = run_experiment(config)
         sys.stdout.write(result.text)
         return 0 if result.passed else 1
-    except (InputError, InvalidKernelParameter) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, InvalidKernelParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

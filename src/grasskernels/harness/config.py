@@ -6,8 +6,9 @@ run embeds its fully resolved configuration in the report, so a report
 never depends on implicit state.
 """
 
+import math
 from dataclasses import dataclass, fields
-from typing import Tuple
+from typing import Tuple, get_args, get_origin, get_type_hints
 
 from ..exceptions import InputError
 
@@ -48,12 +49,20 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise InputError(f"unknown task {self.task!r}; "
                              f"expected one of {sorted(TASKS)}")
-        if self.threads < 1:
-            raise InputError("threads must be at least 1")
         if not self.seeds:
             raise InputError("seeds must not be empty")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InputError("train_fraction must lie in (0, 1)")
+        for key, (requirement, holds) in _RANGES.items():
+            value = getattr(self, key)
+            for element in value if isinstance(value, tuple) else (value,):
+                if not holds(element):
+                    raise InputError(
+                        f"{key} must {requirement}, got {element!r}")
+        if self.p >= self.d:
+            raise InputError(
+                f"p must be less than d, got d={self.d}, p={self.p}")
+        if self.task == "generate" and self.dataset:
+            raise InputError("generate synthesizes data; "
+                             "drop the dataset option")
 
     def resolved_items(self):
         """Ordered (key, rendered value) pairs for report embedding.
@@ -70,6 +79,27 @@ class ExperimentConfig:
         return items
 
 
+def _at_least(low):
+    return f"be at least {low}", lambda v: v >= low
+
+
+_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+
+# (requirement, test) for a field's value, or each element of a list field
+_RANGES = {
+    "seed": _at_least(0), "seeds": _at_least(0), "threads": _at_least(1),
+    "p": _at_least(1), "classes": _at_least(1), "per_class": _at_least(1),
+    "clusters": _at_least(0), "restarts": _at_least(1),
+    "bits": _at_least(1), "anchors": _at_least(1), "top_m": _at_least(1),
+    "cv_folds": _at_least(2),
+    "svm_c": _POSITIVE, "lam": _POSITIVE,
+    "noise_angle": ("lie in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2),
+    "train_fraction": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "name": ("be one line without '='",
+             lambda v: "\n" not in v and "=" not in v),
+}
+
+
 TASKS = ("gram", "pd-check", "counterexample", "svm", "cluster",
          "sparse-code", "hash", "bench", "generate")
 
@@ -84,16 +114,14 @@ def _render(value):
     return str(value)
 
 
-def _parse_bool(key, value):
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise InputError(f"{key} must be true or false, got {value!r}")
-
-
 def _parse_typed(key, value, kind):
+    if kind is bool:
+        lowered = value.strip().lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise InputError(f"{key} must be true or false, got {value!r}")
     try:
         if kind is int:
             return int(value)
@@ -104,17 +132,11 @@ def _parse_typed(key, value, kind):
     return value
 
 
-_FIELD_TYPES = {
-    "task": str, "dataset": str, "out": str, "name": str,
-    "seed": int, "threads": int, "d": int, "p": int, "classes": int,
-    "per_class": int, "clusters": int, "restarts": int, "anchors": int,
-    "top_m": int, "cv_folds": int,
-    "noise_angle": float, "train_fraction": float, "svm_c": float,
-    "lam": float,
-    "tune": bool,
-    "seeds": (int,), "kernels": (str,), "bits": (int,),
-    "beta_grid": (float,), "alpha_grid": (int,),
-}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+# keys whose values are lists, written space or comma separated
+LIST_KEYS = tuple(key for key, kind in _FIELD_TYPES.items()
+                  if get_origin(kind) is tuple)
 
 
 def coerce_value(key, value):
@@ -124,16 +146,10 @@ def coerce_value(key, value):
     kind = _FIELD_TYPES[key]
     if not isinstance(value, str):
         return value
-    if isinstance(kind, tuple):
-        element = kind[0]
-        parts = value.split(_LIST_SEPARATOR)
-        if element is str:
-            return tuple(parts)
-        return tuple(_parse_typed(key, part, element) for part in parts)
-    if kind is bool:
-        return _parse_bool(key, value)
-    if kind is str:
-        return value
+    if key in LIST_KEYS:
+        element = get_args(kind)[0]
+        return tuple(_parse_typed(key, part, element)
+                     for part in value.split(_LIST_SEPARATOR))
     return _parse_typed(key, value, kind)
 
 

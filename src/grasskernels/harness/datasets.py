@@ -16,6 +16,7 @@ canonical, so the identical Dataset always produces byte-identical text,
 and the dataset fingerprint is the sha256 of exactly that text.
 """
 
+import functools
 import hashlib
 import math
 import warnings
@@ -77,9 +78,9 @@ class Dataset:
     def p(self):
         return self.subspaces[0].p
 
-    @property
+    @functools.cached_property
     def fingerprint(self):
-        """sha256 of the canonical serialization."""
+        """sha256 of the canonical serialization, computed once."""
         digest = hashlib.sha256(serialize_dataset(self).encode("utf-8"))
         return digest.hexdigest()
 

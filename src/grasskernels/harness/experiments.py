@@ -33,6 +33,9 @@ COUNTEREXAMPLE_BAND = (-0.0043, -0.0033)
 
 DEFAULT_KERNEL = "rbf:projection:beta=0.5"
 
+# where the gram task writes its CSV files when no output path is given
+GRAM_DIR = "out"
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -77,18 +80,39 @@ def _resolve_dataset(config):
         seed=config.seed, name=config.name or None)
 
 
-def _resolve_kernels(config, p):
-    tokens = config.kernels
-    if not tokens:
-        tokens = (("catalog",) if config.task == "pd-check"
-                  else (DEFAULT_KERNEL,))
-    expanded = []
+def _resolve_kernels(tokens, p):
+    """Parse kernel tokens, 'catalog' expanding to the full catalog."""
+    specs = []
     for token in tokens:
         if token == "catalog":
-            expanded.extend(default_catalog_tokens(p))
+            specs += _resolve_kernels(default_catalog_tokens(p), p)
         else:
-            expanded.append(token)
-    return [kernels.parse_kernel_token(token, p) for token in expanded]
+            specs.append(kernels.parse_kernel_token(token, p))
+    return specs
+
+
+# tasks that train on a seeded stratified split of a labeled dataset
+_SPLIT_TASKS = ("svm", "sparse-code", "bench")
+
+
+def _check_inputs(config, dataset):
+    """Reject a dataset the task cannot run on, before any Gram is built."""
+    task = config.task
+    if task in _SPLIT_TASKS or (task == "cluster" and config.clusters == 0):
+        if dataset.labels is None:
+            raise InputError(f"task {task!r} needs a labeled dataset")
+    # a split has a test point only from a class with two or more members
+    if task in _SPLIT_TASKS and not 2 <= dataset.class_count < dataset.n:
+        raise InputError(
+            f"task {task!r} needs two or more classes, one of them with two "
+            f"or more members; got {dataset.class_count} classes "
+            f"in {dataset.n} points")
+    if task in ("cluster", "bench") and config.clusters > dataset.n:
+        raise InputError(
+            f"clusters={config.clusters} exceeds dataset size {dataset.n}")
+    if task == "hash" and config.anchors > dataset.n:
+        raise InputError(
+            f"anchors={config.anchors} exceeds dataset size {dataset.n}")
 
 
 def _run_cells(cells, threads):
@@ -101,23 +125,55 @@ def _run_cells(cells, threads):
 
 
 def _grams_by_spec(specs, dataset, threads):
+    """One Gram per distinct spec, as a {spec: GramMatrix} mapping."""
+    unique = list(dict.fromkeys(specs))
     fingerprint = dataset.fingerprint
     cells = [lambda spec=spec: kernels.gram(spec, dataset.subspaces,
                                             fingerprint=fingerprint)
-             for spec in specs]
-    return _run_cells(cells, threads)
+             for spec in unique]
+    return dict(zip(unique, _run_cells(cells, threads)))
 
 
-def _mean_std(values):
+def _sweep(config, groups, cell):
+    """Run cell(*group, seed) for each group and seed.
+
+    Returns one list of per-seed results for each group, in order.
+    """
+    cells = [lambda group=group, seed=seed: cell(*group, seed)
+             for group in groups for seed in config.seeds]
+    results = _run_cells(cells, config.threads)
+    width = len(config.seeds)
+    return [results[start:start + width]
+            for start in range(0, len(results), width)]
+
+
+def _series(name, plural, values):
+    """Report items for per-seed scores plus their mean and sample std.
+
+    Returns (items, mean, std), the items being `plural`, `mean_<name>`
+    and `std_<name>`.
+    """
     v = np.asarray(values, dtype=np.float64)
     mean = float(np.mean(v))
     std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-    return mean, std
+    items = [(plural, " ".join(format_float(x) for x in values)),
+             (f"mean_{name}", mean), (f"std_{name}", std)]
+    return items, mean, std
 
 
-def _require_labels(dataset, task):
-    if dataset.labels is None:
-        raise InputError(f"task {task!r} needs a labeled dataset")
+def _joined(values):
+    return " ".join(str(v) for v in values)
+
+
+def _split(dataset, config, seed):
+    """The (train, test) index split of one seed."""
+    return ds_mod.stratified_split(dataset.labels, config.train_fraction,
+                                   np.random.default_rng([seed]))
+
+
+def _train_index_items(seeds, train_sets):
+    return [(f"train_indices_{seed}", _joined(train_idx))
+            for seed, train_idx in zip(seeds, train_sets)]
 
 
 def _dataset_items(dataset):
@@ -146,35 +202,32 @@ def gram_csv_text(gram_matrix):
     return "\n".join(lines) + "\n"
 
 
-def _run_gram(config, dataset, specs, report):
-    out_dir = config.out or "out"
-    grams = _grams_by_spec(specs, dataset, config.threads)
+def _run_gram(config, dataset, specs, grams, report):
     rows = []
-    for spec, gram_matrix in zip(specs, grams):
-        path = os.path.join(out_dir, f"gram_{_safe_filename(spec.label())}.csv")
-        write_text(path, gram_csv_text(gram_matrix))
+    for spec in specs:
+        path = os.path.join(config.out or GRAM_DIR,
+                            f"gram_{_safe_filename(spec.label())}.csv")
+        write_text(path, gram_csv_text(grams[spec]))
         report.add_section("result", [
             ("kernel", spec.label()),
             ("file", path),
-            ("n", gram_matrix.n),
-            ("fingerprint", gram_matrix.fingerprint),
+            ("n", grams[spec].n),
+            ("fingerprint", grams[spec].fingerprint),
         ], label=f"gram {spec.label()}")
         rows.append((spec.label(), path))
     report.add_table("gram files", ("kernel", "file"), rows)
-    return True, out_dir
+    return True
 
 
 # --- pd-check ---------------------------------------------------------------
 
-def _run_pd_check(config, dataset, specs, report):
-    grams = _grams_by_spec(specs, dataset, config.threads)
-    cells = [lambda g=g, s=s: kernels.certify_pd(g, mode=s.certification_mode)
-             for g, s in zip(grams, specs)]
+def _run_pd_check(config, dataset, specs, grams, report):
+    cells = [lambda s=s: kernels.certify_pd(grams[s],
+                                            mode=s.certification_mode)
+             for s in specs]
     verdicts = _run_cells(cells, config.threads)
-    all_passed = True
     rows = []
     for spec, verdict in zip(specs, verdicts):
-        all_passed &= verdict.passed
         report.add_section("result", [
             ("kernel", spec.label()),
             ("mode", verdict.mode),
@@ -189,7 +242,7 @@ def _run_pd_check(config, dataset, specs, report):
                      "pass" if verdict.passed else "FAIL"))
     report.add_table("spectra", ("kernel", "mode", "min_eig", "max_eig",
                                  "verdict"), rows)
-    return all_passed
+    return all(verdict.passed for verdict in verdicts)
 
 
 # --- counterexample ---------------------------------------------------------
@@ -224,13 +277,6 @@ def _stratified_folds(labels, fold_count, rng):
     return fold_of
 
 
-def _binary_targets(labels):
-    classes = np.unique(labels)
-    if classes.size != 2:
-        return None
-    return np.where(labels == classes[0], -1.0, 1.0), classes
-
-
 def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     """Train on the given split and return predicted labels on the test side.
 
@@ -241,13 +287,12 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     train_labels = labels[train_idx]
     k_train = gram_matrix.take(train_idx)
     rows = gram_matrix.values[np.ix_(test_idx, train_idx)]
-    binary = _binary_targets(train_labels)
-    if binary is not None:
-        targets, classes = binary
+    classes = np.unique(train_labels)
+    if classes.size == 2:
+        targets = np.where(train_labels == classes[0], -1.0, 1.0)
         model = svm_train(k_train, targets, c=c)
         decisions = svm_decision_from_rows(model, rows)
         return np.where(decisions >= 0.0, classes[1], classes[0])
-    classes = np.unique(train_labels)
     decisions = np.empty((test_idx.size, classes.size))
     for column, value in enumerate(classes):
         targets = np.where(train_labels == value, 1.0, -1.0)
@@ -294,8 +339,6 @@ def _tune_spec(spec, dataset, train_idx, config, seed):
         for fold in np.unique(folds):
             fit = np.flatnonzero(folds != fold)
             held = np.flatnonzero(folds == fold)
-            if fit.size == 0 or held.size == 0:
-                continue
             if np.unique(labels[fit]).size < 2:
                 continue
             predicted = _fit_predict(gram_matrix, labels, fit, held,
@@ -307,14 +350,9 @@ def _tune_spec(spec, dataset, train_idx, config, seed):
     return best[1]
 
 
-def _run_svm(config, dataset, specs, report):
-    _require_labels(dataset, "svm")
-    grams = _grams_by_spec(specs, dataset, config.threads)
-
+def _run_svm(config, dataset, specs, grams, report):
     def cell(spec, gram_matrix, seed):
-        rng = np.random.default_rng([seed])
-        train_idx, test_idx = ds_mod.stratified_split(
-            dataset.labels, config.train_fraction, rng)
+        train_idx, test_idx = _split(dataset, config, seed)
         used = spec
         if config.tune:
             used = _tune_spec(spec, dataset, train_idx, config, seed)
@@ -326,29 +364,19 @@ def _run_svm(config, dataset, specs, report):
         accuracy = float(np.mean(predicted == dataset.labels[test_idx]))
         return accuracy, train_idx, used
 
-    cells = [lambda s=s, g=g, seed=seed: cell(s, g, seed)
-             for s, g in zip(specs, grams) for seed in config.seeds]
-    results = _run_cells(cells, config.threads)
-
+    chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
-    for index, spec in enumerate(specs):
-        chunk = results[index * len(config.seeds):
-                        (index + 1) * len(config.seeds)]
-        accuracies = [r[0] for r in chunk]
-        mean, std = _mean_std(accuracies)
+    for spec, chunk in zip(specs, chunks):
+        scores, mean, std = _series("accuracy", "accuracies",
+                                    [r[0] for r in chunk])
         items = [
             ("kernel", spec.label()),
             ("penalty", config.svm_c),
-            ("seeds", " ".join(str(s) for s in config.seeds)),
-            ("accuracies", " ".join(format_float(a) for a in accuracies)),
-            ("mean_accuracy", mean),
-            ("std_accuracy", std),
-        ]
+            ("seeds", _joined(config.seeds)),
+        ] + scores
         if config.tune:
             items.append(("tuned", " | ".join(r[2].label() for r in chunk)))
-        for seed, result in zip(config.seeds, chunk):
-            items.append((f"train_indices_{seed}",
-                          " ".join(str(i) for i in result[1])))
+        items += _train_index_items(config.seeds, [r[1] for r in chunk])
         report.add_section("result", items, label=f"svm {spec.label()}")
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
     report.add_table("svm accuracy", ("kernel", "mean", "std"), rows)
@@ -357,47 +385,33 @@ def _run_svm(config, dataset, specs, report):
 
 # --- cluster ----------------------------------------------------------------
 
-def _run_cluster(config, dataset, specs, report):
-    cluster_count = config.clusters
-    if cluster_count == 0:
-        _require_labels(dataset, "cluster")
-        cluster_count = dataset.class_count
-    grams = _grams_by_spec(specs, dataset, config.threads)
+def _run_cluster(config, dataset, specs, grams, report):
+    cluster_count = config.clusters or dataset.class_count
 
-    cells = [lambda g=g, seed=seed: kkmeans(g, cluster_count, seed=seed,
-                                            restarts=config.restarts)
-             for g in grams for seed in config.seeds]
-    results = _run_cells(cells, config.threads)
+    def cell(spec, gram_matrix, seed):
+        return kkmeans(gram_matrix, cluster_count, seed=seed,
+                       restarts=config.restarts)
 
+    chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
-    for index, spec in enumerate(specs):
-        chunk = results[index * len(config.seeds):
-                        (index + 1) * len(config.seeds)]
-        inertias = [r.inertia for r in chunk]
-        mean_inertia, std_inertia = _mean_std(inertias)
+    for spec, chunk in zip(specs, chunks):
+        scores, mean_inertia, _ = _series(
+            "inertia", "inertias", [r.inertia for r in chunk])
         items = [
             ("kernel", spec.label()),
             ("clusters", cluster_count),
             ("restarts", config.restarts),
-            ("seeds", " ".join(str(s) for s in config.seeds)),
-            ("inertias", " ".join(format_float(v) for v in inertias)),
-            ("mean_inertia", mean_inertia),
-            ("std_inertia", std_inertia),
-        ]
+            ("seeds", _joined(config.seeds)),
+        ] + scores
         row = [spec.label(), f"{mean_inertia:.6g}"]
         if dataset.labels is not None:
-            nmis = [normalized_mutual_information(r.labels, dataset.labels)
-                    for r in chunk]
-            accs = [clustering_accuracy(r.labels, dataset.labels)
-                    for r in chunk]
-            mean_nmi, std_nmi = _mean_std(nmis)
-            mean_acc, std_acc = _mean_std(accs)
-            items += [
-                ("nmis", " ".join(format_float(v) for v in nmis)),
-                ("mean_nmi", mean_nmi), ("std_nmi", std_nmi),
-                ("accuracies", " ".join(format_float(v) for v in accs)),
-                ("mean_accuracy", mean_acc), ("std_accuracy", std_acc),
-            ]
+            nmi_scores, mean_nmi, _ = _series("nmi", "nmis", [
+                normalized_mutual_information(r.labels, dataset.labels)
+                for r in chunk])
+            acc_scores, mean_acc, _ = _series("accuracy", "accuracies", [
+                clustering_accuracy(r.labels, dataset.labels)
+                for r in chunk])
+            items += nmi_scores + acc_scores
             row += [f"{mean_nmi:.4f}", f"{mean_acc:.4f}"]
         else:
             row += ["-", "-"]
@@ -410,14 +424,9 @@ def _run_cluster(config, dataset, specs, report):
 
 # --- sparse-code -----------------------------------------------------------
 
-def _run_sparse(config, dataset, specs, report):
-    _require_labels(dataset, "sparse-code")
-    grams = _grams_by_spec(specs, dataset, config.threads)
-
+def _run_sparse(config, dataset, specs, grams, report):
     def cell(spec, gram_matrix, seed):
-        rng = np.random.default_rng([seed])
-        train_idx, test_idx = ds_mod.stratified_split(
-            dataset.labels, config.train_fraction, rng)
+        train_idx, test_idx = _split(dataset, config, seed)
         dict_gram = gram_matrix.take(train_idx)
         if not kernels.certify_pd(dict_gram, mode="pd").passed:
             raise InputError(
@@ -440,29 +449,18 @@ def _run_sparse(config, dataset, specs, report):
             correct += int(predicted == dataset.labels[query])
         return correct / test_idx.size, fallbacks, train_idx
 
-    cells = [lambda s=s, g=g, seed=seed: cell(s, g, seed)
-             for s, g in zip(specs, grams) for seed in config.seeds]
-    results = _run_cells(cells, config.threads)
-
+    chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
-    for index, spec in enumerate(specs):
-        chunk = results[index * len(config.seeds):
-                        (index + 1) * len(config.seeds)]
-        accuracies = [r[0] for r in chunk]
-        mean, std = _mean_std(accuracies)
+    for spec, chunk in zip(specs, chunks):
+        scores, mean, std = _series("accuracy", "accuracies",
+                                    [r[0] for r in chunk])
         items = [
             ("kernel", spec.label()),
             ("lam", config.lam),
-            ("seeds", " ".join(str(s) for s in config.seeds)),
-            ("accuracies", " ".join(format_float(a) for a in accuracies)),
-            ("mean_accuracy", mean),
-            ("std_accuracy", std),
-            ("zero_code_fallbacks",
-             " ".join(str(r[1]) for r in chunk)),
-        ]
-        for seed, result in zip(config.seeds, chunk):
-            items.append((f"train_indices_{seed}",
-                          " ".join(str(i) for i in result[2])))
+            ("seeds", _joined(config.seeds)),
+        ] + scores + [
+            ("zero_code_fallbacks", _joined(r[1] for r in chunk)),
+        ] + _train_index_items(config.seeds, [r[2] for r in chunk])
         report.add_section("result", items,
                            label=f"sparse-code {spec.label()}")
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
@@ -495,44 +493,29 @@ def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m):
     return recall, nn_accuracy
 
 
-def _run_hash(config, dataset, specs, report):
-    if config.anchors > dataset.n:
-        raise InputError(
-            f"anchors={config.anchors} exceeds dataset size {dataset.n}")
-    grams = _grams_by_spec(specs, dataset, config.threads)
-    combos = [(index, bits) for index in range(len(specs))
-              for bits in config.bits]
-    cells = [lambda g=grams[i], b=bits, seed=seed:
-             _hash_cell(g, dataset.labels, b, config.anchors, seed,
-                        config.top_m)
-             for i, bits in combos for seed in config.seeds]
-    results = _run_cells(cells, config.threads)
+def _run_hash(config, dataset, specs, grams, report):
+    def cell(spec, gram_matrix, bits, seed):
+        return _hash_cell(gram_matrix, dataset.labels, bits, config.anchors,
+                          seed, config.top_m)
 
+    groups = [(spec, grams[spec], bits)
+              for spec in specs for bits in config.bits]
     rows = []
-    for slot, (index, bits) in enumerate(combos):
-        spec = specs[index]
-        chunk = results[slot * len(config.seeds):
-                        (slot + 1) * len(config.seeds)]
-        recalls = [r[0] for r in chunk]
-        mean_recall, std_recall = _mean_std(recalls)
+    for (spec, _, bits), chunk in zip(groups, _sweep(config, groups, cell)):
+        scores, mean_recall, _ = _series("recall", "recalls",
+                                         [r[0] for r in chunk])
         items = [
             ("kernel", spec.label()),
             ("bits", bits),
             ("anchors", config.anchors),
             ("top_m", config.top_m),
-            ("seeds", " ".join(str(s) for s in config.seeds)),
-            ("recalls", " ".join(format_float(v) for v in recalls)),
-            ("mean_recall", mean_recall),
-            ("std_recall", std_recall),
-        ]
+            ("seeds", _joined(config.seeds)),
+        ] + scores
         row = [spec.label(), str(bits), f"{mean_recall:.4f}"]
         if dataset.labels is not None:
-            nn = [r[1] for r in chunk]
-            mean_nn, std_nn = _mean_std(nn)
-            items += [("nn_accuracies",
-                       " ".join(format_float(v) for v in nn)),
-                      ("mean_nn_accuracy", mean_nn),
-                      ("std_nn_accuracy", std_nn)]
+            nn_scores, mean_nn, _ = _series(
+                "nn_accuracy", "nn_accuracies", [r[1] for r in chunk])
+            items += nn_scores
             row.append(f"{mean_nn:.4f}")
         else:
             row.append("-")
@@ -547,9 +530,6 @@ def _run_hash(config, dataset, specs, report):
 # --- generate / bench -------------------------------------------------------
 
 def _run_generate(config, report):
-    if config.dataset:
-        raise InputError("generate synthesizes data; "
-                         "drop the dataset option")
     dataset = _resolve_dataset(config)
     path = config.out or f"{dataset.name}.txt"
     ds_mod.save_dataset(dataset, path)
@@ -558,7 +538,7 @@ def _run_generate(config, report):
     return True, path
 
 
-def _run_bench(config, dataset, report):
+def _run_bench(config, dataset, specs, grams, report):
     """A fixed composite workload exercising every machine once.
 
     The verdict tracks the counterexample regression alone.  The catalog
@@ -568,18 +548,28 @@ def _run_bench(config, dataset, report):
     findings, not tool failures.
     """
     passed = _run_counterexample(report)
-    catalog = _resolve_kernels(
-        dataclasses.replace(config, task="pd-check", kernels=()), dataset.p)
-    _run_pd_check(config, dataset, catalog, report)
-    focus = _resolve_kernels(config, dataset.p)
-    _run_svm(config, dataset, focus, report)
-    _run_cluster(config, dataset, focus, report)
-    _run_sparse(config, dataset, focus, report)
+    catalog = _resolve_kernels(("catalog",), dataset.p)
+    _run_pd_check(config, dataset, catalog, grams, report)
+    for runner in (_run_svm, _run_cluster, _run_sparse):
+        runner(config, dataset, specs, grams, report)
     # small benchmark datasets cannot support the full anchor default
     hash_config = dataclasses.replace(
         config, anchors=min(config.anchors, dataset.n))
-    _run_hash(hash_config, dataset, focus, report)
+    _run_hash(hash_config, dataset, specs, grams, report)
     return passed
+
+
+# runners of the tasks that work on a dataset; the catalog Grams that
+# bench certifies are built along with its own kernels
+_RUNNERS = {
+    "gram": _run_gram,
+    "pd-check": _run_pd_check,
+    "svm": _run_svm,
+    "cluster": _run_cluster,
+    "sparse-code": _run_sparse,
+    "hash": _run_hash,
+    "bench": _run_bench,
+}
 
 
 def run_experiment(config):
@@ -587,30 +577,23 @@ def run_experiment(config):
     report = ReportBuilder(GENERATOR)
     report.add_section("config", config.resolved_items())
 
-    out_path = config.out or None
+    out_path = config.out or (GRAM_DIR if config.task == "gram" else None)
     if config.task == "generate":
         passed, out_path = _run_generate(config, report)
     elif config.task == "counterexample":
         passed = _run_counterexample(report)
     else:
         dataset = _resolve_dataset(config)
+        _check_inputs(config, dataset)
         report.add_section("dataset", _dataset_items(dataset))
+        default = "catalog" if config.task == "pd-check" else DEFAULT_KERNEL
+        specs = _resolve_kernels(config.kernels or (default,), dataset.p)
+        needed = specs
         if config.task == "bench":
-            passed = _run_bench(config, dataset, report)
-        else:
-            specs = _resolve_kernels(config, dataset.p)
-            if config.task == "gram":
-                passed, out_path = _run_gram(config, dataset, specs, report)
-            elif config.task == "pd-check":
-                passed = _run_pd_check(config, dataset, specs, report)
-            elif config.task == "svm":
-                passed = _run_svm(config, dataset, specs, report)
-            elif config.task == "cluster":
-                passed = _run_cluster(config, dataset, specs, report)
-            elif config.task == "sparse-code":
-                passed = _run_sparse(config, dataset, specs, report)
-            else:
-                passed = _run_hash(config, dataset, specs, report)
+            needed = _resolve_kernels(("catalog",), dataset.p) + specs
+        grams = _grams_by_spec(needed, dataset, config.threads)
+        passed = _RUNNERS[config.task](config, dataset, specs, grams,
+                                       report)
 
     report.add_section("verdict", [("passed", passed)])
     text = report.render()

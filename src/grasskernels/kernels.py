@@ -54,6 +54,7 @@ Run the pd-check task to see the verdicts on any dataset.
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,6 +71,9 @@ FAMILIES = ("baseline", "linear", "polynomial", "rbf", "laplace",
 CPD_FAMILIES = ("logarithm",)
 
 PD_TOLERANCE = 1e-8
+
+# kernel values whose log exceeds this overflow a float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _EMBEDDING_ALIASES = {
     "bc": "binet_cauchy",
@@ -104,6 +108,9 @@ class KernelSpec:
         Scale; positive for polynomial / rbf / laplace, > 1 for binomial
         on the determinant embedding and > p on the projection embedding,
         disallowed elsewhere.
+
+    Parameters at which the kernel's largest value would overflow a
+    float are rejected too.
     """
 
     embedding: str
@@ -147,6 +154,8 @@ class KernelSpec:
 
     def _check_ranges(self):
         a, b = self.alpha, self.beta
+        smax = self.similarity_max
+        log_top = 0.0  # log of the largest value the kernel takes
         if self.family == "polynomial":
             if b <= 0.0:
                 raise InvalidKernelParameter(
@@ -154,19 +163,26 @@ class KernelSpec:
             if a < 1.0 or not float(a).is_integer():
                 raise InvalidKernelParameter(
                     f"polynomial kernel needs an integer alpha >= 1, got {a}")
+            log_top = a * math.log(b + smax)
         elif self.family in ("rbf", "laplace"):
             if b <= 0.0:
                 raise InvalidKernelParameter(
                     f"{self.family} kernel needs beta > 0, got {b}")
+            if self.family == "rbf":
+                log_top = b * smax
         elif self.family == "binomial":
             if a <= 0.0:
                 raise InvalidKernelParameter(
                     f"binomial kernel needs alpha > 0, got {a}")
-            lower = 1.0 if self.embedding == "binet_cauchy" else float(self.p)
-            if b <= lower:
+            if b <= smax:
                 raise InvalidKernelParameter(
                     f"binomial kernel on the {self.embedding} embedding "
-                    f"needs beta > {lower:g}, got {b}")
+                    f"needs beta > {smax:g}, got {b}")
+            log_top = -a * math.log(b - smax)
+        if log_top > _LOG_FLOAT_MAX:
+            raise InvalidKernelParameter(
+                f"kernel {self.label()} overflows a float: the log of its "
+                f"largest value is {log_top:.6g}, above {_LOG_FLOAT_MAX:.6g}")
 
     @property
     def similarity_max(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grasskernels import grassmann, kernels
+from grasskernels.harness import datasets as ds_mod
 from grasskernels.exceptions import (DimensionMismatch, InputError,
                                      InvalidDimensions, RankDeficient)
 from grasskernels.grassmann import Subspace
@@ -391,6 +392,39 @@ def test_hash_task_rejects_oversized_anchor_count():
         run_experiment(config)
 
 
+def test_task_run_serializes_its_dataset_once(monkeypatch):
+    calls = []
+
+    def counting(dataset):
+        calls.append(dataset.name)
+        return serialize_dataset(dataset)
+
+    monkeypatch.setattr(ds_mod, "serialize_dataset", counting)
+    run_experiment(build_config("svm", overrides={
+        "d": "6", "p": "2", "classes": "2", "per_class": "4",
+        "seeds": "0 1", "kernels": "linear:projection linear:bc"}))
+    assert len(calls) == 1
+
+
+def test_bench_builds_each_gram_once(monkeypatch):
+    built = []
+    original = kernels.gram
+
+    def counting(spec, data, fingerprint=None):
+        built.append(spec.label())
+        return original(spec, data, fingerprint=fingerprint)
+
+    monkeypatch.setattr(kernels, "gram", counting)
+    run_experiment(build_config("bench", overrides={
+        "d": "6", "p": "2", "classes": "2", "per_class": "4",
+        "seeds": "0", "lam": "0.01"}))
+    # the default focus kernel is one of the catalog's, so the run
+    # builds the catalog's 14 Grams and no more
+    catalog = [kernels.parse_kernel_token(token, 2).label()
+               for token in default_catalog_tokens(2)]
+    assert sorted(built) == sorted(catalog)
+
+
 def test_generate_task_round_trip(tmp_path):
     out = tmp_path / "made.txt"
     config = build_config("generate", overrides={
@@ -439,6 +473,38 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--dataset", data_file,
                      "--out", str(tmp_path / "z.txt")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["svm", "--svm-c", "0"],
+    ["sparse-code", "--lam", "0"],
+    ["cluster", "--restarts", "0"],
+    ["hash", "--bits", "0"],
+    ["hash", "--anchors", "0"],
+    ["hash", "--top-m", "0"],
+    ["svm", "--seeds", "-1"],
+    ["svm", "--seed", "-1"],
+    ["svm", "--tune", "--cv-folds", "0"],
+    ["svm", "--tune", "--cv-folds", "1"],
+    ["svm", "--noise-angle", "2"],
+    ["svm", "--d", "2", "--p", "3"],
+    ["svm", "--classes", "0"],
+    ["svm", "--per-class", "0"],
+    ["generate", "--name", "two=parts"],
+    ["cluster", "--clusters", "41"],
+    ["cluster", "--clusters", "-1"],
+    ["svm", "--classes", "1"],
+    ["sparse-code", "--classes", "1"],
+    ["bench", "--classes", "1"],
+    ["svm", "--per-class", "1"],
+    ["pd-check", "--kernels", "rbf:projection:beta=1000"],
+], ids=" ".join)
+def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, capsys):
+    """Each argv once exited 1 with a traceback or 0 with a bogus report."""
+    assert cli.main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_accepts_comma_separated_lists(tmp_path, capsys):

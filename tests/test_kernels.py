@@ -110,6 +110,25 @@ def test_binomial_scale_floor_tracks_embedding():
     assert KernelSpec("proj", "binomial", 2, alpha=1.0, beta=2.5).beta == 2.5
 
 
+def test_overflowing_parameters_rejected():
+    # the log of the largest value is beta*smax (rbf), alpha*log(beta+smax)
+    # (polynomial) or -alpha*log(beta-smax) (binomial); past about 709.78
+    # the value overflows a float
+    for token in ("rbf:projection:beta=1000",
+                  "polynomial:projection:alpha=400:beta=5",
+                  "binomial:bc:alpha=400:beta=1.0001"):
+        with pytest.raises(InvalidKernelParameter, match="overflows"):
+            parse_kernel_token(token, 2)
+    # just under the bound (logs 708, 703.1 and 643.8) the largest value,
+    # reached at x == y, is finite
+    x = random_points(1, 4, 2, 3)[0]
+    for token in ("rbf:projection:beta=354",
+                  "polynomial:projection:alpha=400:beta=3.8",
+                  "binomial:bc:alpha=400:beta=1.2"):
+        value = evaluate(parse_kernel_token(token, 2), x, x)
+        assert math.isfinite(value) and value > 1e270
+
+
 def test_similarity_max_and_mode():
     assert KernelSpec("bc", "linear", 3).similarity_max == 1.0
     assert KernelSpec("proj", "linear", 3).similarity_max == 3.0
