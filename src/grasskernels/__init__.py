@@ -13,14 +13,14 @@ from .grassmann import (PluckerVector, PrincipalAngles, Subspace,
                         curve_length_ratio, geodesic_distance,
                         plucker_embed, principal_angles, proj_distance_sq,
                         proj_inner, projection_embed, random_subspace,
-                        subspace_pair_with_angles, tilt_subspace)
+                        similarity, subspace_pair_with_angles, tilt_subspace)
 from .kernels import (CertificationReport, GramMatrix, KernelSpec,
                       certify_pd, counterexample_gram,
-                      counterexample_subspaces, evaluate,
+                      counterexample_subspaces, cross_gram, evaluate,
                       geodesic_rbf_pseudo_kernel, gram, parse_kernel_token)
 from .machines import (ClusterAssignment, HashFamily, SparseCode, SvmModel,
                        clustering_accuracy, hamming_distance,
-                       kernel_sparse_code, key_to_hex, kkmeans, klsh_build,
+                       kernel_sparse_code, kkmeans, klsh_build,
                        klsh_hash, klsh_hash_gram, klsh_query,
                        normalized_mutual_information, rank_by_hamming,
                        sparse_code_classify, svm_decision_from_rows,
@@ -46,6 +46,7 @@ __all__ = [
     "compound_matrix",
     "counterexample_gram",
     "counterexample_subspaces",
+    "cross_gram",
     "curve_length_ratio",
     "evaluate",
     "exceptions",
@@ -54,7 +55,6 @@ __all__ = [
     "gram",
     "hamming_distance",
     "kernel_sparse_code",
-    "key_to_hex",
     "kkmeans",
     "klsh_build",
     "klsh_hash",
@@ -69,6 +69,7 @@ __all__ = [
     "projection_embed",
     "random_subspace",
     "rank_by_hamming",
+    "similarity",
     "sparse_code_classify",
     "subspace_pair_with_angles",
     "svm_decision_from_rows",

@@ -16,6 +16,7 @@ from .exceptions import (DegenerateRatio, DimensionMismatch,
                          EmbeddingTooLarge)
 
 EMBEDDING_CAP = 10_000
+EMBEDDINGS = ("binet_cauchy", "projection")  # the two similarities
 
 _ORTHONORMALITY_TOL = 1e-10
 _PROJECTOR_EQ_TOL = 1e-8
@@ -144,37 +145,70 @@ def _check_pair(x, y):
             f"(d={x.d}, p={x.p}) vs (d={y.d}, p={y.p})")
 
 
-def principal_angles(x, y):
-    """Principal angles between two subspaces of the same manifold.
+def _row_products(xs, ys):
+    """One (len(ys), p, p) stack of x.T @ y per x in xs, lazily.
 
-    Computed as arccos of the singular values of x.T @ y, with the
-    cosines clamped into [0, 1] first because roundoff routinely pushes
-    them a few ulp outside.
+    The ys bases are stacked once and every product comes from the same
+    batched matmul, so a product does not depend on the other inputs.
     """
-    _check_pair(x, y)
-    cosines = np.linalg.svd(x.basis.T @ y.basis, compute_uv=False)
-    theta = np.arccos(np.clip(cosines, 0.0, 1.0))
-    return PrincipalAngles(np.sort(theta))
+    xs, ys = list(xs), list(ys)
+    if not xs or not ys:
+        raise DimensionMismatch("need at least one subspace on each side")
+    for z in xs + ys:
+        _check_pair(xs[0], z)
+    stack = np.stack([y.basis for y in ys])
+    return (np.matmul(x.basis.T, stack) for x in xs)
+
+
+def similarity(embedding, xs, ys):
+    """Similarity of every x in xs to every y in ys, a len(xs) x len(ys) array.
+
+    "binet_cauchy" gives |det(x.T @ y)|, the product of the angle
+    cosines; "projection" gives ||x.T @ y||_F^2, the sum of their
+    squares.  Each row is one batched product and one reduction per
+    block, so entry (i, j) is bit for bit the value of the pair alone;
+    bc_inner and proj_inner are the 1 x 1 case.
+    """
+    if embedding not in EMBEDDINGS:
+        raise ValueError(f"unknown embedding {embedding!r}")
+    rows = _row_products(xs, ys)
+    if embedding == "binet_cauchy":
+        return np.array([np.abs(numerics.determinant(r)) for r in rows])
+    return np.array([np.square(r).reshape(len(r), -1).sum(axis=1)
+                     for r in rows])
+
+
+def _angles(products):
+    # roundoff routinely pushes the cosines a few ulp outside [0, 1]
+    cosines = np.linalg.svd(products, compute_uv=False)
+    return np.sort(np.arccos(np.clip(cosines, 0.0, 1.0)), axis=-1)
+
+
+def principal_angles(x, y):
+    """Principal angles between two subspaces: arccos of the singular
+    values of x.T @ y, clamped into [0, 1] first."""
+    return PrincipalAngles(_angles(next(_row_products([x], [y]))[0]))
+
+
+def geodesic_distances(xs, ys):
+    """Arc length from every x in xs to every y in ys, row by row."""
+    return np.array([np.linalg.norm(_angles(r), axis=-1)
+                     for r in _row_products(xs, ys)])
 
 
 def geodesic_distance(x, y):
-    """Arc length of the shortest path between two subspaces.
-
-    Equals the Euclidean norm of the principal angle vector.
-    """
-    return principal_angles(x, y).norm()
+    """Arc length between two subspaces, the norm of the angle vector."""
+    return float(geodesic_distances([x], [y])[0, 0])
 
 
 def bc_inner(x, y):
     """Absolute determinant of x.T @ y, the product of angle cosines."""
-    _check_pair(x, y)
-    return abs(numerics.determinant(x.basis.T @ y.basis))
+    return float(similarity("binet_cauchy", [x], [y])[0, 0])
 
 
 def proj_inner(x, y):
     """Squared Frobenius norm of x.T @ y, the sum of squared cosines."""
-    _check_pair(x, y)
-    return float(np.sum((x.basis.T @ y.basis) ** 2))
+    return float(similarity("projection", [x], [y])[0, 0])
 
 
 def bc_distance_sq(x, y):
@@ -206,9 +240,8 @@ def plucker_embed(x, cap=EMBEDDING_CAP):
     if n_coords > cap:
         raise EmbeddingTooLarge(
             f"embedding needs {n_coords} coordinates, cap is {cap}")
-    coords = np.empty(n_coords)
-    for k, rows in enumerate(itertools.combinations(range(x.d), x.p)):
-        coords[k] = numerics.determinant(x.basis[list(rows), :])
+    rows = np.array(list(itertools.combinations(range(x.d), x.p)))
+    coords = numerics.determinant(x.basis[rows])
     # minors of an orthonormal basis already have unit total norm;
     # normalize anyway so the invariant holds bit-for-bit
     coords /= np.linalg.norm(coords)
@@ -239,14 +272,11 @@ def compound_matrix(m, q, cap=EMBEDDING_CAP):
     if n_rows * n_cols > cap:
         raise EmbeddingTooLarge(
             f"compound matrix has {n_rows} x {n_cols} entries, cap is {cap}")
-    row_subsets = list(itertools.combinations(range(r), q))
-    col_subsets = list(itertools.combinations(range(c), q))
-    out = np.empty((n_rows, n_cols))
-    for i, rows in enumerate(row_subsets):
-        block = m[list(rows), :]
-        for j, cols in enumerate(col_subsets):
-            out[i, j] = numerics.determinant(block[:, list(cols)])
-    return out
+    rows = np.array(list(itertools.combinations(range(r), q)))
+    cols = np.array(list(itertools.combinations(range(c), q)))
+    minors = m[rows[:, None, :, None], cols[None, :, None, :]]
+    return numerics.determinant(minors.reshape(-1, q, q)).reshape(
+        n_rows, n_cols)
 
 
 def curve_length_ratio(x, y):

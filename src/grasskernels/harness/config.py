@@ -49,8 +49,9 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise InputError(f"unknown task {self.task!r}; "
                              f"expected one of {sorted(TASKS)}")
-        if not self.seeds:
-            raise InputError("seeds must not be empty")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise InputError(f"seeds must be nonempty and distinct, "
+                             f"got {_render(self.seeds)!r}")
         for key, (requirement, holds) in _RANGES.items():
             value = getattr(self, key)
             for element in value if isinstance(value, tuple) else (value,):

@@ -163,12 +163,15 @@ def parse_dataset(text):
         try:
             labels = np.array([int(s) for s in fields["labels"].split()],
                               dtype=np.int64)
-        except ValueError as exc:
-            raise InputError(f"labels must be integers: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"labels must be int64 values: {exc}") from exc
         if labels.size != n:
             raise InputError(f"expected {n} labels, got {labels.size}")
-    return Dataset(subspaces=tuple(subspaces), labels=labels,
-                   name=fields.get("name", "unnamed"))
+    try:
+        return Dataset(subspaces=tuple(subspaces), labels=labels,
+                       name=fields.get("name", "unnamed"))
+    except (ValueError, DimensionMismatch) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def save_dataset(dataset, path):

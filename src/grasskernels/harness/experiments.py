@@ -323,31 +323,37 @@ def _candidate_specs(spec, config):
     return candidates
 
 
-def _tune_spec(spec, dataset, train_idx, config, seed):
-    """Pick grid parameters by stratified cross-validation on the train side."""
+def _tune_spec(spec, gram_matrix, dataset, train_idx, config, seed):
+    """Pick grid parameters by stratified cross-validation on the train side.
+
+    Each candidate's Gram is built once over the dataset and validated on
+    take(train_idx), the train points' own Gram bit for bit.  Returns the
+    winning spec and Gram, or (spec, gram_matrix) for a parameterless spec.
+    """
     if spec.alpha is None and spec.beta is None:
-        return spec
+        return spec, gram_matrix
     labels = dataset.labels[train_idx]
     rng = np.random.default_rng([seed, 101])
     folds = _stratified_folds(labels, min(config.cv_folds, train_idx.size),
                               rng)
-    subspaces = [dataset.subspaces[i] for i in train_idx]
     best = None
     for candidate in _candidate_specs(spec, config):
-        gram_matrix = kernels.gram(candidate, subspaces)
+        candidate_gram = kernels.gram(candidate, dataset.subspaces,
+                                      fingerprint=dataset.fingerprint)
+        train_gram = candidate_gram.take(train_idx)
         scores = []
         for fold in np.unique(folds):
             fit = np.flatnonzero(folds != fold)
             held = np.flatnonzero(folds == fold)
             if np.unique(labels[fit]).size < 2:
                 continue
-            predicted = _fit_predict(gram_matrix, labels, fit, held,
+            predicted = _fit_predict(train_gram, labels, fit, held,
                                      config.svm_c)
             scores.append(float(np.mean(predicted == labels[held])))
         score = float(np.mean(scores)) if scores else -1.0
         if best is None or score > best[0]:
-            best = (score, candidate)
-    return best[1]
+            best = (score, candidate, candidate_gram)
+    return best[1], best[2]
 
 
 def _run_svm(config, dataset, specs, grams, report):
@@ -355,10 +361,8 @@ def _run_svm(config, dataset, specs, grams, report):
         train_idx, test_idx = _split(dataset, config, seed)
         used = spec
         if config.tune:
-            used = _tune_spec(spec, dataset, train_idx, config, seed)
-            if used != spec:
-                gram_matrix = kernels.gram(used, dataset.subspaces,
-                                           fingerprint=dataset.fingerprint)
+            used, gram_matrix = _tune_spec(spec, gram_matrix, dataset,
+                                           train_idx, config, seed)
         predicted = _fit_predict(gram_matrix, dataset.labels,
                                  train_idx, test_idx, config.svm_c)
         accuracy = float(np.mean(predicted == dataset.labels[test_idx]))

@@ -63,7 +63,7 @@ import numpy as np
 from . import grassmann, numerics
 from .exceptions import DimensionMismatch, InvalidKernelParameter
 
-EMBEDDINGS = ("binet_cauchy", "projection")
+EMBEDDINGS = grassmann.EMBEDDINGS
 FAMILIES = ("baseline", "linear", "polynomial", "rbf", "laplace",
             "binomial", "logarithm")
 
@@ -217,29 +217,6 @@ class KernelSpec:
                 f"alpha={alpha}\nbeta={beta}")
 
 
-def spec_from_kv(text, p):
-    """Rebuild a KernelSpec from its key=value record.
-
-    The subspace dimension is not part of the record; it is bound here
-    from the dataset the spec is applied to.
-    """
-    fields = {}
-    for line in text.strip().splitlines():
-        if "=" not in line:
-            raise InvalidKernelParameter(
-                f"malformed kernel record line {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    missing = {"embedding", "family", "alpha", "beta"} - set(fields)
-    if missing:
-        raise InvalidKernelParameter(
-            f"kernel record is missing fields: {sorted(missing)}")
-    alpha = float(fields["alpha"]) if fields["alpha"] else None
-    beta = float(fields["beta"]) if fields["beta"] else None
-    return KernelSpec(embedding=fields["embedding"], family=fields["family"],
-                      p=p, alpha=alpha, beta=beta)
-
-
 def parse_kernel_token(token, p):
     """Parse a compact token like 'rbf:projection:beta=0.5'.
 
@@ -274,23 +251,29 @@ def parse_kernel_token(token, p):
                       alpha=alpha, beta=beta)
 
 
-def evaluate(spec, x, y):
-    """Evaluate the kernel on a pair of subspaces."""
-    if x.basis.shape != y.basis.shape:
+def cross_gram(spec, queries, refs):
+    """Kernel values of every query against every ref, a 2-D array.
+
+    One similarity matrix on the spec's embedding (grassmann.similarity)
+    mapped elementwise by the family, so an entry depends only on its own
+    pair.  Raises DimensionMismatch unless both sides are nonempty and
+    share one manifold with the spec's p.
+    """
+    queries = list(queries)
+    s = grassmann.similarity(spec.embedding, queries, refs)
+    if queries[0].p != spec.p:
         raise DimensionMismatch(
-            f"subspaces live on different manifolds: "
-            f"(d={x.d}, p={x.p}) vs (d={y.d}, p={y.p})")
-    if x.p != spec.p:
-        raise DimensionMismatch(
-            f"kernel was configured for p={spec.p}, data has p={x.p}")
-    if spec.embedding == "binet_cauchy":
-        s = grassmann.bc_inner(x, y)
-    else:
-        s = grassmann.proj_inner(x, y)
+            f"kernel was configured for p={spec.p}, data has p={queries[0].p}")
     return _apply(spec, s)
 
 
+def evaluate(spec, x, y):
+    """The kernel on one pair of subspaces: the 1 x 1 case of cross_gram."""
+    return float(cross_gram(spec, [x], [y])[0, 0])
+
+
 def _apply(spec, s):
+    """The family's value at similarity s, elementwise over an array."""
     family = spec.family
     if family == "baseline":
         return s * s if spec.embedding == "binet_cauchy" else s
@@ -299,23 +282,14 @@ def _apply(spec, s):
     if family == "polynomial":
         return (spec.beta + s) ** spec.alpha
     if family == "rbf":
-        return math.exp(spec.beta * s)
+        return np.exp(spec.beta * s)
     if family == "laplace":
         # roundoff can push s a hair past its maximum; clamp the radicand
-        return math.exp(-spec.beta * math.sqrt(max(spec.similarity_max - s,
-                                                   0.0)))
+        return np.exp(-spec.beta * np.sqrt(np.maximum(
+            spec.similarity_max - s, 0.0)))
     if family == "binomial":
         return (spec.beta - s) ** -spec.alpha
-    return -math.log(spec.similarity_max + 1.0 - s)
-
-
-def subspace_fingerprint(data):
-    """Content hash of a sequence of subspaces, order sensitive."""
-    digest = hashlib.sha256()
-    for x in data:
-        digest.update(f"{x.d}x{x.p};".encode())
-        digest.update(np.ascontiguousarray(x.basis).tobytes())
-    return digest.hexdigest()
+    return -np.log(spec.similarity_max + 1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -323,12 +297,13 @@ class GramMatrix:
     """A symmetric kernel matrix bound to its kernel and source data.
 
     `spec` is None for matrices built from functions outside the catalog,
-    such as the geodesic pseudo-kernel.
+    such as the geodesic pseudo-kernel.  `fingerprint` names the source
+    data when the caller gives one, such as the dataset fingerprint.
     """
 
     values: np.ndarray
     spec: Optional[KernelSpec]
-    fingerprint: str
+    fingerprint: Optional[str] = None
 
     def __post_init__(self):
         v = numerics.as_matrix(self.values)
@@ -352,34 +327,28 @@ class GramMatrix:
             raise DimensionMismatch("indices must form a nonempty vector")
         sub = self.values[np.ix_(idx, idx)]
         tag = hashlib.sha256(idx.tobytes()).hexdigest()[:12]
-        return GramMatrix(sub, self.spec,
-                          f"{self.fingerprint}:take:{tag}")
+        return GramMatrix(sub, self.spec, self.fingerprint
+                          and f"{self.fingerprint}:take:{tag}")
+
+
+def _mirror_upper(values):
+    """Copy the upper triangle onto the lower one, in place, and return it."""
+    lower = np.tril_indices(values.shape[0], -1)
+    values[lower] = values.T[lower]
+    return values
 
 
 def gram(spec, data, fingerprint=None):
-    """Assemble the full kernel matrix over a sequence of subspaces.
+    """The GramMatrix of a sequence of subspaces, tagged with `fingerprint`.
 
-    Entry (i, j) is exactly evaluate(spec, data[i], data[j]); the matrix
-    is filled on the upper triangle and mirrored, so symmetry is exact.
+    The upper triangle of cross_gram(spec, data, data), mirrored so that
+    symmetry is exact: entry (i, j) with i <= j is exactly
+    evaluate(spec, data[i], data[j]), and the gram of an increasing
+    subset of indices is take() of the full matrix bit for bit.
     """
     data = list(data)
-    if not data:
-        raise DimensionMismatch("need at least one subspace")
-    shape = data[0].basis.shape
-    for x in data:
-        if x.basis.shape != shape:
-            raise DimensionMismatch(
-                "all subspaces must live on the same manifold")
-    n = len(data)
-    values = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = evaluate(spec, data[i], data[j])
-            values[i, j] = v
-            values[j, i] = v
-    if fingerprint is None:
-        fingerprint = subspace_fingerprint(data)
-    return GramMatrix(values, spec, fingerprint)
+    return GramMatrix(_mirror_upper(cross_gram(spec, data, data)), spec,
+                      fingerprint)
 
 
 @dataclass(frozen=True)
@@ -463,12 +432,8 @@ def counterexample_gram(beta=1.0):
     With beta = 1 its smallest eigenvalue is about -0.0038, proving the
     geodesic Gaussian indefinite.
     """
+    if not beta > 0.0:
+        raise InvalidKernelParameter(f"beta must be positive, got {beta}")
     points = counterexample_subspaces()
-    n = len(points)
-    values = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = geodesic_rbf_pseudo_kernel(points[i], points[j], beta)
-            values[i, j] = v
-            values[j, i] = v
-    return GramMatrix(values, None, subspace_fingerprint(points))
+    distances = grassmann.geodesic_distances(points, points)
+    return GramMatrix(_mirror_upper(np.exp(-beta * distances ** 2)), None)

@@ -1,8 +1,8 @@
 """Learning machines that consume precomputed kernel matrices."""
 
 from .kkmeans import ClusterAssignment, kkmeans
-from .klsh import (HashFamily, hamming_distance, key_to_hex, klsh_build,
-                   klsh_hash, klsh_hash_gram, klsh_query, rank_by_hamming)
+from .klsh import (HashFamily, hamming_distance, klsh_build, klsh_hash,
+                   klsh_hash_gram, klsh_query, rank_by_hamming)
 from .metrics import clustering_accuracy, normalized_mutual_information
 from .sparse import SparseCode, kernel_sparse_code, sparse_code_classify
 from .svm import SvmModel, svm_decision_from_rows, svm_predict, svm_train
@@ -15,7 +15,6 @@ __all__ = [
     "clustering_accuracy",
     "hamming_distance",
     "kernel_sparse_code",
-    "key_to_hex",
     "kkmeans",
     "klsh_build",
     "klsh_hash",

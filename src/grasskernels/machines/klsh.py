@@ -90,17 +90,22 @@ def klsh_build(gram_matrix, bits, anchors=DEFAULT_ANCHORS, seed=0,
     )
 
 
+def _keys(family, k):
+    """(q, bits) key bits of q points; column j of k holds point j's
+    kernel values against the training points."""
+    keys = np.empty((k.shape[1], family.bit_count), dtype=np.uint8)
+    for b in range(family.bit_count):
+        scores = family.projection_weights[:, b] @ k[family.anchor_indices[b]]
+        keys[:, b] = scores > 0.0
+    return keys
+
+
 def klsh_hash_gram(family, gram_matrix):
     """Hash every point behind the Gram matrix used to build the family.
 
     Returns an (n, bits) uint8 array of key bits.
     """
-    k = gram_matrix.values
-    keys = np.empty((k.shape[0], family.bit_count), dtype=np.uint8)
-    for b in range(family.bit_count):
-        scores = family.projection_weights[:, b] @ k[family.anchor_indices[b]]
-        keys[:, b] = scores > 0.0
-    return keys
+    return _keys(family, gram_matrix.values)
 
 
 def klsh_hash(family, query):
@@ -111,16 +116,10 @@ def klsh_hash(family, query):
     if family.spec is None:
         raise ValueError("family has no kernel spec to evaluate with")
     needed = np.unique(family.anchor_indices)
-    values = np.full(int(needed.max()) + 1, np.nan)
-    for t in needed:
-        values[t] = kernels.evaluate(family.spec, query,
-                                     family.training_refs[t])
-    key = np.empty(family.bit_count, dtype=np.uint8)
-    for b in range(family.bit_count):
-        score = family.projection_weights[:, b] \
-            @ values[family.anchor_indices[b]]
-        key[b] = score > 0.0
-    return key
+    column = np.full((int(needed.max()) + 1, 1), np.nan)
+    column[needed, 0] = kernels.cross_gram(
+        family.spec, [query], [family.training_refs[t] for t in needed])[0]
+    return _keys(family, column)[0]
 
 
 def hamming_distance(key_a, key_b):
@@ -146,8 +145,3 @@ def rank_by_hamming(db_keys, key, top_m):
 def klsh_query(family, db_keys, query, top_m):
     """Hash an out-of-sample query and rank the database against it."""
     return rank_by_hamming(db_keys, klsh_hash(family, query), top_m)
-
-
-def key_to_hex(key):
-    """Pack a bit key into a lowercase hex string, most significant first."""
-    return np.packbits(np.asarray(key, dtype=np.uint8)).tobytes().hex()

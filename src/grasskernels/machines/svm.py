@@ -154,9 +154,8 @@ def svm_decision(model, query):
                          "use svm_decision_from_rows")
     if model.spec is None:
         raise ValueError("model has no kernel spec to evaluate with")
-    row = np.array([kernels.evaluate(model.spec, query,
-                                     model.training_refs[t])
-                    for t in model.support_indices])
+    refs = [model.training_refs[t] for t in model.support_indices]
+    row = kernels.cross_gram(model.spec, [query], refs)[0]
     return float(row @ model.dual_coefficients + model.bias)
 
 

@@ -1,7 +1,9 @@
 """Dense float64 matrix primitives backed by LAPACK through numpy and scipy.
 
-Everything downstream funnels its linear algebra through these helpers so
-that validation, fallback and tolerance policy live in one place.
+Validation, the SVD fallback and the rank tolerance live here.  Gram
+assembly and certification take their determinants and eigenvalues from
+these helpers; the principal-angle SVD in `grassmann` and the
+eigendecomposition in `machines.klsh` still call numpy directly.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ def as_matrix(values):
 
 
 def _require_square(m, what):
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{what} needs a square matrix, got {m.shape}")
 
 
@@ -49,11 +51,6 @@ def svd(m):
             raise ConvergenceFailure(
                 f"SVD did not converge: {exc}", iterations=budget) from exc
     return u, s, vt.T
-
-
-def singular_values(m):
-    """Singular values only, descending."""
-    return svd(m)[1]
 
 
 def orthonormalize(m):
@@ -87,7 +84,12 @@ def symmetric_eigenvalues(m):
 
 
 def determinant(m):
-    """Determinant of a square matrix."""
-    m = as_matrix(m)
+    """Determinant of a square matrix, or the array of them for a stack.
+
+    LAPACK factors each matrix of a (k, n, n) stack on its own, so each
+    determinant is bit for bit that of its matrix alone.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim == 3 else m)
     _require_square(m, "determinant")
-    return float(np.linalg.det(m))
+    return np.linalg.det(m) if m.ndim == 3 else float(np.linalg.det(m))

@@ -50,6 +50,17 @@ def test_dataset_file_round_trip(tmp_path):
         load_dataset(str(tmp_path / "absent.txt"))
 
 
+def test_dataset_fingerprint_is_order_sensitive():
+    data = generate_planted(d=4, p=2, classes=1, per_class=3,
+                            noise_angle=0.3, seed=13)
+    fp = data.fingerprint
+    assert len(fp) == 64 and set(fp) <= set("0123456789abcdef")
+    assert fp == Dataset(subspaces=data.subspaces,
+                         labels=data.labels, name=data.name).fingerprint
+    assert fp != Dataset(subspaces=data.subspaces[::-1],
+                         labels=data.labels, name=data.name).fingerprint
+
+
 def test_dataset_validation():
     x = grassmann.random_subspace(4, 2, np.random.default_rng(0))
     y = grassmann.random_subspace(5, 2, np.random.default_rng(1))
@@ -475,6 +486,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# hand-written dataset files the exit-2 test below passes by name
+BAD_DATASETS = {
+    "name-with-equals.txt":
+        "format_version=1\nname=a=b\nd=3\np=1\nn=1\nsubspace=1 0 0\n",
+    "no-points.txt": "format_version=1\nname=empty\nd=3\np=1\nn=0\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["svm", "--svm-c", "0"],
     ["sparse-code", "--lam", "0"],
@@ -498,9 +517,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     ["bench", "--classes", "1"],
     ["svm", "--per-class", "1"],
     ["pd-check", "--kernels", "rbf:projection:beta=1000"],
+    ["svm", "--d", "6", "--p", "2", "--per-class", "4", "--seeds", "0,0",
+     "--kernels", "linear:projection"],
+    ["svm", "--dataset", "name-with-equals.txt"],
+    ["svm", "--dataset", "no-points.txt"],
 ], ids=" ".join)
-def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, capsys):
+def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
+                                           capsys):
     """Each argv once exited 1 with a traceback or 0 with a bogus report."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    for name, text in BAD_DATASETS.items():
+        (inputs / name).write_text(text)
+    argv = [str(inputs / arg) if arg in BAD_DATASETS else arg
+            for arg in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

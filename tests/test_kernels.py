@@ -2,7 +2,8 @@
 
 Closed-form expectations come from elementary trigonometry on pairs with
 known principal angles, and from exact circulant eigenvalues for four
-equally spaced lines in the plane.
+equally spaced lines in the plane.  The batched similarity path is held
+to a per-pair loop with scalar `math` maps, kept here as the reference.
 """
 
 import hashlib
@@ -14,11 +15,13 @@ import pytest
 from grasskernels import grassmann
 from grasskernels.exceptions import DimensionMismatch, InvalidKernelParameter
 from grasskernels.grassmann import Subspace, subspace_pair_with_angles
+from grasskernels.harness.experiments import default_catalog_tokens
 from grasskernels.kernels import (GramMatrix, KernelSpec, certify_pd,
-                                  counterexample_gram, evaluate,
+                                  counterexample_gram,
+                                  counterexample_subspaces, cross_gram,
+                                  evaluate,
                                   geodesic_rbf_pseudo_kernel, gram,
-                                  parse_kernel_token, spec_from_kv,
-                                  subspace_fingerprint)
+                                  parse_kernel_token)
 
 CATALOG = (
     "baseline:bc", "linear:bc", "polynomial:bc:alpha=2:beta=0.5",
@@ -43,6 +46,48 @@ def four_lines():
 def random_points(n, d, p, key):
     rng = np.random.default_rng(key)
     return [grassmann.random_subspace(d, p, rng) for _ in range(n)]
+
+
+def pair_similarity(embedding, x, y):
+    """Reference similarity of one pair, from its own p x p product."""
+    m = x.basis.T @ y.basis
+    if embedding == "binet_cauchy":
+        return abs(float(np.linalg.det(m)))
+    return float(np.sum(m ** 2))
+
+
+def pair_value(spec, s):
+    """Reference kernel value at similarity s, with scalar math maps."""
+    family, smax = spec.family, spec.similarity_max
+    if family == "baseline":
+        return s * s if spec.embedding == "binet_cauchy" else s
+    if family == "linear":
+        return s
+    if family == "polynomial":
+        return (spec.beta + s) ** spec.alpha
+    if family == "rbf":
+        return math.exp(spec.beta * s)
+    if family == "laplace":
+        return math.exp(-spec.beta * math.sqrt(max(smax - s, 0.0)))
+    if family == "binomial":
+        return (spec.beta - s) ** -spec.alpha
+    return -math.log(smax + 1.0 - s)
+
+
+def pair_loop_gram(spec, pts):
+    """Reference Gram: the upper triangle pair by pair, mirrored."""
+    n = len(pts)
+    values = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            v = pair_value(spec, pair_similarity(spec.embedding,
+                                                 pts[i], pts[j]))
+            values[i, j] = values[j, i] = v
+    return values
+
+
+# manifolds and sizes the batched path is checked on, p = 1 to 3
+SHAPES = ((8, 2, 40), (100, 2, 100), (10, 3, 30), (5, 1, 20))
 
 
 # ---------------------------------------------------------------- spec
@@ -154,15 +199,8 @@ def test_parse_token_errors():
 
 
 def test_kv_round_trip():
-    for token in CATALOG:
-        spec = parse_kernel_token(token, 2)
-        assert spec_from_kv(spec.to_kv(), 2) == spec
     spec = KernelSpec("proj", "rbf", 2, beta=0.5)
     assert spec.to_kv() == "embedding=projection\nfamily=rbf\nalpha=\nbeta=0.5"
-    with pytest.raises(InvalidKernelParameter):
-        spec_from_kv("embedding=projection\nalpha=\nbeta=0.5", 2)
-    with pytest.raises(InvalidKernelParameter):
-        spec_from_kv("no equals sign here", 2)
 
 
 # ---------------------------------------------------------- evaluation
@@ -275,18 +313,76 @@ def test_gram_input_guards():
         gram(spec, mixed)
 
 
-def test_take_submatrix_contract():
-    pts = random_points(6, 5, 2, 9)
+def test_cross_gram_guards():
     spec = parse_kernel_token("rbf:projection:beta=0.5", 2)
-    full = gram(spec, pts)
-    idx = np.array([0, 2, 5])
-    sub = full.take(idx)
-    assert np.array_equal(sub.values, full.values[np.ix_(idx, idx)])
-    # bitwise identical to assembling the subset from scratch
-    direct = gram(spec, [pts[i] for i in idx])
-    assert np.array_equal(sub.values, direct.values)
-    tag = hashlib.sha256(idx.astype(np.intp).tobytes()).hexdigest()[:12]
-    assert sub.fingerprint == f"{full.fingerprint}:take:{tag}"
+    pts = random_points(3, 5, 2, 4)
+    other = random_points(2, 6, 2, 5)
+    for queries, refs in ((pts, other), (pts + other, pts), ([], pts),
+                          (pts, [])):
+        with pytest.raises(DimensionMismatch):
+            cross_gram(spec, queries, refs)
+    with pytest.raises(DimensionMismatch):
+        cross_gram(parse_kernel_token("linear:bc", 3), pts, pts)
+    assert cross_gram(spec, pts[:1], pts).shape == (1, 3)
+
+
+def test_similarity_matches_pair_products():
+    """Each batched entry is bit for bit the product of its pair alone."""
+    for d, p, n in SHAPES:
+        pts = random_points(n, d, p, [d, p, n])
+        queries = pts[::3]
+        for embedding in grassmann.EMBEDDINGS:
+            expected = np.array([[pair_similarity(embedding, x, y)
+                                  for y in pts] for x in queries])
+            got = grassmann.similarity(embedding, queries, pts)
+            assert np.array_equal(got, expected), (d, p, n, embedding)
+            inner = {"binet_cauchy": grassmann.bc_inner,
+                     "projection": grassmann.proj_inner}[embedding]
+            assert inner(queries[-1], pts[1]) == expected[-1, 1]
+    with pytest.raises(ValueError):
+        grassmann.similarity("chordal", pts, pts)
+
+
+def test_catalog_gram_matches_pair_loop():
+    """Vectorized maps stay within 1e-15 of the scalar math loop.
+
+    The similarities are bit-identical; numpy's array exp, log and power
+    may differ from math's by an ulp (about 2.2e-16 relative).
+    """
+    for d, p, n in SHAPES:
+        pts = random_points(n, d, p, [d, p, n])
+        for token in default_catalog_tokens(p):
+            spec = parse_kernel_token(token, p)
+            np.testing.assert_allclose(gram(spec, pts).values,
+                                       pair_loop_gram(spec, pts),
+                                       rtol=1e-15, atol=0, err_msg=token)
+
+
+def test_gram_entries_equal_evaluate():
+    pts = random_points(12, 6, 2, 8)
+    for token in CATALOG:
+        spec = parse_kernel_token(token, 2)
+        values = gram(spec, pts).values
+        for i in range(12):
+            for j in range(i, 12):
+                assert values[i, j] == evaluate(spec, pts[i], pts[j]), token
+
+
+def test_take_submatrix_contract():
+    spec = parse_kernel_token("rbf:projection:beta=0.5", 2)
+    for n, idx in ((6, [0, 2, 5]), (40, [1, 2, 7, 8, 9, 20, 33, 39])):
+        pts = random_points(n, 5, 2, 9)
+        idx = np.array(idx)
+        full = gram(spec, pts, fingerprint="data")
+        sub = full.take(idx)
+        assert np.array_equal(sub.values, full.values[np.ix_(idx, idx)])
+        # bitwise identical to assembling the subset from scratch
+        direct = gram(spec, [pts[i] for i in idx])
+        assert np.array_equal(sub.values, direct.values)
+        tag = hashlib.sha256(idx.astype(np.intp).tobytes()).hexdigest()[:12]
+        assert sub.fingerprint == f"data:take:{tag}"
+        assert direct.fingerprint is None
+        assert direct.take([0, 1]).fingerprint is None
     with pytest.raises(DimensionMismatch):
         full.take(np.array([], dtype=np.intp))
     with pytest.raises(DimensionMismatch):
@@ -301,14 +397,6 @@ def test_gram_matrix_guards():
     g = GramMatrix(np.eye(2), None, "x")
     with pytest.raises(ValueError):
         g.values[0, 0] = 2.0  # stored entries are frozen
-
-
-def test_subspace_fingerprint_is_order_sensitive():
-    pts = random_points(3, 4, 2, 13)
-    fp = subspace_fingerprint(pts)
-    assert len(fp) == 64 and set(fp) <= set("0123456789abcdef")
-    assert fp == subspace_fingerprint(pts)
-    assert fp != subspace_fingerprint(pts[::-1])
 
 
 # -------------------------------------------------------- certification
@@ -411,3 +499,13 @@ def test_counterexample_gram():
     np.testing.assert_allclose(rep.min_eigenvalue, -0.0038326472116467537,
                                rtol=0, atol=1e-9)
     np.testing.assert_allclose(np.diag(g.values), 1.0, rtol=1e-12)
+    # the batched arc lengths are the pairwise ones bit for bit
+    pts = counterexample_subspaces()
+    distances = grassmann.geodesic_distances(pts, pts)
+    assert all(distances[i, j] == grassmann.geodesic_distance(x, y)
+               for i, x in enumerate(pts) for j, y in enumerate(pts))
+    np.testing.assert_allclose(
+        g.values, [[geodesic_rbf_pseudo_kernel(x, y) for y in pts]
+                   for x in pts], rtol=1e-15, atol=0)
+    with pytest.raises(InvalidKernelParameter):
+        counterexample_gram(beta=0.0)

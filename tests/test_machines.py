@@ -19,7 +19,7 @@ from grasskernels.grassmann import Subspace
 from grasskernels.harness.datasets import generate_planted, stratified_split
 from grasskernels.kernels import GramMatrix, evaluate, gram, parse_kernel_token
 from grasskernels.machines import (clustering_accuracy, hamming_distance,
-                                   kernel_sparse_code, key_to_hex, kkmeans,
+                                   kernel_sparse_code, kkmeans,
                                    klsh_build, klsh_hash, klsh_hash_gram,
                                    klsh_query, normalized_mutual_information,
                                    rank_by_hamming, sparse_code_classify,
@@ -454,8 +454,6 @@ def test_hamming_and_key_encoding():
     db = np.array([[0, 0], [0, 1], [0, 0]], dtype=np.uint8)
     assert np.array_equal(rank_by_hamming(db, [0, 0], 2), [0, 2])
     assert np.array_equal(rank_by_hamming(db, [0, 0], 10), [0, 2, 1])
-    assert key_to_hex([1, 0, 0, 1]) == "90"
-    assert key_to_hex([1, 0, 0, 1, 1, 1, 1, 0]) == "9e"
 
 
 def test_klsh_neighbor_recall():

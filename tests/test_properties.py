@@ -1,4 +1,5 @@
-"""Property tests: the kernel token grammar and the config parser.
+"""Property tests: the kernel token grammar, the config parser and the
+dataset parser.
 
 Every draw is derandomized so the suite stays reproducible.
 """
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from grasskernels import kernels
 from grasskernels.exceptions import InputError, InvalidKernelParameter
 from grasskernels.harness.config import ExperimentConfig, build_config
+from grasskernels.harness.datasets import Dataset, parse_dataset
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
@@ -84,3 +86,41 @@ def test_build_config_returns_config_or_raises_input_error(overrides):
     except InputError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+# a small valid dataset file, one line per key, and what may replace each
+# line ("" drops it)
+VALID_DATASET = ("format_version=1", "name=a", "d=3", "p=1", "n=1",
+                 "labels=0", "subspace=1 0 0")
+DATASET_ALTERNATIVES = {
+    "format_version": ["format_version=2", ""],
+    "name": ["name=a=b", "name=", ""],
+    "d": ["d=0", "d=-1", "d=x", "d=1", ""],
+    "p": ["p=0", "p=3", "p=2", ""],
+    "n": ["n=0", "n=2", "n=-1", ""],
+    "labels": ["labels=", "labels=0 1", "labels=99999999999999999999",
+               "labels=x", ""],
+    "subspace": ["subspace=0 0 0", "subspace=nan 0 0", "subspace=1e400 0 0",
+                 "subspace=1 0", "subspace=1 0 0\nsubspace=0 1 0", ""],
+}
+
+
+@st.composite
+def dataset_texts(draw):
+    """Text near a valid dataset file: each line kept or replaced."""
+    lines = [draw(st.one_of(
+        st.just(line),
+        st.sampled_from(DATASET_ALTERNATIVES[line.partition("=")[0]])))
+        for line in VALID_DATASET]
+    lines += draw(st.lists(st.text(max_size=12), max_size=2))
+    return "\n".join(lines)
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(st.one_of(st.text(max_size=60), dataset_texts()))
+def test_dataset_text_parses_or_raises_input_error(text):
+    try:
+        dataset = parse_dataset(text)
+    except InputError:
+        return
+    assert isinstance(dataset, Dataset)
