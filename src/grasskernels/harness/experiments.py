@@ -323,23 +323,23 @@ def _candidate_specs(spec, config):
     return candidates
 
 
-def _tune_spec(spec, gram_matrix, dataset, train_idx, config, seed):
+def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     """Pick grid parameters by stratified cross-validation on the train side.
 
-    Each candidate's Gram is built once over the dataset and validated on
-    take(train_idx), the train points' own Gram bit for bit.  Returns the
-    winning spec and Gram, or (spec, gram_matrix) for a parameterless spec.
+    `grams` holds the Gram of `spec` and of each of its candidates over
+    the whole dataset; each is validated on take(train_idx), the train
+    points' own Gram bit for bit.  Returns the winning spec and Gram, or
+    spec and its own Gram for a parameterless spec.
     """
     if spec.alpha is None and spec.beta is None:
-        return spec, gram_matrix
+        return spec, grams[spec]
     labels = dataset.labels[train_idx]
     rng = np.random.default_rng([seed, 101])
     folds = _stratified_folds(labels, min(config.cv_folds, train_idx.size),
                               rng)
     best = None
     for candidate in _candidate_specs(spec, config):
-        candidate_gram = kernels.gram(candidate, dataset.subspaces,
-                                      fingerprint=dataset.fingerprint)
+        candidate_gram = grams[candidate]
         train_gram = candidate_gram.take(train_idx)
         scores = []
         for fold in np.unique(folds):
@@ -357,11 +357,19 @@ def _tune_spec(spec, gram_matrix, dataset, train_idx, config, seed):
 
 
 def _run_svm(config, dataset, specs, grams, report):
+    if config.tune:
+        # each candidate's Gram is built once for all kernels and seeds
+        missing = [candidate for spec in specs
+                   for candidate in _candidate_specs(spec, config)
+                   if candidate not in grams]
+        grams = {**grams,
+                 **_grams_by_spec(missing, dataset, config.threads)}
+
     def cell(spec, gram_matrix, seed):
         train_idx, test_idx = _split(dataset, config, seed)
         used = spec
         if config.tune:
-            used, gram_matrix = _tune_spec(spec, gram_matrix, dataset,
+            used, gram_matrix = _tune_spec(spec, grams, dataset,
                                            train_idx, config, seed)
         predicted = _fit_predict(gram_matrix, dataset.labels,
                                  train_idx, test_idx, config.svm_c)
@@ -439,11 +447,13 @@ def _run_sparse(config, dataset, specs, grams, report):
         atom_labels = dataset.labels[train_idx]
         correct = 0
         fallbacks = 0
+        unconverged = 0
         for query in test_idx:
             column = gram_matrix.values[query, train_idx]
             self_value = gram_matrix.values[query, query]
             code = kernel_sparse_code(dict_gram, column, self_value,
                                       config.lam, check_psd=False)
+            unconverged += int(not code.converged)
             try:
                 predicted = sparse_code_classify(code, atom_labels)
             except ZeroCode:
@@ -451,7 +461,7 @@ def _run_sparse(config, dataset, specs, grams, report):
                 fallbacks += 1
                 predicted = atom_labels[int(np.argmax(column))]
             correct += int(predicted == dataset.labels[query])
-        return correct / test_idx.size, fallbacks, train_idx
+        return correct / test_idx.size, fallbacks, unconverged, train_idx
 
     chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
@@ -464,7 +474,8 @@ def _run_sparse(config, dataset, specs, grams, report):
             ("seeds", _joined(config.seeds)),
         ] + scores + [
             ("zero_code_fallbacks", _joined(r[1] for r in chunk)),
-        ] + _train_index_items(config.seeds, [r[2] for r in chunk])
+            ("unconverged_codes", _joined(r[2] for r in chunk)),
+        ] + _train_index_items(config.seeds, [r[3] for r in chunk])
         report.add_section("result", items,
                            label=f"sparse-code {spec.label()}")
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))

@@ -1,5 +1,6 @@
 """Harness tests: datasets, configuration, reports, experiments, CLI."""
 
+import dataclasses
 import math
 import os
 
@@ -19,7 +20,8 @@ from grasskernels.harness.datasets import (Dataset, generate_planted,
                                            save_dataset, serialize_dataset,
                                            stratified_split,
                                            subspace_from_samples)
-from grasskernels.harness.experiments import (default_catalog_tokens,
+from grasskernels.harness.experiments import (DEFAULT_KERNEL,
+                                              default_catalog_tokens,
                                               gram_csv_text, run_experiment)
 from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
@@ -434,6 +436,28 @@ def test_bench_builds_each_gram_once(monkeypatch):
     catalog = [kernels.parse_kernel_token(token, 2).label()
                for token in default_catalog_tokens(2)]
     assert sorted(built) == sorted(catalog)
+
+
+def test_tuning_builds_each_candidate_gram_once(monkeypatch):
+    built = []
+    original = kernels.gram
+
+    def counting(spec, data, fingerprint=None):
+        built.append(spec.label())
+        return original(spec, data, fingerprint=fingerprint)
+
+    monkeypatch.setattr(kernels, "gram", counting)
+    config = build_config("svm", overrides={
+        "d": "6", "p": "2", "classes": "2", "per_class": "6",
+        "seeds": "0 1 2 3 4", "tune": "true"})
+    run_experiment(config)
+    # the default kernel's beta=0.5 is on the grid, so the focus kernel
+    # and its candidates are seven distinct specs
+    focus = kernels.parse_kernel_token(DEFAULT_KERNEL, 2)
+    expected = {dataclasses.replace(focus, beta=beta).label()
+                for beta in config.beta_grid} | {focus.label()}
+    assert len(expected) == 7
+    assert sorted(built) == sorted(expected)
 
 
 def test_generate_task_round_trip(tmp_path):

@@ -319,7 +319,7 @@ def _lasso_oracle(kmat, column, query_self, lam):
 
 
 def test_sparse_matches_enumeration_oracle():
-    """Coordinate descent lands on the global optimum of tiny problems."""
+    """The solver lands on the global optimum of tiny problems."""
     rng = np.random.default_rng(77)
     spec = RBF_PROJ
     for _ in range(5):
@@ -361,14 +361,16 @@ def test_sparse_error_paths():
 
 
 def test_sparse_classify():
-    code = SparseCode(coefficients=np.array([0.1, -0.7, 0.3]), lam=0.1,
-                      objective=0.0, objective_history=(0.0,), sweeps=1)
+    def fitted(coefficients):
+        return SparseCode(coefficients=np.array(coefficients), lam=0.1,
+                          objective=0.0, objective_history=(0.0,), sweeps=1,
+                          converged=True, kkt_residual=0.0)
+
+    code = fitted([0.1, -0.7, 0.3])
     assert sparse_code_classify(code, np.array([5, 7, 9])) == 7
-    tie = SparseCode(coefficients=np.array([0.5, -0.5]), lam=0.1,
-                     objective=0.0, objective_history=(0.0,), sweeps=1)
+    tie = fitted([0.5, -0.5])
     assert sparse_code_classify(tie, np.array([3, 4])) == 3
-    empty = SparseCode(coefficients=np.zeros(2), lam=0.1, objective=0.0,
-                       objective_history=(0.0,), sweeps=1)
+    empty = fitted([0.0, 0.0])
     with pytest.raises(ZeroCode):
         sparse_code_classify(empty, np.array([3, 4]))
     with pytest.raises(DimensionMismatch):
@@ -384,6 +386,97 @@ def test_sparse_zero_code_from_large_penalty():
                               lam=100.0)
     with pytest.raises(ZeroCode):
         sparse_code_classify(code, data.labels[1:])
+    assert code.converged and code.sweeps == 1
+    assert code.objective_history == (code.objective,)
+
+
+def _kkt_residual(kmat, column, lam, y):
+    """Largest distance of 0 from the subdifferential of the objective."""
+    gradient = 2.0 * (kmat @ y - column)
+    worst = 0.0
+    for g, coefficient in zip(gradient, y):
+        if coefficient != 0.0:
+            worst = max(worst, abs(g + lam * math.copysign(1.0, coefficient)))
+        else:
+            worst = max(worst, abs(g) - lam)
+    return worst
+
+
+def _bench_dictionary():
+    """The default bench dataset and split: 20 atoms, 20 queries."""
+    data = generate_planted(d=8, p=2, classes=2, per_class=20,
+                            noise_angle=0.1, seed=0)
+    g = gram(RBF_PROJ, data.subspaces)
+    train, test = stratified_split(data.labels, 0.5,
+                                   np.random.default_rng([0]))
+    return g, train, test
+
+
+def test_sparse_converges_on_bench_dictionary():
+    g, train, test = _bench_dictionary()
+    dictionary = g.take(train)
+    for query in test:
+        column = g.values[query, train]
+        code = kernel_sparse_code(dictionary, column, g.values[query, query],
+                                  lam=1e-3)
+        residual = _kkt_residual(dictionary.values, column, 1e-3,
+                                 code.coefficients)
+        assert code.converged
+        assert residual <= 1e-8 and code.kkt_residual <= 1e-8
+        assert np.all(np.diff(code.objective_history) <= 0.0)
+
+
+def test_sparse_budget_exhaustion_is_reported():
+    g, train, test = _bench_dictionary()
+    dictionary = g.take(train)
+    column = g.values[test[0], train]
+    full = kernel_sparse_code(dictionary, column, g.values[test[0], test[0]],
+                              lam=1e-3)
+    assert full.converged and full.sweeps > 1
+    cut = kernel_sparse_code(dictionary, column, g.values[test[0], test[0]],
+                             lam=1e-3, max_sweeps=1)
+    assert cut.sweeps == 1 and not cut.converged
+    assert cut.kkt_residual > 1e-8
+    assert cut.kkt_residual == _kkt_residual(dictionary.values, column, 1e-3,
+                                             cut.coefficients)
+    assert cut.objective == cut.objective_history[-1] > full.objective
+    with pytest.raises(ValueError):
+        kernel_sparse_code(dictionary, column, 1.0, lam=1e-3, max_sweeps=0)
+
+
+def test_sparse_degenerate_dictionaries_return():
+    """A singular or indefinite active block stops the solve, never raises."""
+    data = generate_planted(d=8, p=2, classes=2, per_class=4,
+                            noise_angle=0.1, seed=3)
+    g = gram(RBF_PROJ, data.subspaces)
+    atoms = np.array([1, 2, 3, 1, 4, 5])
+    repeated = g.take(atoms)
+    # the copies of atom 1 disagree on the query, so both enter and the
+    # active block is singular
+    disagreeing = g.values[1, atoms] + np.array([0, 0, 0, 0.05, 0, 0])
+    lines = [line(k * math.pi / 4.0) for k in range(4)]
+    indefinite = gram(parse_kernel_token("linear:bc", 1), lines)
+    # on these lines the sign-constrained solution of an indefinite
+    # block is a saddle, and the step would raise f
+    skewed = gram(parse_kernel_token("linear:bc", 1),
+                  [line(0.3)] + [line(t) for t in (0.0, 1.0, 2.0, 3.0)])
+    cases = [(repeated, g.values[0, atoms], g.values[0, 0], True),
+             (repeated, disagreeing, g.values[1, 1], False),
+             (indefinite, indefinite.values[0], 1.0, True),
+             (indefinite, np.array([0.9, 0.1, -0.8, 0.3]), 1.0, False),
+             (skewed.take(np.arange(1, 5)), skewed.values[0, 1:], 1.0,
+              False)]
+    for dictionary, column, self_value, converges in cases:
+        code = kernel_sparse_code(dictionary, column, self_value, 1e-3,
+                                  check_psd=False)
+        history = np.array(code.objective_history)
+        assert 1 <= code.sweeps == history.size
+        assert np.all(np.diff(history) <= 0.0)
+        assert code.objective == history[-1]
+        assert code.converged == converges
+        assert code.converged == (code.kkt_residual <= 1e-8)
+        assert code.kkt_residual == _kkt_residual(
+            dictionary.values, column, 1e-3, code.coefficients)
 
 
 # ---------------------------------------------------------------- klsh
