@@ -278,11 +278,12 @@ def _stratified_folds(labels, fold_count, rng):
 
 
 def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
-    """Train on the given split and return predicted labels on the test side.
+    """Train on the given split and predict labels on the test side.
 
     Two classes use a single machine; more classes fall back to
     one-vs-rest with the largest decision value winning, ties to the
-    lowest class id.
+    lowest class id.  Returns the predicted labels, the SMO iterations
+    of all machines and the largest final KKT residual among them.
     """
     train_labels = labels[train_idx]
     k_train = gram_matrix.take(train_idx)
@@ -290,15 +291,19 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     classes = np.unique(train_labels)
     if classes.size == 2:
         targets = np.where(train_labels == classes[0], -1.0, 1.0)
-        model = svm_train(k_train, targets, c=c)
-        decisions = svm_decision_from_rows(model, rows)
-        return np.where(decisions >= 0.0, classes[1], classes[0])
-    decisions = np.empty((test_idx.size, classes.size))
-    for column, value in enumerate(classes):
-        targets = np.where(train_labels == value, 1.0, -1.0)
-        model = svm_train(k_train, targets, c=c)
-        decisions[:, column] = svm_decision_from_rows(model, rows)
-    return classes[np.argmax(decisions, axis=1)]
+        models = [svm_train(k_train, targets, c=c)]
+        decisions = svm_decision_from_rows(models[0], rows)
+        predicted = np.where(decisions >= 0.0, classes[1], classes[0])
+    else:
+        models = []
+        decisions = np.empty((test_idx.size, classes.size))
+        for column, value in enumerate(classes):
+            targets = np.where(train_labels == value, 1.0, -1.0)
+            models.append(svm_train(k_train, targets, c=c))
+            decisions[:, column] = svm_decision_from_rows(models[-1], rows)
+        predicted = classes[np.argmax(decisions, axis=1)]
+    return (predicted, sum(model.iterations for model in models),
+            max(model.kkt_residual for model in models))
 
 
 def _candidate_specs(spec, config):
@@ -347,8 +352,8 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
             held = np.flatnonzero(folds == fold)
             if np.unique(labels[fit]).size < 2:
                 continue
-            predicted = _fit_predict(train_gram, labels, fit, held,
-                                     config.svm_c)
+            predicted, _, _ = _fit_predict(train_gram, labels, fit, held,
+                                           config.svm_c)
             scores.append(float(np.mean(predicted == labels[held])))
         score = float(np.mean(scores)) if scores else -1.0
         if best is None or score > best[0]:
@@ -371,10 +376,10 @@ def _run_svm(config, dataset, specs, grams, report):
         if config.tune:
             used, gram_matrix = _tune_spec(spec, grams, dataset,
                                            train_idx, config, seed)
-        predicted = _fit_predict(gram_matrix, dataset.labels,
-                                 train_idx, test_idx, config.svm_c)
+        predicted, iterations, residual = _fit_predict(
+            gram_matrix, dataset.labels, train_idx, test_idx, config.svm_c)
         accuracy = float(np.mean(predicted == dataset.labels[test_idx]))
-        return accuracy, train_idx, used
+        return accuracy, train_idx, used, iterations, residual
 
     chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
@@ -385,7 +390,11 @@ def _run_svm(config, dataset, specs, grams, report):
             ("kernel", spec.label()),
             ("penalty", config.svm_c),
             ("seeds", _joined(config.seeds)),
-        ] + scores
+        ] + scores + [
+            ("smo_iterations", _joined(r[3] for r in chunk)),
+            ("max_kkt_residual", " ".join(format_float(r[4])
+                                          for r in chunk)),
+        ]
         if config.tune:
             items.append(("tuned", " | ".join(r[2].label() for r in chunk)))
         items += _train_index_items(config.seeds, [r[1] for r in chunk])

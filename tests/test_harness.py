@@ -12,7 +12,7 @@ from grasskernels.harness import datasets as ds_mod
 from grasskernels.exceptions import (DimensionMismatch, InputError,
                                      InvalidDimensions, RankDeficient)
 from grasskernels.grassmann import Subspace
-from grasskernels.harness import cli
+from grasskernels.harness import cli, experiments
 from grasskernels.harness.config import (ExperimentConfig, build_config,
                                          coerce_value, load_config_file)
 from grasskernels.harness.datasets import (Dataset, generate_planted,
@@ -25,6 +25,7 @@ from grasskernels.harness.experiments import (DEFAULT_KERNEL,
                                               gram_csv_text, run_experiment)
 from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
+from grasskernels.machines import svm_train
 
 # ------------------------------------------------------------- datasets
 
@@ -375,6 +376,37 @@ def test_svm_report_written_and_stable(tmp_path):
     threaded = run_experiment(build_config(
         "svm", overrides=dict(overrides, threads="4")))
     assert threaded.text == first.text
+
+
+@pytest.mark.parametrize("tune", ["false", "true"])
+def test_svm_report_lists_solver_counters(tune):
+    """Per seed, smo_iterations is the total and max_kkt_residual the
+    largest final residual over the one-vs-rest machines of the final fit
+    (with the tuned spec when tuning), recomputed here from svm_train."""
+    config = build_config("svm", overrides={
+        "d": "6", "p": "2", "classes": "3", "per_class": "6",
+        "seeds": "0 1", "tune": tune, "beta_grid": "0.1 1.0",
+        "cv_folds": "2"})
+    text = run_experiment(config).text
+    items = dict(line.split("=", 1) for line in text.splitlines()
+                 if "=" in line)
+    data = experiments._resolve_dataset(config)
+    used = items["tuned"].split(" | ") if config.tune else [DEFAULT_KERNEL] * 2
+    iterations, residuals = [], []
+    for seed, token in zip(config.seeds, used):
+        train, _ = stratified_split(data.labels, config.train_fraction,
+                                    np.random.default_rng([seed]))
+        k_train = kernels.gram(kernels.parse_kernel_token(token, 2),
+                               data.subspaces).take(train)
+        models = [svm_train(k_train,
+                            np.where(data.labels[train] == value, 1.0, -1.0),
+                            c=config.svm_c)
+                  for value in np.unique(data.labels[train])]
+        iterations.append(str(sum(m.iterations for m in models)))
+        residuals.append(format_float(max(m.kkt_residual for m in models)))
+    assert items["smo_iterations"] == " ".join(iterations)
+    assert items["max_kkt_residual"] == " ".join(residuals)
+    assert all(float(r) <= 1e-6 for r in residuals)
 
 
 def test_svm_tuning_path():
