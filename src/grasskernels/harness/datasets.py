@@ -33,10 +33,6 @@ from ..grassmann import Subspace, random_subspace, tilt_subspace
 FORMAT_VERSION = 1
 
 
-def _format_float(v):
-    return f"{v:.17g}"
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of subspaces on one manifold, maybe labeled."""
@@ -103,9 +99,11 @@ def serialize_dataset(dataset):
     if dataset.labels is not None:
         lines.append("labels=" + " ".join(str(int(v))
                                           for v in dataset.labels))
+    # Python floats format faster than numpy scalars, to the same text
+    format_float = "{:.17g}".format
     for x in dataset.subspaces:
-        flat = x.basis.flatten(order="F")
-        lines.append("subspace=" + " ".join(_format_float(v) for v in flat))
+        flat = x.basis.flatten(order="F").tolist()
+        lines.append("subspace=" + " ".join(map(format_float, flat)))
     return "\n".join(lines) + "\n"
 
 

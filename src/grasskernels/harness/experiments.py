@@ -124,16 +124,6 @@ def _run_cells(cells, threads):
         return [future.result() for future in futures]
 
 
-def _grams_by_spec(specs, dataset, threads):
-    """One Gram per distinct spec, as a {spec: GramMatrix} mapping."""
-    unique = list(dict.fromkeys(specs))
-    fingerprint = dataset.fingerprint
-    cells = [lambda spec=spec: kernels.gram(spec, dataset.subspaces,
-                                            fingerprint=fingerprint)
-             for spec in unique]
-    return dict(zip(unique, _run_cells(cells, threads)))
-
-
 def _sweep(config, groups, cell):
     """Run cell(*group, seed) for each group and seed.
 
@@ -362,14 +352,6 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
 
 
 def _run_svm(config, dataset, specs, grams, report):
-    if config.tune:
-        # each candidate's Gram is built once for all kernels and seeds
-        missing = [candidate for spec in specs
-                   for candidate in _candidate_specs(spec, config)
-                   if candidate not in grams]
-        grams = {**grams,
-                 **_grams_by_spec(missing, dataset, config.threads)}
-
     def cell(spec, gram_matrix, seed):
         train_idx, test_idx = _split(dataset, config, seed)
         used = spec
@@ -497,23 +479,22 @@ def _run_sparse(config, dataset, specs, grams, report):
 
 def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m):
     family = klsh_build(gram_matrix, bits=bits, anchors=anchors, seed=seed)
-    keys = klsh_hash_gram(family, gram_matrix)
-    k = gram_matrix.values
-    n = k.shape[0]
-    recalls = np.empty(n)
-    hits = np.zeros(n)
-    for i in range(n):
-        similarity = k[i].copy()
-        similarity[i] = -np.inf
-        exact = np.argsort(-similarity, kind="stable")[:top_m]
-        distance = np.count_nonzero(keys != keys[i], axis=1)
-        distance[i] = bits + 1  # exclude the query itself
-        approx = np.argsort(distance, kind="stable")[:top_m]
-        recalls[i] = np.intersect1d(exact, approx).size / top_m
-        if labels is not None:
-            hits[i] = float(labels[approx[0]] == labels[i])
-    recall = float(np.mean(recalls))
-    nn_accuracy = float(np.mean(hits)) if labels is not None else None
+    keys = klsh_hash_gram(family, gram_matrix).astype(np.int64)
+    # each row ranks every other point, the query itself last
+    similarity = -gram_matrix.values
+    np.fill_diagonal(similarity, np.inf)
+    exact = np.argsort(similarity, axis=1, kind="stable")[:, :top_m]
+    # Hamming distances from the agreeing ones and zeros, without an
+    # (n, n, bits) array
+    distance = bits - (keys @ keys.T + (1 - keys) @ (1 - keys).T)
+    np.fill_diagonal(distance, bits + 1)
+    approx = np.argsort(distance, axis=1, kind="stable")[:, :top_m]
+    # neither ranking repeats a point, so equal pairs count the overlap
+    overlap = np.sum(exact[:, :, None] == approx[:, None, :], axis=(1, 2))
+    recall = float(np.mean(overlap / top_m))
+    nn_accuracy = None
+    if labels is not None:
+        nn_accuracy = float(np.mean(labels[approx[:, 0]] == labels))
     return recall, nn_accuracy
 
 
@@ -584,7 +565,8 @@ def _run_bench(config, dataset, specs, grams, report):
 
 
 # runners of the tasks that work on a dataset; the catalog Grams that
-# bench certifies are built along with its own kernels
+# bench certifies and the candidates that svm tunes over are built along
+# with the task's own kernels
 _RUNNERS = {
     "gram": _run_gram,
     "pd-check": _run_pd_check,
@@ -615,7 +597,11 @@ def run_experiment(config):
         needed = specs
         if config.task == "bench":
             needed = _resolve_kernels(("catalog",), dataset.p) + specs
-        grams = _grams_by_spec(needed, dataset, config.threads)
+        if config.tune and config.task in ("svm", "bench"):
+            # each candidate's Gram is built once for all kernels and seeds
+            needed = needed + [candidate for spec in specs
+                               for candidate in _candidate_specs(spec, config)]
+        grams = kernels.grams(needed, dataset.subspaces, dataset.fingerprint)
         passed = _RUNNERS[config.task](config, dataset, specs, grams,
                                        report)
 

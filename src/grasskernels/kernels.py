@@ -261,10 +261,14 @@ def cross_gram(spec, queries, refs):
     """
     queries = list(queries)
     s = grassmann.similarity(spec.embedding, queries, refs)
-    if queries[0].p != spec.p:
-        raise DimensionMismatch(
-            f"kernel was configured for p={spec.p}, data has p={queries[0].p}")
+    _check_p(spec, queries[0].p)
     return _apply(spec, s)
+
+
+def _check_p(spec, p):
+    if p != spec.p:
+        raise DimensionMismatch(
+            f"kernel was configured for p={spec.p}, data has p={p}")
 
 
 def evaluate(spec, x, y):
@@ -338,17 +342,35 @@ def _mirror_upper(values):
     return values
 
 
-def gram(spec, data, fingerprint=None):
-    """The GramMatrix of a sequence of subspaces, tagged with `fingerprint`.
+def grams(specs, data, fingerprint=None):
+    """The GramMatrix of each distinct spec over one sequence of subspaces.
 
-    The upper triangle of cross_gram(spec, data, data), mirrored so that
-    symmetry is exact: entry (i, j) with i <= j is exactly
-    evaluate(spec, data[i], data[j]), and the gram of an increasing
-    subset of indices is take() of the full matrix bit for bit.
+    Returns {spec: GramMatrix} in first-seen order, duplicates collapsed,
+    each tagged with `fingerprint`.  Every spec is a map of one of the two
+    similarities, so each embedding present costs one similarity matrix,
+    shared by its specs.  A spec's Gram is the upper triangle of its map
+    of that matrix, mirrored so that symmetry is exact: entry (i, j) with
+    i <= j is exactly evaluate(spec, data[i], data[j]), and the Gram of an
+    increasing subset of indices is take() of the full matrix bit for
+    bit.  Nothing is kept between calls.
     """
     data = list(data)
-    return GramMatrix(_mirror_upper(cross_gram(spec, data, data)), spec,
-                      fingerprint)
+    similarities = {}
+    result = {}
+    for spec in dict.fromkeys(specs):
+        if spec.embedding not in similarities:
+            similarities[spec.embedding] = grassmann.similarity(
+                spec.embedding, data, data)
+        _check_p(spec, data[0].p)
+        # a copy, since _apply may return s itself and mirroring writes
+        values = _apply(spec, similarities[spec.embedding].copy())
+        result[spec] = GramMatrix(_mirror_upper(values), spec, fingerprint)
+    return result
+
+
+def gram(spec, data, fingerprint=None):
+    """The GramMatrix of a sequence of subspaces: grams of one spec."""
+    return grams([spec], data, fingerprint)[spec]
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,14 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
     positive = y > 0.0
     diagonal = np.diag(k).copy()
 
+    # which duals can still move along +y and along -y; a step changes
+    # only alpha_i and alpha_j, so only their entries are recomputed
+    can_raise = np.where(positive, alpha < c, alpha > 0.0)
+    can_lower = np.where(positive, alpha > 0.0, alpha < c)
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         score = -y * grad
-        can_raise = np.where(positive, alpha < c, alpha > 0.0)
-        can_lower = np.where(positive, alpha > 0.0, alpha < c)
-
         up = np.where(can_raise, score, -np.inf)
         top = int(np.argmax(up))
         down = np.where(can_lower, score, np.inf)
@@ -147,6 +148,10 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
             alpha[j] = old_j - y[j] * step
         grad += y * (k[:, i] * (y[i] * (alpha[i] - old_i))
                      + k[:, j] * (y[j] * (alpha[j] - old_j)))
+        for t in (i, j):
+            above, below = alpha[t] > 0.0, alpha[t] < c
+            can_raise[t], can_lower[t] = ((below, above) if positive[t]
+                                          else (above, below))
     else:
         raise ConvergenceFailure(
             f"no convergence after {max_iterations} iterations, "
@@ -158,8 +163,6 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
     if np.any(free):
         bias = float(np.mean(score[free]))
     else:
-        can_raise = np.where(positive, alpha < c, alpha > 0.0)
-        can_lower = np.where(positive, alpha > 0.0, alpha < c)
         hi = np.max(np.where(can_raise, score, -np.inf))
         lo = np.min(np.where(can_lower, score, np.inf))
         bias = float((hi + lo) / 2.0)

@@ -116,8 +116,11 @@ def test_criterion_02_catalog_certification_sweep():
         specs += [kernels.KernelSpec(embedding=embedding, family="logarithm",
                                      p=p)
                   for embedding in ("bc", "projection")]
+        # one similarity matrix per embedding for all of the manifold's
+        # settings
+        grams = kernels.grams(specs, points)
         for spec in specs:
-            report = kernels.certify_pd(kernels.gram(spec, points),
+            report = kernels.certify_pd(grams[spec],
                                         mode=spec.certification_mode)
             results.append((manifold, spec, report))
 

@@ -25,9 +25,17 @@ from grasskernels.harness.experiments import (DEFAULT_KERNEL,
                                               gram_csv_text, run_experiment)
 from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
-from grasskernels.machines import svm_train
+from grasskernels.machines import klsh_build, klsh_hash_gram, svm_train
 
 # ------------------------------------------------------------- datasets
+
+
+def test_fingerprint_is_pinned():
+    """The canonical text, and so every recorded fingerprint, stays put."""
+    data = generate_planted(d=8, p=2, classes=2, per_class=20,
+                            noise_angle=0.1, seed=0)
+    assert data.fingerprint == ("9a5437a3e63567dcce3663ca855835fa"
+                                "00527717002f1593aa758ad7b89e259b")
 
 
 def test_dataset_round_trip_is_byte_identical():
@@ -429,6 +437,44 @@ def test_tasks_that_need_labels_reject_unlabeled_data(tmp_path):
         run_experiment(config)
 
 
+def _per_row_hash_scores(gram_matrix, labels, bits, anchors, seed, top_m):
+    """Reference for experiments._hash_cell: each query ranked alone."""
+    keys = klsh_hash_gram(klsh_build(gram_matrix, bits=bits,
+                                     anchors=anchors, seed=seed),
+                          gram_matrix)
+    k = gram_matrix.values
+    n = k.shape[0]
+    recalls = np.empty(n)
+    hits = np.zeros(n)
+    for i in range(n):
+        similarity = k[i].copy()
+        similarity[i] = -np.inf
+        exact = np.argsort(-similarity, kind="stable")[:top_m]
+        distance = np.count_nonzero(keys != keys[i], axis=1)
+        distance[i] = bits + 1
+        approx = np.argsort(distance, kind="stable")[:top_m]
+        recalls[i] = np.intersect1d(exact, approx).size / top_m
+        hits[i] = float(labels[approx[0]] == labels[i])
+    return float(np.mean(recalls)), float(np.mean(hits))
+
+
+def test_hash_ranking_matches_per_row_loop():
+    """The whole-matrix ranking scores every cell as the per-row loop
+    does, exactly, ties in similarity and in Hamming distance included."""
+    data = generate_planted(d=8, p=2, classes=3, per_class=10,
+                            noise_angle=0.2, seed=5)
+    for token in ("linear:bc", "rbf:projection:beta=0.5",
+                  "logarithm:projection"):
+        g = kernels.gram(kernels.parse_kernel_token(token, 2),
+                         data.subspaces)
+        for bits, top_m, seed in ((4, 5, 0), (60, 10, 1), (8, 29, 2),
+                                  (16, 40, 3)):
+            args = (g, data.labels, bits, 12, seed, top_m)
+            assert experiments._hash_cell(*args) \
+                == _per_row_hash_scores(*args), (token, bits, top_m)
+    assert experiments._hash_cell(g, None, 8, 12, 0, 5)[1] is None
+
+
 def test_hash_task_rejects_oversized_anchor_count():
     config = build_config("hash", overrides={
         "d": "6", "p": "2", "classes": "2", "per_class": "3",
@@ -451,45 +497,55 @@ def test_task_run_serializes_its_dataset_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_gram_work(monkeypatch):
+    """Record the embedding of each similarity matrix and each Gram's label."""
+    similarities = []
+    labels = []
+    similarity, grams = grassmann.similarity, kernels.grams
+
+    def counting_similarity(embedding, xs, ys):
+        similarities.append(embedding)
+        return similarity(embedding, xs, ys)
+
+    def counting_grams(specs, data, fingerprint=None):
+        result = grams(specs, data, fingerprint)
+        labels.extend(spec.label() for spec in result)
+        return result
+
+    monkeypatch.setattr(grassmann, "similarity", counting_similarity)
+    monkeypatch.setattr(kernels, "grams", counting_grams)
+    return similarities, labels
+
+
 def test_bench_builds_each_gram_once(monkeypatch):
-    built = []
-    original = kernels.gram
-
-    def counting(spec, data, fingerprint=None):
-        built.append(spec.label())
-        return original(spec, data, fingerprint=fingerprint)
-
-    monkeypatch.setattr(kernels, "gram", counting)
+    similarities, built = _count_gram_work(monkeypatch)
     run_experiment(build_config("bench", overrides={
         "d": "6", "p": "2", "classes": "2", "per_class": "4",
         "seeds": "0", "lam": "0.01"}))
     # the default focus kernel is one of the catalog's, so the run
-    # builds the catalog's 14 Grams and no more
+    # builds the catalog's 14 Grams and no more, from one similarity
+    # matrix per embedding
     catalog = [kernels.parse_kernel_token(token, 2).label()
                for token in default_catalog_tokens(2)]
     assert sorted(built) == sorted(catalog)
+    assert sorted(similarities) == ["binet_cauchy", "projection"]
 
 
 def test_tuning_builds_each_candidate_gram_once(monkeypatch):
-    built = []
-    original = kernels.gram
-
-    def counting(spec, data, fingerprint=None):
-        built.append(spec.label())
-        return original(spec, data, fingerprint=fingerprint)
-
-    monkeypatch.setattr(kernels, "gram", counting)
+    similarities, built = _count_gram_work(monkeypatch)
     config = build_config("svm", overrides={
         "d": "6", "p": "2", "classes": "2", "per_class": "6",
         "seeds": "0 1 2 3 4", "tune": "true"})
     run_experiment(config)
     # the default kernel's beta=0.5 is on the grid, so the focus kernel
-    # and its candidates are seven distinct specs
+    # and its candidates are seven distinct specs, all on the projection
+    # embedding
     focus = kernels.parse_kernel_token(DEFAULT_KERNEL, 2)
     expected = {dataclasses.replace(focus, beta=beta).label()
                 for beta in config.beta_grid} | {focus.label()}
     assert len(expected) == 7
     assert sorted(built) == sorted(expected)
+    assert similarities == ["projection"]
 
 
 def test_generate_task_round_trip(tmp_path):

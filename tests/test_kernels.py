@@ -20,7 +20,7 @@ from grasskernels.kernels import (GramMatrix, KernelSpec, certify_pd,
                                   counterexample_gram,
                                   counterexample_subspaces, cross_gram,
                                   evaluate,
-                                  geodesic_rbf_pseudo_kernel, gram,
+                                  geodesic_rbf_pseudo_kernel, gram, grams,
                                   parse_kernel_token)
 
 CATALOG = (
@@ -366,6 +366,39 @@ def test_gram_entries_equal_evaluate():
         for i in range(12):
             for j in range(i, 12):
                 assert values[i, j] == evaluate(spec, pts[i], pts[j]), token
+
+
+def test_grams_share_one_similarity_per_embedding(monkeypatch):
+    """The grouped path matches the one-spec path and the mirrored
+    cross_gram bit for bit, from one similarity matrix per embedding."""
+    pts = random_points(40, 8, 2, 11)
+    catalog = [parse_kernel_token(token, 2)
+               for token in default_catalog_tokens(2)]
+    embeddings = []
+    similarity = grassmann.similarity
+
+    def counting(embedding, xs, ys):
+        embeddings.append(embedding)
+        return similarity(embedding, xs, ys)
+
+    monkeypatch.setattr(grassmann, "similarity", counting)
+    # duplicates collapse, first-seen order is kept
+    got = grams(catalog + catalog[::-1], pts, fingerprint="data")
+    assert sorted(embeddings) == ["binet_cauchy", "projection"]
+    assert list(got) == catalog
+    upper = np.triu(np.ones((40, 40), dtype=bool))
+    for spec in catalog:
+        c = cross_gram(spec, pts, pts)
+        assert np.array_equal(got[spec].values, np.where(upper, c, c.T))
+        assert np.array_equal(got[spec].values, gram(spec, pts).values)
+        assert got[spec].spec == spec and got[spec].fingerprint == "data"
+    for a in catalog:
+        for b in catalog:
+            if a != b:
+                assert not np.shares_memory(got[a].values, got[b].values)
+    assert grams([], pts) == {}
+    with pytest.raises(DimensionMismatch):
+        grams(catalog[:1] + [parse_kernel_token("linear:bc", 3)], pts)
 
 
 def test_take_submatrix_contract():
