@@ -99,11 +99,11 @@ def serialize_dataset(dataset):
     if dataset.labels is not None:
         lines.append("labels=" + " ".join(str(int(v))
                                           for v in dataset.labels))
-    # Python floats format faster than numpy scalars, to the same text
-    format_float = "{:.17g}".format
+    # "%.17g" renders a Python float as "{:.17g}" does, and one template
+    # formats a whole line in a single call
+    template = "subspace=" + " ".join(["%.17g"] * (dataset.d * dataset.p))
     for x in dataset.subspaces:
-        flat = x.basis.flatten(order="F").tolist()
-        lines.append("subspace=" + " ".join(map(format_float, flat)))
+        lines.append(template % tuple(x.basis.flatten(order="F").tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -148,7 +148,7 @@ def parse_dataset(text):
             raise InputError(
                 f"line {lineno}: expected {d * p} values, got {len(parts)}")
         try:
-            flat = np.array([float(s) for s in parts])
+            flat = np.array(list(map(float, parts)))
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
         try:

@@ -113,6 +113,11 @@ def _check_inputs(config, dataset):
     if task == "hash" and config.anchors > dataset.n:
         raise InputError(
             f"anchors={config.anchors} exceeds dataset size {dataset.n}")
+    # each query ranks the other n - 1 points
+    if task == "hash" and config.top_m > dataset.n - 1:
+        raise InputError(
+            f"top_m={config.top_m} exceeds the {dataset.n - 1} other points "
+            f"each query can rank")
 
 
 def _run_cells(cells, threads):

@@ -21,6 +21,9 @@ DEFAULT_ANCHORS = 30
 # eigenvalues below this are treated as zero when inverting
 EIGENVALUE_FLOOR = 1e-10
 
+# bits whitened per stacked eigendecomposition
+_BIT_BLOCK = 4
+
 
 @dataclass(frozen=True)
 class HashFamily:
@@ -46,10 +49,25 @@ class HashFamily:
         return self.anchor_indices.shape[1]
 
 
-def _inverse_sqrt(matrix):
-    values, vectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
-    inv = np.where(values > EIGENVALUE_FLOOR, values, np.inf) ** -0.5
-    return (vectors * inv) @ vectors.T
+def _whitened_weights(k, anchor_indices, indicators):
+    """(anchors, bits) projection weights: column b is K_SS^{-1/2} times
+    indicator b, where S lists bit b's anchors.
+
+    The bits are whitened `_BIT_BLOCK` at a time through one stacked
+    eigendecomposition, which keeps the peak allocation near that of a
+    single bit while sharing the per-call overhead.
+    """
+    bits, anchors = anchor_indices.shape
+    weights = np.empty((anchors, bits))
+    for start in range(0, bits, _BIT_BLOCK):
+        block = slice(start, start + _BIT_BLOCK)
+        idx = anchor_indices[block]
+        m = k[idx[:, :, None], idx[:, None, :]]
+        values, vectors = np.linalg.eigh((m + m.transpose(0, 2, 1)) / 2.0)
+        inv = np.where(values > EIGENVALUE_FLOOR, values, np.inf) ** -0.5
+        whiteners = (vectors * inv[:, None, :]) @ vectors.transpose(0, 2, 1)
+        weights[:, block] = (whiteners @ indicators[block, :, None])[:, :, 0].T
+    return weights
 
 
 def klsh_build(gram_matrix, bits, anchors=DEFAULT_ANCHORS, seed=0,
@@ -73,15 +91,11 @@ def klsh_build(gram_matrix, bits, anchors=DEFAULT_ANCHORS, seed=0,
     rng = np.random.default_rng(seed)
     half = math.ceil(anchors / 2)
     anchor_indices = np.empty((bits, anchors), dtype=np.intp)
-    weights = np.empty((anchors, bits))
+    indicators = np.full((bits, anchors), -half / anchors)
     for b in range(bits):
-        idx = rng.choice(n, size=anchors, replace=False)
-        anchor_indices[b] = idx
-        whitener = _inverse_sqrt(k[np.ix_(idx, idx)])
-        members = rng.choice(anchors, size=half, replace=False)
-        indicator = np.full(anchors, -half / anchors)
-        indicator[members] += 1.0
-        weights[:, b] = whitener @ indicator
+        anchor_indices[b] = rng.choice(n, size=anchors, replace=False)
+        indicators[b, rng.choice(anchors, size=half, replace=False)] += 1.0
+    weights = _whitened_weights(k, anchor_indices, indicators)
     return HashFamily(
         spec=gram_matrix.spec,
         anchor_indices=anchor_indices,

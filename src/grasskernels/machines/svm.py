@@ -56,14 +56,13 @@ class SvmModel:
     training_refs: Optional[Tuple] = None
 
 
-def _best_partner(gaps, fixed_diagonal, diagonal, fixed_row):
+def _best_partner(gaps, curvatures):
     """Index and value of the largest second-order gain gap^2 / a.
 
-    `gaps[t]` is the KKT violation of pairing the fixed index with t, and
-    a = K_ff + K_tt - 2 K_ft is floored at _TAU; only positive gaps count.
+    `gaps[t]` is the KKT violation of pairing the fixed index f with t,
+    and `curvatures[t]` is a = K_ff + K_tt - 2 K_ft floored at _TAU; only
+    positive gaps count.
     """
-    curvatures = np.maximum(fixed_diagonal + diagonal - 2.0 * fixed_row,
-                            _TAU)
     gains = np.where(gaps > 0.0, gaps * gaps / curvatures, -np.inf)
     best = int(np.argmax(gains))
     return best, gains[best]
@@ -97,7 +96,9 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     positive = y > 0.0
-    diagonal = np.diag(k).copy()
+    diagonal = np.diag(k)
+    # every pair's curvature K_ii + K_jj - 2 K_ij, floored, built once
+    curvatures = np.maximum(diagonal[:, None] + diagonal - 2.0 * k, _TAU)
 
     # which duals can still move along +y and along -y; a step changes
     # only alpha_i and alpha_j, so only their entries are recomputed
@@ -117,10 +118,8 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
 
         # one-sided second-order choices: the best partner j of the
         # maximal violator and the best partner i of the minimal one
-        j, gain_j = _best_partner(up[top] - down, k[top, top], diagonal,
-                                  k[top])
-        i, gain_i = _best_partner(up - down[bottom], k[bottom, bottom],
-                                  diagonal, k[bottom])
+        j, gain_j = _best_partner(up[top] - down, curvatures[top])
+        i, gain_i = _best_partner(up - down[bottom], curvatures[bottom])
         # a label flip swaps the two choices; ties go to the pair with the
         # smaller sorted indices, which the flip leaves alone
         if gain_j > gain_i or (gain_j == gain_i and sorted((top, j))
@@ -129,9 +128,7 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
         else:
             j = bottom
 
-        gap = up[i] - down[j]
-        curvature = max(k[i, i] + k[j, j] - 2.0 * k[i, j], _TAU)
-        step = gap / curvature
+        step = (up[i] - down[j]) / curvatures[i, j]
         # box limits for alpha_i + y_i * step and alpha_j - y_j * step
         limit_i = c - alpha[i] if positive[i] else alpha[i]
         limit_j = alpha[j] if positive[j] else c - alpha[j]

@@ -483,6 +483,17 @@ def test_hash_task_rejects_oversized_anchor_count():
         run_experiment(config)
 
 
+def test_hash_task_rejects_top_m_beyond_other_points():
+    """Six points leave each query five others to rank; a sixth would be
+    the query itself."""
+    config = build_config("hash", overrides={
+        "d": "6", "p": "2", "classes": "2", "per_class": "3",
+        "anchors": "3", "top_m": "6"})
+    with pytest.raises(InputError):
+        run_experiment(config)
+    assert run_experiment(dataclasses.replace(config, top_m=5)).passed
+
+
 def test_task_run_serializes_its_dataset_once(monkeypatch):
     calls = []
 

@@ -7,6 +7,7 @@ enumeration oracles small enough to brute-force.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from grasskernels.machines import (clustering_accuracy, hamming_distance,
                                    klsh_query, normalized_mutual_information,
                                    rank_by_hamming, sparse_code_classify,
                                    svm_predict, svm_train)
+from grasskernels.machines import svm as svm_mod
+from grasskernels.machines.klsh import EIGENVALUE_FLOOR
 from grasskernels.machines.sparse import SparseCode
 from grasskernels.machines.svm import svm_decision, svm_decision_from_rows
 
@@ -256,6 +259,92 @@ def test_svm_duplicated_point_gives_finite_duals(opposite):
     with pytest.raises(ConvergenceFailure) as info:
         svm_train(g, labels, c=10.0, max_iterations=2)
     assert np.isfinite(info.value.gap) and info.value.gap > 1e-6
+
+
+def _per_pair_curvature_smo(k, y, c, tolerance=1e-6):
+    """Reference for svm_train: the same WSS 2 iterates, with every
+    curvature K_ii + K_jj - 2 K_ij recomputed from the Gram entries where
+    it is used and the box masks rebuilt from alpha at every iteration.
+
+    Returns (alpha, bias, iterations).
+    """
+    n = k.shape[0]
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    positive = y > 0.0
+    diagonal = np.diag(k)
+
+    def best_partner(gaps, f):
+        curvatures = np.maximum(k[f, f] + diagonal - 2.0 * k[f], svm_mod._TAU)
+        gains = np.where(gaps > 0.0, gaps * gaps / curvatures, -np.inf)
+        best = int(np.argmax(gains))
+        return best, gains[best]
+
+    iterations = 0
+    while True:
+        iterations += 1
+        can_raise = np.where(positive, alpha < c, alpha > 0.0)
+        can_lower = np.where(positive, alpha > 0.0, alpha < c)
+        score = -y * grad
+        up = np.where(can_raise, score, -np.inf)
+        top = int(np.argmax(up))
+        down = np.where(can_lower, score, np.inf)
+        bottom = int(np.argmin(down))
+        if up[top] - down[bottom] <= tolerance:
+            break
+        j, gain_j = best_partner(up[top] - down, top)
+        i, gain_i = best_partner(up - down[bottom], bottom)
+        if gain_j > gain_i or (gain_j == gain_i and sorted((top, j))
+                               <= sorted((i, bottom))):
+            i = top
+        else:
+            j = bottom
+        curvature = max(k[i, i] + k[j, j] - 2.0 * k[i, j], svm_mod._TAU)
+        limit_i = c - alpha[i] if positive[i] else alpha[i]
+        limit_j = alpha[j] if positive[j] else c - alpha[j]
+        step = min((up[i] - down[j]) / curvature, limit_i, limit_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = ((c if positive[i] else 0.0) if step == limit_i
+                    else old_i + y[i] * step)
+        alpha[j] = ((0.0 if positive[j] else c) if step == limit_j
+                    else old_j - y[j] * step)
+        grad += y * (k[:, i] * (y[i] * (alpha[i] - old_i))
+                     + k[:, j] * (y[j] * (alpha[j] - old_j)))
+    free = (alpha > 0.0) & (alpha < c)
+    if np.any(free):
+        bias = float(np.mean(score[free]))
+    else:
+        bias = float((np.max(up) + np.min(down)) / 2.0)
+    return alpha, bias, iterations
+
+
+def _curvature_table_problems():
+    """(Gram, labels, c) of the ten tasks-sized one-vs-rest machines and
+    of both duplicated-point problems, whose copies hit the _TAU floor."""
+    data = generate_planted(d=100, p=2, classes=10, per_class=10,
+                            noise_angle=0.1, seed=0)
+    train, _ = stratified_split(data.labels, 0.5, np.random.default_rng([0]))
+    k_train = gram(RBF_PROJ, data.subspaces).take(train)
+    for value in np.unique(data.labels[train]):
+        yield k_train, np.where(data.labels[train] == value, 1.0, -1.0), 10.0
+    small, y = planted_binary()
+    g = gram(RBF_PROJ, list(small.subspaces) + [small.subspaces[0]])
+    for label in (y[0], -y[0]):
+        yield g, np.append(y, label), 10.0
+
+
+def test_svm_curvature_table_keeps_iterates():
+    """The once-built curvature table gives the iterates of recomputing
+    each curvature where it is used, bit for bit."""
+    for g, y, c in _curvature_table_problems():
+        model = svm_train(g, y, c=c)
+        alpha, bias, iterations = _per_pair_curvature_smo(g.values, y, c)
+        support = np.flatnonzero(alpha > 0.0)
+        assert model.iterations == iterations
+        assert np.array_equal(model.support_indices, support)
+        assert np.array_equal(model.dual_coefficients,
+                              alpha[support] * y[support])
+        assert model.bias == bias
 
 
 # ------------------------------------------------------------- kkmeans
@@ -625,6 +714,67 @@ def test_klsh_error_paths():
     with pytest.raises(InsufficientData):
         rank_by_hamming(np.empty((0, 4), dtype=np.uint8),
                         np.zeros(4, dtype=np.uint8), 2)
+
+
+def _per_bit_klsh(k, bits, anchors, seed):
+    """Reference for klsh_build: each bit drawn, whitened by its own
+    inverse square root and projected alone.
+
+    Returns (anchor_indices, projection_weights, floored bit count).
+    """
+    rng = np.random.default_rng(seed)
+    half = math.ceil(anchors / 2)
+    anchor_indices = np.empty((bits, anchors), dtype=np.intp)
+    weights = np.empty((anchors, bits))
+    floored = 0
+    for b in range(bits):
+        idx = rng.choice(k.shape[0], size=anchors, replace=False)
+        anchor_indices[b] = idx
+        block = k[np.ix_(idx, idx)]
+        values, vectors = np.linalg.eigh((block + block.T) / 2.0)
+        floored += bool(np.any(values <= EIGENVALUE_FLOOR))
+        inv = np.where(values > EIGENVALUE_FLOOR, values, np.inf) ** -0.5
+        members = rng.choice(anchors, size=half, replace=False)
+        indicator = np.full(anchors, -half / anchors)
+        indicator[members] += 1.0
+        weights[:, b] = ((vectors * inv) @ vectors.T) @ indicator
+    return anchor_indices, weights, floored
+
+
+def test_klsh_blocked_whitening_matches_per_bit_loop():
+    """Bit counts on either side of a whitening block, and a Gram whose
+    duplicated points leave zero eigenvalues for the floor to drop."""
+    data = generate_planted(d=8, p=2, classes=4, per_class=10,
+                            noise_angle=0.2, seed=4)
+    plain = gram(RBF_PROJ, data.subspaces)
+    duplicated = gram(RBF_PROJ, list(data.subspaces) + list(data.subspaces))
+    floored = 0
+    for g in (plain, duplicated):
+        for bits in (1, 3, 4, 5, 60):
+            for anchors in (1, 2, 30):
+                family = klsh_build(g, bits=bits, anchors=anchors, seed=bits)
+                indices, weights, count = _per_bit_klsh(
+                    g.values, bits, anchors, bits)
+                assert np.array_equal(family.anchor_indices, indices)
+                assert np.array_equal(family.projection_weights, weights)
+                floored += count
+    assert floored > 0
+
+
+def test_klsh_build_peak_allocation():
+    """Whitening a few bits at a time keeps a 60-bit, 30-anchor family on
+    100 points under 512 KB of peak allocation; stacking all 60 blocks at
+    once takes about 1.75 MB."""
+    data = generate_planted(d=100, p=2, classes=10, per_class=10,
+                            noise_angle=0.1, seed=0)
+    g = gram(RBF_PROJ, data.subspaces)
+    tracemalloc.start()
+    try:
+        klsh_build(g, bits=60, anchors=30, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_hamming_and_key_encoding():
