@@ -19,12 +19,10 @@ from .kernels import (CertificationReport, GramMatrix, KernelSpec,
                       counterexample_subspaces, cross_gram, evaluate,
                       geodesic_rbf_pseudo_kernel, gram, parse_kernel_token)
 from .machines import (ClusterAssignment, HashFamily, SparseCode, SvmModel,
-                       clustering_accuracy, hamming_distance,
-                       kernel_sparse_code, kkmeans, klsh_build,
-                       klsh_hash, klsh_hash_gram, klsh_query,
-                       normalized_mutual_information, rank_by_hamming,
-                       sparse_code_classify, svm_decision_from_rows,
-                       svm_predict, svm_train)
+                       clustering_accuracy, kernel_sparse_code, kkmeans,
+                       klsh_build, klsh_hash_gram,
+                       normalized_mutual_information, sparse_code_classify,
+                       svm_decision_from_rows, svm_train)
 
 __version__ = "0.1.0"
 
@@ -53,13 +51,10 @@ __all__ = [
     "geodesic_distance",
     "geodesic_rbf_pseudo_kernel",
     "gram",
-    "hamming_distance",
     "kernel_sparse_code",
     "kkmeans",
     "klsh_build",
-    "klsh_hash",
     "klsh_hash_gram",
-    "klsh_query",
     "normalized_mutual_information",
     "parse_kernel_token",
     "plucker_embed",
@@ -68,12 +63,10 @@ __all__ = [
     "proj_inner",
     "projection_embed",
     "random_subspace",
-    "rank_by_hamming",
     "similarity",
     "sparse_code_classify",
     "subspace_pair_with_angles",
     "svm_decision_from_rows",
-    "svm_predict",
     "svm_train",
     "tilt_subspace",
 ]

@@ -29,8 +29,8 @@ def _build_parser():
     common.add_argument("--seed", help="generation seed")
     common.add_argument("--seeds", help="split / repeat seeds, "
                                         "comma or space separated")
-    common.add_argument("--threads", help="worker threads for "
-                                          "independent cells")
+    common.add_argument("--threads", help="accepted and has no effect; "
+                                          "must be at least 1")
     common.add_argument("--kernels", help="kernel tokens like "
                                           "rbf:projection:beta=0.5, comma "
                                           "separated; 'catalog' expands to "

@@ -68,9 +68,9 @@ class ExperimentConfig:
     def resolved_items(self):
         """Ordered (key, rendered value) pairs for report embedding.
 
-        The thread count is execution scheduling, not experiment
-        identity, and is left out so reports stay byte-identical across
-        worker pools.
+        The thread count is left out: the option is accepted, checked to
+        be at least 1 and has no effect, so it is not part of the
+        experiment.
         """
         items = []
         for spec in fields(self):

@@ -1,16 +1,15 @@
 """Task runners behind the command line interface.
 
-Every task resolves its dataset and kernels, fans independent work cells
-out over a thread pool, merges the results in submission order and
-renders one report.  Cells draw their randomness from seeds derived
-deterministically from the configuration, never from shared state, so
-the report text is identical for any thread count.
+Every task resolves its dataset and kernels, builds each Gram it needs
+once, runs its work cells in order and renders one report.  Cells draw
+their randomness from seeds derived deterministically from the
+configuration, never from shared state, so the same configuration gives
+the same report text.
 """
 
 import dataclasses
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -120,26 +119,13 @@ def _check_inputs(config, dataset):
             f"each query can rank")
 
 
-def _run_cells(cells, threads):
-    """Run zero-argument callables, results in submission order."""
-    if threads <= 1:
-        return [cell() for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(cell) for cell in cells]
-        return [future.result() for future in futures]
-
-
 def _sweep(config, groups, cell):
     """Run cell(*group, seed) for each group and seed.
 
     Returns one list of per-seed results for each group, in order.
     """
-    cells = [lambda group=group, seed=seed: cell(*group, seed)
-             for group in groups for seed in config.seeds]
-    results = _run_cells(cells, config.threads)
-    width = len(config.seeds)
-    return [results[start:start + width]
-            for start in range(0, len(results), width)]
+    return [[cell(*group, seed) for seed in config.seeds]
+            for group in groups]
 
 
 def _series(name, plural, values):
@@ -217,10 +203,8 @@ def _run_gram(config, dataset, specs, grams, report):
 # --- pd-check ---------------------------------------------------------------
 
 def _run_pd_check(config, dataset, specs, grams, report):
-    cells = [lambda s=s: kernels.certify_pd(grams[s],
-                                            mode=s.certification_mode)
-             for s in specs]
-    verdicts = _run_cells(cells, config.threads)
+    verdicts = [kernels.certify_pd(grams[s], mode=s.certification_mode)
+                for s in specs]
     rows = []
     for spec, verdict in zip(specs, verdicts):
         report.add_section("result", [
@@ -562,9 +546,11 @@ def _run_bench(config, dataset, specs, grams, report):
     _run_pd_check(config, dataset, catalog, grams, report)
     for runner in (_run_svm, _run_cluster, _run_sparse):
         runner(config, dataset, specs, grams, report)
-    # small benchmark datasets cannot support the full anchor default
+    # small benchmark datasets cannot support the full anchor and
+    # short-list defaults; each query ranks the other n - 1 points
     hash_config = dataclasses.replace(
-        config, anchors=min(config.anchors, dataset.n))
+        config, anchors=min(config.anchors, dataset.n),
+        top_m=min(config.top_m, dataset.n - 1))
     _run_hash(hash_config, dataset, specs, grams, report)
     return passed
 

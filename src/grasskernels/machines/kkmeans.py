@@ -87,7 +87,7 @@ def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1,
     """Cluster the points behind a Gram matrix into `n_clusters` groups.
 
     Each restart r draws its randomness from default_rng([seed, r]), so
-    results are reproducible and independent of thread scheduling.
+    results are reproducible.
     """
     k = gram_matrix.values
     n = k.shape[0]

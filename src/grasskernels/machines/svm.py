@@ -22,11 +22,9 @@ gaps nor the curvatures see it).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
-from .. import kernels
 from ..exceptions import (ConvergenceFailure, DegenerateLabels,
                           DimensionMismatch)
 
@@ -42,18 +40,14 @@ class SvmModel:
     """A trained classifier.
 
     `dual_coefficients[t]` is alpha * y for the support vector whose
-    training index is `support_indices[t]`.  `training_refs` keeps the
-    training subspaces (when they were provided) so queries can be scored
-    without the caller resupplying them.
+    training index is `support_indices[t]`.
     """
 
-    spec: Optional[kernels.KernelSpec]
     support_indices: np.ndarray
     dual_coefficients: np.ndarray
     bias: float
     kkt_residual: float
     iterations: int
-    training_refs: Optional[Tuple] = None
 
 
 def _best_partner(gaps, curvatures):
@@ -68,8 +62,8 @@ def _best_partner(gaps, curvatures):
     return best, gains[best]
 
 
-def svm_train(gram_matrix, labels, c=1.0, refs=None,
-              tolerance=KKT_TOLERANCE, max_iterations=MAX_ITERATIONS):
+def svm_train(gram_matrix, labels, c=1.0, tolerance=KKT_TOLERANCE,
+              max_iterations=MAX_ITERATIONS):
     """Train on a precomputed Gram matrix with labels in {-1, +1}.
 
     Runs until the maximal KKT violation drops to `tolerance`.  Raises
@@ -89,9 +83,6 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
         raise DegenerateLabels("training labels contain a single class")
     if not c > 0.0:
         raise ValueError(f"penalty c must be positive, got {c}")
-    if refs is not None and len(refs) != n:
-        raise DimensionMismatch(
-            f"need {n} training refs, got {len(refs)}")
 
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
@@ -166,13 +157,11 @@ def svm_train(gram_matrix, labels, c=1.0, refs=None,
 
     support = np.flatnonzero(alpha > 0.0)
     return SvmModel(
-        spec=gram_matrix.spec,
         support_indices=support,
         dual_coefficients=alpha[support] * y[support],
         bias=bias,
         kkt_residual=float(max(residual, 0.0)),
         iterations=iterations,
-        training_refs=tuple(refs) if refs is not None else None,
     )
 
 
@@ -180,25 +169,9 @@ def svm_decision_from_rows(model, rows):
     """Decision values from kernel rows against the full training set.
 
     `rows[q, t]` must hold the kernel between query q and training point
-    t, in the training order used at fit time.
+    t, in the training order used at fit time.  For new subspaces,
+    `kernels.cross_gram(spec, queries, training_points)` gives the rows.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     return rows[:, model.support_indices] @ model.dual_coefficients \
         + model.bias
-
-
-def svm_decision(model, query):
-    """Decision value for one subspace, using the retained training refs."""
-    if model.training_refs is None:
-        raise ValueError("model was trained without refs; "
-                         "use svm_decision_from_rows")
-    if model.spec is None:
-        raise ValueError("model has no kernel spec to evaluate with")
-    refs = [model.training_refs[t] for t in model.support_indices]
-    row = kernels.cross_gram(model.spec, [query], refs)[0]
-    return float(row @ model.dual_coefficients + model.bias)
-
-
-def svm_predict(model, query):
-    """Predicted label in {-1, +1}; the decision boundary maps to +1."""
-    return 1 if svm_decision(model, query) >= 0.0 else -1

@@ -494,6 +494,17 @@ def test_hash_task_rejects_top_m_beyond_other_points():
     assert run_experiment(dataclasses.replace(config, top_m=5)).passed
 
 
+def test_bench_caps_hash_short_list_at_other_points():
+    """Eight points leave each query seven others to rank; a short list
+    of the default ten once counted the query itself and read 8/10."""
+    text = run_experiment(build_config("bench", overrides={
+        "d": "6", "p": "2", "classes": "2", "per_class": "4",
+        "seeds": "0 1"})).text
+    hash_section = text[text.index('[result "hash '):]
+    assert "\ntop_m=7\n" in hash_section
+    assert "\nmean_recall=1\n" in hash_section
+
+
 def test_task_run_serializes_its_dataset_once(monkeypatch):
     calls = []
 
@@ -626,6 +637,7 @@ BAD_DATASETS = {
     ["hash", "--top-m", "0"],
     ["svm", "--seeds", "-1"],
     ["svm", "--seed", "-1"],
+    ["svm", "--threads", "0"],
     ["svm", "--tune", "--cv-folds", "0"],
     ["svm", "--tune", "--cv-folds", "1"],
     ["svm", "--noise-angle", "2"],
@@ -671,6 +683,18 @@ def test_cli_accepts_comma_separated_lists(tmp_path, capsys):
     assert 'result "svm linear:projection"' in text
     captured = capsys.readouterr()
     assert captured.out == text  # the report is echoed to stdout
+
+
+def test_cli_threads_flag_leaves_output_alone(capsys):
+    """`--threads` is accepted and has no effect on stdout or exit code."""
+    argv = ["svm", "--d", "6", "--p", "2", "--classes", "2",
+            "--per-class", "6", "--seeds", "0,1"]
+    outputs = []
+    for threads in ("1", "2"):
+        code = cli.main(argv + ["--threads", threads])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):

@@ -21,16 +21,14 @@ from grasskernels.exceptions import (ConvergenceFailure, DegenerateLabels,
 from grasskernels.grassmann import Subspace
 from grasskernels.harness.datasets import generate_planted, stratified_split
 from grasskernels.kernels import GramMatrix, evaluate, gram, parse_kernel_token
-from grasskernels.machines import (clustering_accuracy, hamming_distance,
-                                   kernel_sparse_code, kkmeans,
-                                   klsh_build, klsh_hash, klsh_hash_gram,
-                                   klsh_query, normalized_mutual_information,
-                                   rank_by_hamming, sparse_code_classify,
-                                   svm_predict, svm_train)
+from grasskernels.machines import (clustering_accuracy, kernel_sparse_code,
+                                   kkmeans, klsh_build, klsh_hash_gram,
+                                   normalized_mutual_information,
+                                   sparse_code_classify, svm_train)
 from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.klsh import EIGENVALUE_FLOOR
 from grasskernels.machines.sparse import SparseCode
-from grasskernels.machines.svm import svm_decision, svm_decision_from_rows
+from grasskernels.machines.svm import svm_decision_from_rows
 
 RBF_PROJ = parse_kernel_token("rbf:projection:beta=0.5", 2)
 
@@ -63,7 +61,7 @@ def test_svm_two_point_closed_form():
     g = gram(spec, pts)
     np.testing.assert_allclose(g.values, [[math.e, 1.0], [1.0, math.e]],
                                rtol=1e-12)
-    model = svm_train(g, [1.0, -1.0], c=10.0, refs=pts)
+    model = svm_train(g, [1.0, -1.0], c=10.0)
     alpha = 1.0 / (math.e - 1.0)
     assert np.array_equal(model.support_indices, [0, 1])
     np.testing.assert_allclose(model.dual_coefficients, [alpha, -alpha],
@@ -72,10 +70,12 @@ def test_svm_two_point_closed_form():
     assert model.kkt_residual <= 1e-6
     decisions = svm_decision_from_rows(model, g.values)
     np.testing.assert_allclose(decisions, [1.0, -1.0], rtol=0, atol=1e-6)
-    # the midpoint line sits on the boundary, which maps to +1
-    assert svm_predict(model, line(math.pi / 4.0)) == 1
-    assert svm_predict(model, line(0.1)) == 1
-    assert svm_predict(model, line(math.pi / 2.0 - 0.1)) == -1
+    # new lines are scored from their kernel rows against the training
+    # points; the midpoint line sits on the boundary, which maps to +1
+    for t, label in ((math.pi / 4.0, 1), (0.1, 1), (math.pi / 2.0 - 0.1, -1)):
+        row = kernels.cross_gram(spec, [line(t)], pts)
+        decision = svm_decision_from_rows(model, row)[0]
+        assert (1 if decision >= 0.0 else -1) == label
 
 
 def test_svm_kkt_residual_recomputed_independently():
@@ -136,20 +136,6 @@ def test_svm_constant_shift_leaves_decisions_alone():
                                        rtol=0, atol=1e-5)
 
 
-def test_svm_decision_paths_agree():
-    data, y = planted_binary()
-    g = gram(RBF_PROJ, data.subspaces, fingerprint=data.fingerprint)
-    model = svm_train(g, y, c=10.0, refs=data.subspaces)
-    query = data.subspaces[3]
-    row = np.array([evaluate(RBF_PROJ, query, x) for x in data.subspaces])
-    np.testing.assert_allclose(svm_decision(model, query),
-                               svm_decision_from_rows(model, row)[0],
-                               rtol=1e-12)
-    bare = svm_train(g, y, c=10.0)
-    with pytest.raises(ValueError):
-        svm_decision(bare, query)
-
-
 def test_svm_error_paths():
     pts = [line(0.0), line(1.0)]
     g = gram(parse_kernel_token("rbf:projection:beta=1.0", 1), pts)
@@ -161,8 +147,6 @@ def test_svm_error_paths():
         svm_train(g, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         svm_train(g, [1.0, -1.0], c=0.0)
-    with pytest.raises(DimensionMismatch):
-        svm_train(g, [1.0, -1.0], refs=pts[:1])
 
 
 def test_svm_budget_exhaustion_reports_gap():
@@ -683,19 +667,6 @@ def test_klsh_shapes_and_determinism():
     assert not np.array_equal(family.anchor_indices, other.anchor_indices)
 
 
-def test_klsh_out_of_sample_matches_in_sample():
-    data = generate_planted(d=8, p=2, classes=2, per_class=10,
-                            noise_angle=0.1, seed=0)
-    g = gram(RBF_PROJ, data.subspaces)
-    family = klsh_build(g, bits=12, anchors=10, seed=3,
-                        refs=data.subspaces)
-    keys = klsh_hash_gram(family, g)
-    for i in (0, 7, 19):
-        assert np.array_equal(klsh_hash(family, data.subspaces[i]), keys[i])
-    ranked = klsh_query(family, keys, data.subspaces[0], top_m=3)
-    assert ranked[0] == 0 or hamming_distance(keys[ranked[0]], keys[0]) == 0
-
-
 def test_klsh_error_paths():
     pts = [grassmann.random_subspace(5, 2, np.random.default_rng([6, i]))
            for i in range(5)]
@@ -706,14 +677,6 @@ def test_klsh_error_paths():
         klsh_build(g, bits=4, anchors=6)
     with pytest.raises(InsufficientData):
         klsh_build(g, bits=4, anchors=0)
-    with pytest.raises(DimensionMismatch):
-        klsh_build(g, bits=4, anchors=3, refs=pts[:2])
-    family = klsh_build(g, bits=4, anchors=3)
-    with pytest.raises(ValueError):
-        klsh_hash(family, pts[0])
-    with pytest.raises(InsufficientData):
-        rank_by_hamming(np.empty((0, 4), dtype=np.uint8),
-                        np.zeros(4, dtype=np.uint8), 2)
 
 
 def _per_bit_klsh(k, bits, anchors, seed):
@@ -777,17 +740,6 @@ def test_klsh_build_peak_allocation():
     assert peak < 512 * 1024
 
 
-def test_hamming_and_key_encoding():
-    assert hamming_distance([1, 0, 1], [1, 1, 1]) == 1
-    assert hamming_distance([0, 0], [0, 0]) == 0
-    with pytest.raises(DimensionMismatch):
-        hamming_distance([0, 1], [0, 1, 1])
-    # ties rank by ascending database index
-    db = np.array([[0, 0], [0, 1], [0, 0]], dtype=np.uint8)
-    assert np.array_equal(rank_by_hamming(db, [0, 0], 2), [0, 2])
-    assert np.array_equal(rank_by_hamming(db, [0, 0], 10), [0, 2, 1])
-
-
 def test_klsh_neighbor_recall():
     """Hash ranking keeps most same-class points in the short list."""
     data = generate_planted(d=20, p=2, classes=10, per_class=5,
@@ -797,7 +749,9 @@ def test_klsh_neighbor_recall():
     keys = klsh_hash_gram(family, g)
     recalls = []
     for i in range(g.n):
-        top = [t for t in rank_by_hamming(keys, keys[i], 6) if t != i][:5]
+        distances = np.count_nonzero(keys != keys[i], axis=1)
+        ranked = np.argsort(distances, kind="stable")[:6]
+        top = [t for t in ranked if t != i][:5]
         recalls.append(
             float(np.mean(data.labels[np.array(top)] == data.labels[i])))
     assert np.mean(recalls) >= 0.7
