@@ -226,20 +226,20 @@ def proj_distance_sq(x, y):
     return 2.0 * x.p - 2.0 * proj_inner(x, y)
 
 
-def plucker_embed(x, cap=EMBEDDING_CAP):
+def plucker_embed(x):
     """Vector of all p x p minors of the basis, in lexicographic row order.
 
     The result has choose(d, p) coordinates and unit norm.  Raises
-    EmbeddingTooLarge when the coordinate count exceeds `cap`; the
-    default cap keeps accidental use on large manifolds from allocating
+    EmbeddingTooLarge when the coordinate count exceeds EMBEDDING_CAP,
+    which keeps accidental use on large manifolds from allocating
     astronomically long vectors.
     """
     if not isinstance(x, Subspace):
         raise TypeError("expected a Subspace")
     n_coords = math.comb(x.d, x.p)
-    if n_coords > cap:
-        raise EmbeddingTooLarge(
-            f"embedding needs {n_coords} coordinates, cap is {cap}")
+    if n_coords > EMBEDDING_CAP:
+        raise EmbeddingTooLarge(f"embedding needs {n_coords} coordinates, "
+                                f"cap is {EMBEDDING_CAP}")
     rows = np.array(list(itertools.combinations(range(x.d), x.p)))
     coords = numerics.determinant(x.basis[rows])
     # minors of an orthonormal basis already have unit total norm;
@@ -255,12 +255,13 @@ def projection_embed(x):
     return x.projector()
 
 
-def compound_matrix(m, q, cap=EMBEDDING_CAP):
+def compound_matrix(m, q):
     """Matrix of all q x q minors of m, rows and columns lexicographic.
 
     Entry (i, j) is the minor of m taken from the i-th q-subset of rows
     and the j-th q-subset of columns.  Satisfies the product identity
-    compound(a @ b, q) = compound(a, q) @ compound(b, q).
+    compound(a @ b, q) = compound(a, q) @ compound(b, q).  Raises
+    EmbeddingTooLarge when it would have more than EMBEDDING_CAP entries.
     """
     m = numerics.as_matrix(m)
     r, c = m.shape
@@ -269,9 +270,9 @@ def compound_matrix(m, q, cap=EMBEDDING_CAP):
             f"minor order q={q} out of range for shape {m.shape}")
     n_rows = math.comb(r, q)
     n_cols = math.comb(c, q)
-    if n_rows * n_cols > cap:
-        raise EmbeddingTooLarge(
-            f"compound matrix has {n_rows} x {n_cols} entries, cap is {cap}")
+    if n_rows * n_cols > EMBEDDING_CAP:
+        raise EmbeddingTooLarge(f"compound matrix has {n_rows} x {n_cols} "
+                                f"entries, cap is {EMBEDDING_CAP}")
     rows = np.array(list(itertools.combinations(range(r), q)))
     cols = np.array(list(itertools.combinations(range(c), q)))
     minors = m[rows[:, None, :, None], cols[None, :, None, :]]

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ..exceptions import InputError, InvalidKernelParameter
-from .config import LIST_KEYS, TASKS, build_config, load_config_file
+from .config import TASKS, build_config, load_config_file
 from .experiments import run_experiment
 
 
@@ -87,14 +87,7 @@ def main(argv=None):
     config_path = args.pop("config")
     try:
         file_values = load_config_file(config_path) if config_path else {}
-        overrides = {}
-        for key, value in args.items():
-            if value is None:
-                continue
-            if key in LIST_KEYS:
-                value = value.replace(",", " ")
-            overrides[key] = value
-        config = build_config(task, file_values, overrides)
+        config = build_config(task, file_values, args)
         result = run_experiment(config)
         sys.stdout.write(result.text)
         return 0 if result.passed else 1

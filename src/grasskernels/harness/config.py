@@ -12,9 +12,6 @@ from typing import Tuple, get_args, get_origin, get_type_hints
 
 from ..exceptions import InputError
 
-_LIST_SEPARATOR = None  # str.split default: any whitespace
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved settings for one harness run."""
@@ -49,9 +46,11 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise InputError(f"unknown task {self.task!r}; "
                              f"expected one of {sorted(TASKS)}")
-        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
-            raise InputError(f"seeds must be nonempty and distinct, "
-                             f"got {_render(self.seeds)!r}")
+        for key in ("seeds", "bits"):
+            value = getattr(self, key)
+            if not value or len(set(value)) < len(value):
+                raise InputError(f"{key} must be nonempty and distinct, "
+                                 f"got {_render(value)!r}")
         for key, (requirement, holds) in _RANGES.items():
             value = getattr(self, key)
             for element in value if isinstance(value, tuple) else (value,):
@@ -150,7 +149,7 @@ def coerce_value(key, value):
     if key in LIST_KEYS:
         element = get_args(kind)[0]
         return tuple(_parse_typed(key, part, element)
-                     for part in value.split(_LIST_SEPARATOR))
+                     for part in value.replace(",", " ").split())
     return _parse_typed(key, value, kind)
 
 

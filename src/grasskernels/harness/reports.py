@@ -1,8 +1,9 @@
 """Deterministic plain-text reports.
 
-Reports are key=value oriented with bracketed section headers, carry no
-timestamps or machine identifiers, and render every float with 17
-significant digits, so rerunning an experiment with the same resolved
+Reports are key=value oriented with bracketed section headers and carry
+no timestamps or machine identifiers.  Result floats are rendered with 17
+significant digits and `[config]` values with repr, both of which
+round-trip exactly, so rerunning an experiment with the same resolved
 configuration reproduces the report byte for byte.
 """
 

@@ -52,7 +52,6 @@ every sample tried, but that is not a guarantee.
 Run the pd-check task to see the verdicts on any dataset.
 """
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -298,16 +297,9 @@ def _apply(spec, s):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """A symmetric kernel matrix bound to its kernel and source data.
-
-    `spec` is None for matrices built from functions outside the catalog,
-    such as the geodesic pseudo-kernel.  `fingerprint` names the source
-    data when the caller gives one, such as the dataset fingerprint.
-    """
+    """A kernel matrix, nothing more: square, exactly symmetric, frozen."""
 
     values: np.ndarray
-    spec: Optional[KernelSpec]
-    fingerprint: Optional[str] = None
 
     def __post_init__(self):
         v = numerics.as_matrix(self.values)
@@ -329,10 +321,7 @@ class GramMatrix:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1 or idx.size == 0:
             raise DimensionMismatch("indices must form a nonempty vector")
-        sub = self.values[np.ix_(idx, idx)]
-        tag = hashlib.sha256(idx.tobytes()).hexdigest()[:12]
-        return GramMatrix(sub, self.spec, self.fingerprint
-                          and f"{self.fingerprint}:take:{tag}")
+        return GramMatrix(self.values[np.ix_(idx, idx)])
 
 
 def _mirror_upper(values):
@@ -342,17 +331,17 @@ def _mirror_upper(values):
     return values
 
 
-def grams(specs, data, fingerprint=None):
+def grams(specs, data):
     """The GramMatrix of each distinct spec over one sequence of subspaces.
 
-    Returns {spec: GramMatrix} in first-seen order, duplicates collapsed,
-    each tagged with `fingerprint`.  Every spec is a map of one of the two
-    similarities, so each embedding present costs one similarity matrix,
-    shared by its specs.  A spec's Gram is the upper triangle of its map
-    of that matrix, mirrored so that symmetry is exact: entry (i, j) with
-    i <= j is exactly evaluate(spec, data[i], data[j]), and the Gram of an
-    increasing subset of indices is take() of the full matrix bit for
-    bit.  Nothing is kept between calls.
+    Returns {spec: GramMatrix} in first-seen order, duplicates collapsed.
+    Every spec is a map of one of the two similarities, so each embedding
+    present costs one similarity matrix, shared by its specs.  A spec's
+    Gram is the upper triangle of its map of that matrix, mirrored so
+    that symmetry is exact: entry (i, j) with i <= j is exactly
+    evaluate(spec, data[i], data[j]), and the Gram of an increasing
+    subset of indices is take() of the full matrix bit for bit.  Nothing
+    is kept between calls.
     """
     data = list(data)
     similarities = {}
@@ -364,13 +353,13 @@ def grams(specs, data, fingerprint=None):
         _check_p(spec, data[0].p)
         # a copy, since _apply may return s itself and mirroring writes
         values = _apply(spec, similarities[spec.embedding].copy())
-        result[spec] = GramMatrix(_mirror_upper(values), spec, fingerprint)
+        result[spec] = GramMatrix(_mirror_upper(values))
     return result
 
 
-def gram(spec, data, fingerprint=None):
+def gram(spec, data):
     """The GramMatrix of a sequence of subspaces: grams of one spec."""
-    return grams([spec], data, fingerprint)[spec]
+    return grams([spec], data)[spec]
 
 
 @dataclass(frozen=True)
@@ -388,11 +377,11 @@ class CertificationReport:
     passed: bool
 
 
-def certify_pd(gram_matrix, mode="pd", tolerance=PD_TOLERANCE):
+def certify_pd(gram_matrix, mode="pd"):
     """Check a Gram matrix for (conditional) positive definiteness.
 
     Passes when the smallest eigenvalue is no smaller than
-    -tolerance * largest eigenvalue, which treats tiny negative
+    -PD_TOLERANCE times the largest, which treats tiny negative
     eigenvalues commensurate with roundoff as zero.
     """
     if mode not in ("pd", "cpd"):
@@ -406,8 +395,8 @@ def certify_pd(gram_matrix, mode="pd", tolerance=PD_TOLERANCE):
     lo = float(eigenvalues[0])
     hi = float(eigenvalues[-1])
     return CertificationReport(mode=mode, min_eigenvalue=lo,
-                               max_eigenvalue=hi, tolerance=tolerance,
-                               passed=bool(lo >= -tolerance * hi))
+                               max_eigenvalue=hi, tolerance=PD_TOLERANCE,
+                               passed=bool(lo >= -PD_TOLERANCE * hi))
 
 
 def geodesic_rbf_pseudo_kernel(x, y, beta=1.0):
@@ -448,14 +437,12 @@ def counterexample_subspaces():
             for b in COUNTEREXAMPLE_BASES]
 
 
-def counterexample_gram(beta=1.0):
-    """Gram matrix of the geodesic Gaussian on the four witness subspaces.
+def counterexample_gram():
+    """The matrix of exp(-geodesic^2) on the four witness subspaces.
 
-    With beta = 1 its smallest eigenvalue is about -0.0038, proving the
-    geodesic Gaussian indefinite.
+    Its smallest eigenvalue is about -0.0038, proving the geodesic
+    Gaussian indefinite.
     """
-    if not beta > 0.0:
-        raise InvalidKernelParameter(f"beta must be positive, got {beta}")
     points = counterexample_subspaces()
     distances = grassmann.geodesic_distances(points, points)
-    return GramMatrix(_mirror_upper(np.exp(-beta * distances ** 2)), None)
+    return GramMatrix(_mirror_upper(np.exp(-distances ** 2)))

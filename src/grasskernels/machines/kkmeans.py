@@ -82,12 +82,12 @@ def _distances(k, sizes, cross, internal):
     return d
 
 
-def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1,
-            max_iterations=MAX_ITERATIONS):
+def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1):
     """Cluster the points behind a Gram matrix into `n_clusters` groups.
 
     Each restart r draws its randomness from default_rng([seed, r]), so
-    results are reproducible.
+    results are reproducible.  Each run stops when the assignment is
+    stable or after MAX_ITERATIONS Lloyd iterations.
     """
     k = gram_matrix.values
     n = k.shape[0]
@@ -100,13 +100,13 @@ def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1,
     best = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        result = _single_run(k, n_clusters, rng, max_iterations, restart)
+        result = _single_run(k, n_clusters, rng, restart)
         if best is None or result.inertia < best.inertia:
             best = result
     return best
 
 
-def _single_run(k, n_clusters, rng, max_iterations, restart):
+def _single_run(k, n_clusters, rng, restart):
     sq = _pairwise_sq(k)
     seeds = _seed_indices(sq, n_clusters, rng)
     labels = np.argmin(sq[:, seeds], axis=1)
@@ -118,7 +118,7 @@ def _single_run(k, n_clusters, rng, max_iterations, restart):
         sizes, cross, internal = _cluster_stats(k, labels, n_clusters)
         d = _distances(k, sizes, cross, internal)
         history.append(_inertia(d, labels))
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             break
         new_labels = np.argmin(d, axis=1)
         for c in range(n_clusters):

@@ -77,7 +77,7 @@ def _gradient_and_residual(kmat, k, lam, y):
                                   initial=0.0))
 
 
-def _feature_sign_step(kmat, k, q, lam, y, gradient, objective, tolerance):
+def _feature_sign_step(kmat, k, q, lam, y, gradient, objective):
     """One active-set step from y; (new y, its f), or None if f would not drop.
 
     A singular or non-finite solve, or a line search whose best point is
@@ -85,7 +85,7 @@ def _feature_sign_step(kmat, k, q, lam, y, gradient, objective, tolerance):
     """
     signs = np.sign(y)
     violation = _violations(y, gradient, lam)
-    if np.max(violation[signs != 0.0], initial=0.0) <= tolerance:
+    if np.max(violation[signs != 0.0], initial=0.0) <= KKT_TOLERANCE:
         # the active coefficients are optimal: the zero coefficient with
         # the largest violation joins them, with the sign that lowers f
         entering = int(np.argmax(np.where(signs == 0.0, violation, -1.0)))
@@ -117,8 +117,7 @@ def _feature_sign_step(kmat, k, q, lam, y, gradient, objective, tolerance):
 
 
 def kernel_sparse_code(dict_gram, query_column, query_self, lam,
-                       max_sweeps=MAX_SWEEPS, tolerance=KKT_TOLERANCE,
-                       check_psd=True):
+                       max_sweeps=MAX_SWEEPS, check_psd=True):
     """Code one query against a dictionary held as a Gram matrix.
 
     `query_column[t]` is the kernel between the query and dictionary
@@ -126,7 +125,7 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
     sweep is one feature-sign step: choose the active set and signs,
     solve on it and line-search to the solution.  The solve stops once
     the largest violation of the optimality conditions (the KKT
-    residual) is at most `tolerance`, after `max_sweeps` sweeps, or when
+    residual) is at most KKT_TOLERANCE, after `max_sweeps` sweeps, or when
     a step cannot lower f (a singular or indefinite active block); the
     result's `converged` and `kkt_residual` say which.  A code that is
     zero from the start takes one sweep.
@@ -158,14 +157,14 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         step = None
-        if residual > tolerance:
+        if residual > KKT_TOLERANCE:
             step = _feature_sign_step(kmat, k, q, lam, y, gradient,
-                                      objective, tolerance)
+                                      objective)
         if step is not None:
             y, objective = step
             gradient, residual = _gradient_and_residual(kmat, k, lam, y)
         history.append(objective)
-        if step is None or residual <= tolerance:
+        if step is None or residual <= KKT_TOLERANCE:
             break
     return SparseCode(
         coefficients=y,
@@ -173,7 +172,7 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
         objective=history[-1],
         objective_history=tuple(history),
         sweeps=sweeps,
-        converged=residual <= tolerance,
+        converged=residual <= KKT_TOLERANCE,
         kkt_residual=residual,
     )
 

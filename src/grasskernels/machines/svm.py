@@ -62,11 +62,10 @@ def _best_partner(gaps, curvatures):
     return best, gains[best]
 
 
-def svm_train(gram_matrix, labels, c=1.0, tolerance=KKT_TOLERANCE,
-              max_iterations=MAX_ITERATIONS):
+def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
     """Train on a precomputed Gram matrix with labels in {-1, +1}.
 
-    Runs until the maximal KKT violation drops to `tolerance`.  Raises
+    Runs until the maximal KKT violation drops to KKT_TOLERANCE.  Raises
     ConvergenceFailure (carrying the remaining gap) if the iteration
     budget runs out first, and DegenerateLabels when only one class is
     present.
@@ -104,7 +103,7 @@ def svm_train(gram_matrix, labels, c=1.0, tolerance=KKT_TOLERANCE,
         down = np.where(can_lower, score, np.inf)
         bottom = int(np.argmin(down))
         residual = up[top] - down[bottom]
-        if residual <= tolerance:
+        if residual <= KKT_TOLERANCE:
             break
 
         # one-sided second-order choices: the best partner j of the

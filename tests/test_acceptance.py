@@ -375,8 +375,7 @@ def test_criterion_08_shifted_gram_leaves_predictions_alone():
         base = svm_train(g, targets, c=10.0)
         reference = np.sign(svm_decision_from_rows(base, g.values))
         for shift in (1.0, 10.0):
-            lifted = kernels.GramMatrix(g.values + shift, spec,
-                                        f"{g.fingerprint}:shift")
+            lifted = kernels.GramMatrix(g.values + shift)
             model = svm_train(lifted, targets, c=10.0)
             signs = np.sign(svm_decision_from_rows(model, lifted.values))
             stable &= bool(np.array_equal(signs, reference))

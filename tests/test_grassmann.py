@@ -258,7 +258,7 @@ class TestCompoundMatrix:
         with pytest.raises(DimensionMismatch):
             compound_matrix(np.eye(3), 4)
         with pytest.raises(EmbeddingTooLarge):
-            compound_matrix(np.eye(30), 15, cap=100)
+            compound_matrix(np.eye(30), 15)
 
 
 class TestCurveLengthRatio:

@@ -1,6 +1,7 @@
 """Harness tests: datasets, configuration, reports, experiments, CLI."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 
@@ -367,10 +368,18 @@ def test_gram_task_writes_csv(tmp_path):
     assert values.shape == (6, 6)
     data = generate_planted(d=5, p=2, classes=2, per_class=3,
                             noise_angle=0.1, seed=0)
-    direct = kernels.gram(kernels.parse_kernel_token("linear:bc", 2),
-                          data.subspaces)
+    spec = kernels.parse_kernel_token("linear:bc", 2)
+    direct = kernels.gram(spec, data.subspaces)
     np.testing.assert_allclose(values, direct.values, rtol=1e-15)
-    assert gram_csv_text(direct).count("\n") == 7
+    assert gram_csv_text(spec, direct, data.fingerprint).count("\n") == 7
+    # the CSV header, the dataset section and each result section name
+    # the dataset's fingerprint
+    line = f"fingerprint={data.fingerprint}"
+    assert text.splitlines()[0].endswith(" " + line)
+    named = [section.splitlines()[0]
+             for section in result.text.split("\n\n")
+             if line in section.splitlines()]
+    assert named == ["[dataset]", '[result "gram linear:bc"]']
 
 
 def test_svm_report_written_and_stable(tmp_path):
@@ -529,8 +538,8 @@ def _count_gram_work(monkeypatch):
         similarities.append(embedding)
         return similarity(embedding, xs, ys)
 
-    def counting_grams(specs, data, fingerprint=None):
-        result = grams(specs, data, fingerprint)
+    def counting_grams(specs, data):
+        result = grams(specs, data)
         labels.extend(spec.label() for spec in result)
         return result
 
@@ -620,11 +629,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-# hand-written dataset files the exit-2 test below passes by name
-BAD_DATASETS = {
+# hand-written dataset and config files the exit-2 test below names
+BAD_FILES = {
     "name-with-equals.txt":
         "format_version=1\nname=a=b\nd=3\np=1\nn=1\nsubspace=1 0 0\n",
     "no-points.txt": "format_version=1\nname=empty\nd=3\np=1\nn=0\n",
+    "no-bits.cfg": "bits=\n",
 }
 
 
@@ -656,14 +666,19 @@ BAD_DATASETS = {
      "--kernels", "linear:projection"],
     ["svm", "--dataset", "name-with-equals.txt"],
     ["svm", "--dataset", "no-points.txt"],
+    ["hash", "--bits", ""],
+    ["hash", "--config", "no-bits.cfg"],
+    ["hash", "--bits", "5,5"],
+    ["svm", "--kernels", "linear:bc,linear:bc"],
+    ["svm", "--kernels", "catalog,linear:bc"],
 ], ids=" ".join)
 def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
                                            capsys):
     """Each argv once exited 1 with a traceback or 0 with a bogus report."""
     inputs = tmp_path_factory.mktemp("inputs")
-    for name, text in BAD_DATASETS.items():
+    for name, text in BAD_FILES.items():
         (inputs / name).write_text(text)
-    argv = [str(inputs / arg) if arg in BAD_DATASETS else arg
+    argv = [str(inputs / arg) if arg in BAD_FILES else arg
             for arg in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -683,6 +698,16 @@ def test_cli_accepts_comma_separated_lists(tmp_path, capsys):
     assert 'result "svm linear:projection"' in text
     captured = capsys.readouterr()
     assert captured.out == text  # the report is echoed to stdout
+    # a config file takes the same comma-separated lists as the flags
+    shape = ["--d", "6", "--p", "2", "--classes", "2", "--per-class", "6"]
+    assert cli.main(["svm"] + shape + [
+        "--seeds", "0,1",
+        "--kernels", "linear:bc,rbf:projection:beta=0.5"]) == 0
+    from_flags = capsys.readouterr().out
+    cfg = tmp_path / "lists.cfg"
+    cfg.write_text("seeds=0,1\nkernels=linear:bc, rbf:projection:beta=0.5\n")
+    assert cli.main(["svm", "--config", str(cfg)] + shape) == 0
+    assert capsys.readouterr().out == from_flags
 
 
 def test_cli_threads_flag_leaves_output_alone(capsys):
@@ -707,3 +732,22 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
     assert "restarts=2" in text
     assert "mean_nmi=" in text
     capsys.readouterr()
+
+
+def test_traced_benchmark_names_resolve():
+    """Every function the benchmark's tracer wraps still exists.
+
+    The tracer looks each (module, attribute) pair up by name, so
+    removing or renaming one would break a traced run.
+    """
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ([entry[:2] for entry in tracing.SPANNED]
+             + [entry[:2] for entry in tracing.COUNTED])
+    assert names
+    for module, attr in names:
+        function = getattr(importlib.import_module(module), attr, None)
+        assert callable(function), f"{module}.{attr}"

@@ -6,7 +6,6 @@ equally spaced lines in the plane.  The batched similarity path is held
 to a per-pair loop with scalar `math` maps, kept here as the reference.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -383,7 +382,7 @@ def test_grams_share_one_similarity_per_embedding(monkeypatch):
 
     monkeypatch.setattr(grassmann, "similarity", counting)
     # duplicates collapse, first-seen order is kept
-    got = grams(catalog + catalog[::-1], pts, fingerprint="data")
+    got = grams(catalog + catalog[::-1], pts)
     assert sorted(embeddings) == ["binet_cauchy", "projection"]
     assert list(got) == catalog
     upper = np.triu(np.ones((40, 40), dtype=bool))
@@ -391,7 +390,6 @@ def test_grams_share_one_similarity_per_embedding(monkeypatch):
         c = cross_gram(spec, pts, pts)
         assert np.array_equal(got[spec].values, np.where(upper, c, c.T))
         assert np.array_equal(got[spec].values, gram(spec, pts).values)
-        assert got[spec].spec == spec and got[spec].fingerprint == "data"
     for a in catalog:
         for b in catalog:
             if a != b:
@@ -406,16 +404,12 @@ def test_take_submatrix_contract():
     for n, idx in ((6, [0, 2, 5]), (40, [1, 2, 7, 8, 9, 20, 33, 39])):
         pts = random_points(n, 5, 2, 9)
         idx = np.array(idx)
-        full = gram(spec, pts, fingerprint="data")
+        full = gram(spec, pts)
         sub = full.take(idx)
         assert np.array_equal(sub.values, full.values[np.ix_(idx, idx)])
         # bitwise identical to assembling the subset from scratch
         direct = gram(spec, [pts[i] for i in idx])
         assert np.array_equal(sub.values, direct.values)
-        tag = hashlib.sha256(idx.astype(np.intp).tobytes()).hexdigest()[:12]
-        assert sub.fingerprint == f"data:take:{tag}"
-        assert direct.fingerprint is None
-        assert direct.take([0, 1]).fingerprint is None
     with pytest.raises(DimensionMismatch):
         full.take(np.array([], dtype=np.intp))
     with pytest.raises(DimensionMismatch):
@@ -424,10 +418,10 @@ def test_take_submatrix_contract():
 
 def test_gram_matrix_guards():
     with pytest.raises(ValueError):
-        GramMatrix(np.array([[1.0, 0.1], [0.2, 1.0]]), None, "x")
+        GramMatrix(np.array([[1.0, 0.1], [0.2, 1.0]]))
     with pytest.raises(DimensionMismatch):
-        GramMatrix(np.zeros((2, 3)), None, "x")
-    g = GramMatrix(np.eye(2), None, "x")
+        GramMatrix(np.zeros((2, 3)))
+    g = GramMatrix(np.eye(2))
     with pytest.raises(ValueError):
         g.values[0, 0] = 2.0  # stored entries are frozen
 
@@ -436,12 +430,12 @@ def test_gram_matrix_guards():
 
 
 def test_certify_pd_fixtures():
-    ident = GramMatrix(np.eye(3), None, "id")
+    ident = GramMatrix(np.eye(3))
     rep = certify_pd(ident)
     assert rep.passed and rep.mode == "pd"
     np.testing.assert_allclose([rep.min_eigenvalue, rep.max_eigenvalue],
                                [1.0, 1.0], rtol=1e-12)
-    flipped = certify_pd(GramMatrix(np.diag([1.0, -1.0]), None, "flip"))
+    flipped = certify_pd(GramMatrix(np.diag([1.0, -1.0])))
     assert not flipped.passed
     with pytest.raises(ValueError):
         certify_pd(ident, mode="positive")
@@ -451,7 +445,7 @@ def test_certify_cpd_accepts_negative_squared_distances():
     # -(squared distances of points 0, 1, 2 on a line): conditionally pd
     # on zero-sum weights but indefinite as a plain matrix
     m = -np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
-    g = GramMatrix(m, None, "neg-sqdist")
+    g = GramMatrix(m)
     assert certify_pd(g, mode="cpd").passed
     assert not certify_pd(g, mode="pd").passed
 
@@ -524,7 +518,7 @@ def test_geodesic_pseudo_kernel():
 def test_counterexample_gram():
     """Four subspaces witness the geodesic Gaussian's indefiniteness."""
     g = counterexample_gram()
-    assert g.spec is None and g.n == 4
+    assert g.n == 4
     rep = certify_pd(g)
     assert not rep.passed
     assert -0.0043 < rep.min_eigenvalue < -0.0033
@@ -540,5 +534,3 @@ def test_counterexample_gram():
     np.testing.assert_allclose(
         g.values, [[geodesic_rbf_pseudo_kernel(x, y) for y in pts]
                    for x in pts], rtol=1e-15, atol=0)
-    with pytest.raises(InvalidKernelParameter):
-        counterexample_gram(beta=0.0)

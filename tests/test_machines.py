@@ -125,8 +125,7 @@ def test_svm_constant_shift_leaves_decisions_alone():
         base = svm_train(g, y, c=10.0)
         reference = svm_decision_from_rows(base, g.values)
         for shift in (1.0, 10.0):
-            lifted = GramMatrix(g.values + shift, spec,
-                                f"{g.fingerprint}:shift")
+            lifted = GramMatrix(g.values + shift)
             model = svm_train(lifted, y, c=10.0)
             decisions = svm_decision_from_rows(model, lifted.values)
             assert np.array_equal(model.support_indices,
@@ -340,7 +339,7 @@ def test_kkmeans_hand_inertia():
     Both sit at squared distance 1/4 from the midpoint centroid, so the
     within-cluster sum of squares is exactly 1/2.
     """
-    g = GramMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]), None, "hand")
+    g = GramMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))
     result = kkmeans(g, 1, seed=0)
     assert result.inertia == pytest.approx(0.5, abs=1e-12)
     assert np.array_equal(result.labels, [0, 0])
@@ -437,7 +436,7 @@ def test_clustering_accuracy_values():
 
 def test_sparse_single_atom_soft_threshold():
     """One unit atom: the code is the soft-thresholded similarity."""
-    g = GramMatrix(np.array([[1.0]]), None, "atom")
+    g = GramMatrix(np.array([[1.0]]))
     code = kernel_sparse_code(g, [0.9], 1.0, lam=0.2)
     np.testing.assert_allclose(code.coefficients, [0.8], rtol=1e-12)
     # objective: 0.64 - 1.44 + 1 + 0.2 * 0.8
@@ -763,7 +762,7 @@ def test_klsh_neighbor_recall():
 def test_split_then_train_workflow():
     """End-to-end: split, train on the Gram submatrix, score held-out."""
     data, y = planted_binary()
-    g = gram(RBF_PROJ, data.subspaces, fingerprint=data.fingerprint)
+    g = gram(RBF_PROJ, data.subspaces)
     correct = 0
     total = 0
     for seed in range(5):
