@@ -90,7 +90,7 @@ _RANGES = {
     "seed": _at_least(0), "seeds": _at_least(0), "threads": _at_least(1),
     "p": _at_least(1), "classes": _at_least(1), "per_class": _at_least(1),
     "clusters": _at_least(0), "restarts": _at_least(1),
-    "bits": _at_least(1), "anchors": _at_least(1), "top_m": _at_least(1),
+    "bits": _at_least(1), "anchors": _at_least(2), "top_m": _at_least(1),
     "cv_folds": _at_least(2),
     "svm_c": _POSITIVE, "lam": _POSITIVE,
     "noise_angle": ("lie in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2),

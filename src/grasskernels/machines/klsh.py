@@ -70,13 +70,16 @@ def klsh_build(gram_matrix, bits, anchors=DEFAULT_ANCHORS, seed=0):
 
     For every bit, `anchors` database points are drawn without
     replacement, and ceil(anchors / 2) of them form the random half
-    whose whitened indicator provides the projection direction.
+    whose whitened indicator provides the projection direction.  With
+    fewer than two anchors that half is every anchor, the centred
+    indicator is zero and so is every bit, so `anchors` must be at
+    least 2.
     """
     k = gram_matrix.values
     n = k.shape[0]
     if bits < 1:
         raise ValueError(f"need at least one bit, got {bits}")
-    if anchors < 1 or anchors > n:
+    if anchors < 2 or anchors > n:
         raise InsufficientData(
             f"cannot draw {anchors} anchors from {n} points")
 

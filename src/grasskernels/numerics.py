@@ -1,13 +1,12 @@
-"""Dense float64 matrix primitives backed by LAPACK through numpy and scipy.
+"""Dense float64 matrix primitives backed by LAPACK through numpy.
 
-Validation, the SVD fallback and the rank tolerance live here.  Gram
+Validation, SVD failure reporting and the rank tolerance live here.  Gram
 assembly and certification take their determinants and eigenvalues from
 these helpers; the principal-angle SVD in `grassmann` and the
 eigendecomposition in `machines.klsh` still call numpy directly.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceFailure, DimensionMismatch, RankDeficient
 
@@ -34,22 +33,15 @@ def _require_square(m, what):
 def svd(m):
     """Thin singular value decomposition m = u @ diag(s) @ v.T.
 
-    Returns (u, s, v) with s nonnegative and sorted descending.  The
-    divide-and-conquer driver occasionally fails on ill-conditioned input,
-    in which case the plain QR-iteration driver is tried before giving up.
+    Returns (u, s, v) with s nonnegative and sorted descending.  Raises
+    ConvergenceFailure when LAPACK's divide-and-conquer driver does not
+    converge.
     """
     m = as_matrix(m)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        try:
-            u, s, vt = scipy.linalg.svd(m, full_matrices=False,
-                                        lapack_driver="gesvd")
-        except scipy.linalg.LinAlgError as exc:
-            # 6 QR sweeps per singular value is the LAPACK budget
-            budget = 6 * min(m.shape) ** 2
-            raise ConvergenceFailure(
-                f"SVD did not converge: {exc}", iterations=budget) from exc
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T
 
 

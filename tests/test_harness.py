@@ -4,10 +4,13 @@ import dataclasses
 import importlib.util
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import grasskernels
 from grasskernels import grassmann, kernels
 from grasskernels.harness import datasets as ds_mod
 from grasskernels.exceptions import (DimensionMismatch, InputError,
@@ -644,6 +647,7 @@ BAD_FILES = {
     ["cluster", "--restarts", "0"],
     ["hash", "--bits", "0"],
     ["hash", "--anchors", "0"],
+    ["hash", "--anchors", "1"],
     ["hash", "--top-m", "0"],
     ["svm", "--seeds", "-1"],
     ["svm", "--seed", "-1"],
@@ -751,3 +755,16 @@ def test_traced_benchmark_names_resolve():
     for module, attr in names:
         function = getattr(importlib.import_module(module), attr, None)
         assert callable(function), f"{module}.{attr}"
+
+
+def test_package_imports_no_scipy():
+    """numpy is the only run-time dependency: a fresh interpreter that
+    imports the package and its command line loads no scipy module."""
+    src = os.path.dirname(os.path.dirname(grasskernels.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, grasskernels, grasskernels.harness.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

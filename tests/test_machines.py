@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import linear_sum_assignment, minimize
 
 from grasskernels import grassmann, kernels
 from grasskernels.exceptions import (ConvergenceFailure, DegenerateLabels,
@@ -27,6 +27,7 @@ from grasskernels.machines import (clustering_accuracy, kernel_sparse_code,
                                    sparse_code_classify, svm_train)
 from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.klsh import EIGENVALUE_FLOOR
+from grasskernels.machines.metrics import _max_matching_total
 from grasskernels.machines.sparse import SparseCode
 from grasskernels.machines.svm import svm_decision_from_rows
 
@@ -431,6 +432,36 @@ def test_clustering_accuracy_values():
         normalized_mutual_information([], [])
 
 
+def _oracle_tables():
+    """Seeded contingency tables: square, wide and tall, from small
+    counts and from {0, 1} (many tied matchings), plus all-zero, 1 x 1
+    and 50 x 50."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 9, size=2)
+        yield rng.integers(0, rng.choice([2, 4, 20]), size=(rows, cols))
+    for shape in ((1, 1), (6, 6), (4, 9), (9, 4), (50, 50)):
+        yield np.zeros(shape, dtype=np.int64)
+    yield np.array([[7]])
+    for high in (2, 30):
+        yield rng.integers(0, high, size=(50, 50))
+
+
+def test_matching_total_matches_linear_sum_assignment():
+    for table in _oracle_tables():
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        best = table[rows, cols].sum()
+        assert _max_matching_total(table) == best
+        if best:
+            # label vectors whose contingency table is this one without
+            # its empty rows and columns, which add nothing to a matching
+            i, j = np.nonzero(table)
+            counts = table[i, j]
+            accuracy = clustering_accuracy(np.repeat(i, counts),
+                                           np.repeat(j, counts))
+            assert accuracy == float(best / table.sum())
+
+
 # -------------------------------------------------------------- sparse
 
 
@@ -676,6 +707,8 @@ def test_klsh_error_paths():
         klsh_build(g, bits=4, anchors=6)
     with pytest.raises(InsufficientData):
         klsh_build(g, bits=4, anchors=0)
+    with pytest.raises(InsufficientData):
+        klsh_build(g, bits=4, anchors=1)
 
 
 def _per_bit_klsh(k, bits, anchors, seed):
@@ -713,7 +746,7 @@ def test_klsh_blocked_whitening_matches_per_bit_loop():
     floored = 0
     for g in (plain, duplicated):
         for bits in (1, 3, 4, 5, 60):
-            for anchors in (1, 2, 30):
+            for anchors in (2, 30):
                 family = klsh_build(g, bits=bits, anchors=anchors, seed=bits)
                 indices, weights, count = _per_bit_klsh(
                     g.values, bits, anchors, bits)

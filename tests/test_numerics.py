@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from grasskernels import numerics
-from grasskernels.exceptions import DimensionMismatch, RankDeficient
+from grasskernels.exceptions import (ConvergenceFailure, DimensionMismatch,
+                                     RankDeficient)
 
 
 def leibniz_det(m):
@@ -71,6 +72,14 @@ class TestSvd:
         u, s, v = numerics.svd(m)
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
+
+    def test_lapack_failure_raises_convergence_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceFailure):
+            numerics.svd(np.eye(3))
 
 
 class TestOrthonormalize:
