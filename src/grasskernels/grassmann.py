@@ -236,12 +236,8 @@ def plucker_embed(x):
     """
     if not isinstance(x, Subspace):
         raise TypeError("expected a Subspace")
-    n_coords = math.comb(x.d, x.p)
-    if n_coords > EMBEDDING_CAP:
-        raise EmbeddingTooLarge(f"embedding needs {n_coords} coordinates, "
-                                f"cap is {EMBEDDING_CAP}")
-    rows = np.array(list(itertools.combinations(range(x.d), x.p)))
-    coords = numerics.determinant(x.basis[rows])
+    # the p-row minors of the d x p basis: its compound's one column
+    coords = compound_matrix(x.basis, x.p)[:, 0]
     # minors of an orthonormal basis already have unit total norm;
     # normalize anyway so the invariant holds bit-for-bit
     coords /= np.linalg.norm(coords)

@@ -29,6 +29,7 @@ from .. import numerics
 from ..exceptions import (DimensionMismatch, InputError, InvalidDimensions,
                           RankDeficient)
 from ..grassmann import Subspace, random_subspace, tilt_subspace
+from .reports import write_text
 
 FORMAT_VERSION = 1
 
@@ -173,8 +174,7 @@ def parse_dataset(text):
 
 
 def save_dataset(dataset, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_dataset(dataset))
+    write_text(path, serialize_dataset(dataset))
 
 
 def load_dataset(path):

@@ -1,9 +1,9 @@
 """Task runners behind the command line interface.
 
 Every task resolves its dataset and kernels, builds each Gram it needs
-once, runs its work cells in order and renders one report.  Cells draw
-their randomness from seeds derived deterministically from the
-configuration, never from shared state, so the same configuration gives
+once, runs each kernel over the configured seeds in order and renders
+one report.  Each seed's randomness comes from generators seeded by the
+seed itself, never from shared state, so the same configuration gives
 the same report text.
 """
 
@@ -11,7 +11,6 @@ import dataclasses
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,11 +37,10 @@ GRAM_DIR = "out"
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Rendered report text plus the task verdict and output location."""
+    """Rendered report text plus the task verdict."""
 
     text: str
     passed: bool
-    out_path: Optional[str]
 
 
 def default_catalog_tokens(p):
@@ -122,42 +120,35 @@ def _check_inputs(config, dataset):
             f"each query can rank")
 
 
-def _sweep(config, groups, cell):
-    """Run cell(*group, seed) for each group and seed.
-
-    Returns one list of per-seed results for each group, in order.
-    """
-    return [[cell(*group, seed) for seed in config.seeds]
-            for group in groups]
-
-
-def _series(name, plural, values):
-    """Report items for per-seed scores plus their mean and sample std.
-
-    Returns (items, mean, std), the items being `plural`, `mean_<name>`
-    and `std_<name>`.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    mean = float(np.mean(v))
-    std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-    items = [(plural, " ".join(format_float(x) for x in values)),
-             (f"mean_{name}", mean), (f"std_{name}", std)]
-    return items, mean, std
-
-
 def _joined(values):
     return " ".join(str(v) for v in values)
+
+
+def _seeded_result(report, label, settings, seeds, series, extra=()):
+    """Write one kernel's `[result]` section of per-seed scores.
+
+    The section holds `settings`, `seeds`, then for each (name, plural,
+    values) in `series` the per-seed values as `plural` plus their
+    `mean_<name>` and sample `std_<name>`, then `extra`.  Returns the
+    (mean, std) of each series, in order.
+    """
+    items = list(settings) + [("seeds", _joined(seeds))]
+    stats = []
+    for name, plural, values in series:
+        v = np.asarray(values, dtype=np.float64)
+        mean = float(np.mean(v))
+        std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
+        items += [(plural, " ".join(format_float(x) for x in values)),
+                  (f"mean_{name}", mean), (f"std_{name}", std)]
+        stats.append((mean, std))
+    report.add_section("result", items + list(extra), label=label)
+    return stats
 
 
 def _split(dataset, config, seed):
     """The (train, test) index split of one seed."""
     return ds_mod.stratified_split(dataset.labels, config.train_fraction,
                                    np.random.default_rng([seed]))
-
-
-def _train_index_items(seeds, train_sets):
-    return [(f"train_indices_{seed}", _joined(train_idx))
-            for seed, train_idx in zip(seeds, train_sets)]
 
 
 def _dataset_items(dataset):
@@ -202,10 +193,12 @@ def _run_gram(config, dataset, specs, grams, report):
 # --- pd-check ---------------------------------------------------------------
 
 def _run_pd_check(config, dataset, specs, grams, report):
-    verdicts = [kernels.certify_pd(grams[s], mode=s.certification_mode)
-                for s in specs]
+    passed = True
     rows = []
-    for spec, verdict in zip(specs, verdicts):
+    for spec in specs:
+        verdict = kernels.certify_pd(grams[spec],
+                                     mode=spec.certification_mode)
+        passed = passed and verdict.passed
         report.add_section("result", [
             ("kernel", spec.label()),
             ("mode", verdict.mode),
@@ -220,7 +213,7 @@ def _run_pd_check(config, dataset, specs, grams, report):
                      "pass" if verdict.passed else "FAIL"))
     report.add_table("spectra", ("kernel", "mode", "min_eig", "max_eig",
                                  "verdict"), rows)
-    return all(verdict.passed for verdict in verdicts)
+    return passed
 
 
 # --- counterexample ---------------------------------------------------------
@@ -340,35 +333,34 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
 
 
 def _run_svm(config, dataset, specs, grams, report):
-    def cell(spec, gram_matrix, seed):
-        train_idx, test_idx = _split(dataset, config, seed)
-        used = spec
-        if config.tune:
-            used, gram_matrix = _tune_spec(spec, grams, dataset,
-                                           train_idx, config, seed)
-        predicted, iterations, residual = _fit_predict(
-            gram_matrix, dataset.labels, train_idx, test_idx, config.svm_c)
-        accuracy = float(np.mean(predicted == dataset.labels[test_idx]))
-        return accuracy, train_idx, used, iterations, residual
-
-    chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
-    for spec, chunk in zip(specs, chunks):
-        scores, mean, std = _series("accuracy", "accuracies",
-                                    [r[0] for r in chunk])
-        items = [
-            ("kernel", spec.label()),
-            ("penalty", config.svm_c),
-            ("seeds", _joined(config.seeds)),
-        ] + scores + [
-            ("smo_iterations", _joined(r[3] for r in chunk)),
-            ("max_kkt_residual", " ".join(format_float(r[4])
-                                          for r in chunk)),
-        ]
+    for spec in specs:
+        accuracies, iterations, residuals, tuned = [], [], [], []
+        train_items = []
+        for seed in config.seeds:
+            train_idx, test_idx = _split(dataset, config, seed)
+            used, gram_matrix = spec, grams[spec]
+            if config.tune:
+                used, gram_matrix = _tune_spec(spec, grams, dataset,
+                                               train_idx, config, seed)
+            predicted, count, residual = _fit_predict(
+                gram_matrix, dataset.labels, train_idx, test_idx,
+                config.svm_c)
+            accuracies.append(
+                float(np.mean(predicted == dataset.labels[test_idx])))
+            iterations.append(count)
+            residuals.append(format_float(residual))
+            tuned.append(used.label())
+            train_items.append((f"train_indices_{seed}", _joined(train_idx)))
+        extra = [("smo_iterations", _joined(iterations)),
+                 ("max_kkt_residual", " ".join(residuals))]
         if config.tune:
-            items.append(("tuned", " | ".join(r[2].label() for r in chunk)))
-        items += _train_index_items(config.seeds, [r[1] for r in chunk])
-        report.add_section("result", items, label=f"svm {spec.label()}")
+            extra.append(("tuned", " | ".join(tuned)))
+        [(mean, std)] = _seeded_result(
+            report, f"svm {spec.label()}",
+            [("kernel", spec.label()), ("penalty", config.svm_c)],
+            config.seeds, [("accuracy", "accuracies", accuracies)],
+            extra + train_items)
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
     report.add_table("svm accuracy", ("kernel", "mean", "std"), rows)
     return True
@@ -378,36 +370,23 @@ def _run_svm(config, dataset, specs, grams, report):
 
 def _run_cluster(config, dataset, specs, grams, report):
     cluster_count = config.clusters or dataset.class_count
-
-    def cell(spec, gram_matrix, seed):
-        return kkmeans(gram_matrix, cluster_count, seed=seed,
-                       restarts=config.restarts)
-
-    chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
-    for spec, chunk in zip(specs, chunks):
-        scores, mean_inertia, _ = _series(
-            "inertia", "inertias", [r.inertia for r in chunk])
-        items = [
-            ("kernel", spec.label()),
-            ("clusters", cluster_count),
-            ("restarts", config.restarts),
-            ("seeds", _joined(config.seeds)),
-        ] + scores
-        row = [spec.label(), f"{mean_inertia:.6g}"]
+    for spec in specs:
+        runs = [kkmeans(grams[spec], cluster_count, seed=seed,
+                        restarts=config.restarts) for seed in config.seeds]
+        series = [("inertia", "inertias", [r.inertia for r in runs])]
         if dataset.labels is not None:
-            nmi_scores, mean_nmi, _ = _series("nmi", "nmis", [
-                normalized_mutual_information(r.labels, dataset.labels)
-                for r in chunk])
-            acc_scores, mean_acc, _ = _series("accuracy", "accuracies", [
-                clustering_accuracy(r.labels, dataset.labels)
-                for r in chunk])
-            items += nmi_scores + acc_scores
-            row += [f"{mean_nmi:.4f}", f"{mean_acc:.4f}"]
-        else:
-            row += ["-", "-"]
-        report.add_section("result", items, label=f"cluster {spec.label()}")
-        rows.append(tuple(row))
+            series += [
+                ("nmi", "nmis", [normalized_mutual_information(
+                    r.labels, dataset.labels) for r in runs]),
+                ("accuracy", "accuracies", [clustering_accuracy(
+                    r.labels, dataset.labels) for r in runs])]
+        stats = _seeded_result(
+            report, f"cluster {spec.label()}",
+            [("kernel", spec.label()), ("clusters", cluster_count),
+             ("restarts", config.restarts)], config.seeds, series)
+        scores = [f"{mean:.4f}" for mean, _ in stats[1:]] or ["-", "-"]
+        rows.append((spec.label(), f"{stats[0][0]:.6g}", *scores))
     report.add_table("clustering", ("kernel", "mean_inertia", "mean_nmi",
                                     "mean_accuracy"), rows)
     return True
@@ -416,47 +395,42 @@ def _run_cluster(config, dataset, specs, grams, report):
 # --- sparse-code -----------------------------------------------------------
 
 def _run_sparse(config, dataset, specs, grams, report):
-    def cell(spec, gram_matrix, seed):
-        train_idx, test_idx = _split(dataset, config, seed)
-        dict_gram = gram_matrix.take(train_idx)
-        if not kernels.certify_pd(dict_gram, mode="pd").passed:
-            raise InputError(
-                f"kernel {spec.label()!r} is not positive definite on "
-                "this dictionary; sparse coding needs a pd kernel")
-        atom_labels = dataset.labels[train_idx]
-        correct = 0
-        fallbacks = 0
-        unconverged = 0
-        for query in test_idx:
-            column = gram_matrix.values[query, train_idx]
-            self_value = gram_matrix.values[query, query]
-            code = kernel_sparse_code(dict_gram, column, self_value,
-                                      config.lam, check_psd=False)
-            unconverged += int(not code.converged)
-            try:
-                predicted = sparse_code_classify(code, atom_labels)
-            except ZeroCode:
-                # empty code: fall back to the most similar atom
-                fallbacks += 1
-                predicted = atom_labels[int(np.argmax(column))]
-            correct += int(predicted == dataset.labels[query])
-        return correct / test_idx.size, fallbacks, unconverged, train_idx
-
-    chunks = _sweep(config, [(s, grams[s]) for s in specs], cell)
     rows = []
-    for spec, chunk in zip(specs, chunks):
-        scores, mean, std = _series("accuracy", "accuracies",
-                                    [r[0] for r in chunk])
-        items = [
-            ("kernel", spec.label()),
-            ("lam", config.lam),
-            ("seeds", _joined(config.seeds)),
-        ] + scores + [
-            ("zero_code_fallbacks", _joined(r[1] for r in chunk)),
-            ("unconverged_codes", _joined(r[2] for r in chunk)),
-        ] + _train_index_items(config.seeds, [r[3] for r in chunk])
-        report.add_section("result", items,
-                           label=f"sparse-code {spec.label()}")
+    for spec in specs:
+        gram_matrix = grams[spec]
+        accuracies, fallbacks, unconverged, train_items = [], [], [], []
+        for seed in config.seeds:
+            train_idx, test_idx = _split(dataset, config, seed)
+            dict_gram = gram_matrix.take(train_idx)
+            if not kernels.certify_pd(dict_gram, mode="pd").passed:
+                raise InputError(
+                    f"kernel {spec.label()!r} is not positive definite on "
+                    "this dictionary; sparse coding needs a pd kernel")
+            atom_labels = dataset.labels[train_idx]
+            correct = fallback_count = unconverged_count = 0
+            for query in test_idx:
+                column = gram_matrix.values[query, train_idx]
+                self_value = gram_matrix.values[query, query]
+                code = kernel_sparse_code(dict_gram, column, self_value,
+                                          config.lam, check_psd=False)
+                unconverged_count += int(not code.converged)
+                try:
+                    predicted = sparse_code_classify(code, atom_labels)
+                except ZeroCode:
+                    # empty code: fall back to the most similar atom
+                    fallback_count += 1
+                    predicted = atom_labels[int(np.argmax(column))]
+                correct += int(predicted == dataset.labels[query])
+            accuracies.append(correct / test_idx.size)
+            fallbacks.append(fallback_count)
+            unconverged.append(unconverged_count)
+            train_items.append((f"train_indices_{seed}", _joined(train_idx)))
+        [(mean, std)] = _seeded_result(
+            report, f"sparse-code {spec.label()}",
+            [("kernel", spec.label()), ("lam", config.lam)], config.seeds,
+            [("accuracy", "accuracies", accuracies)],
+            [("zero_code_fallbacks", _joined(fallbacks)),
+             ("unconverged_codes", _joined(unconverged))] + train_items)
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
     report.add_table("sparse coding accuracy", ("kernel", "mean", "std"),
                      rows)
@@ -487,34 +461,24 @@ def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m):
 
 
 def _run_hash(config, dataset, specs, grams, report):
-    def cell(spec, gram_matrix, bits, seed):
-        return _hash_cell(gram_matrix, dataset.labels, bits, config.anchors,
-                          seed, config.top_m)
-
-    groups = [(spec, grams[spec], bits)
-              for spec in specs for bits in config.bits]
     rows = []
-    for (spec, _, bits), chunk in zip(groups, _sweep(config, groups, cell)):
-        scores, mean_recall, _ = _series("recall", "recalls",
-                                         [r[0] for r in chunk])
-        items = [
-            ("kernel", spec.label()),
-            ("bits", bits),
-            ("anchors", config.anchors),
-            ("top_m", config.top_m),
-            ("seeds", _joined(config.seeds)),
-        ] + scores
-        row = [spec.label(), str(bits), f"{mean_recall:.4f}"]
-        if dataset.labels is not None:
-            nn_scores, mean_nn, _ = _series(
-                "nn_accuracy", "nn_accuracies", [r[1] for r in chunk])
-            items += nn_scores
-            row.append(f"{mean_nn:.4f}")
-        else:
-            row.append("-")
-        report.add_section("result", items,
-                           label=f"hash {spec.label()} bits={bits}")
-        rows.append(tuple(row))
+    for spec in specs:
+        for bits in config.bits:
+            recalls, nn_accuracies = zip(*(
+                _hash_cell(grams[spec], dataset.labels, bits, config.anchors,
+                           seed, config.top_m) for seed in config.seeds))
+            series = [("recall", "recalls", recalls)]
+            if dataset.labels is not None:
+                series.append(("nn_accuracy", "nn_accuracies",
+                               nn_accuracies))
+            stats = _seeded_result(
+                report, f"hash {spec.label()} bits={bits}",
+                [("kernel", spec.label()), ("bits", bits),
+                 ("anchors", config.anchors), ("top_m", config.top_m)],
+                config.seeds, series)
+            scores = [f"{mean:.4f}" for mean, _ in stats[1:]] or ["-"]
+            rows.append((spec.label(), str(bits), f"{stats[0][0]:.4f}",
+                         *scores))
     report.add_table("hashing", ("kernel", "bits", "mean_recall",
                                  "mean_nn_accuracy"), rows)
     return True
@@ -528,7 +492,7 @@ def _run_generate(config, report):
     ds_mod.save_dataset(dataset, path)
     report.add_section("result", _dataset_items(dataset)
                        + [("file", path)], label="generate")
-    return True, path
+    return True
 
 
 def _run_bench(config, dataset, specs, grams, report):
@@ -573,9 +537,8 @@ def run_experiment(config):
     report = ReportBuilder(GENERATOR)
     report.add_section("config", config.resolved_items())
 
-    out_path = config.out or (GRAM_DIR if config.task == "gram" else None)
     if config.task == "generate":
-        passed, out_path = _run_generate(config, report)
+        passed = _run_generate(config, report)
     elif config.task == "counterexample":
         passed = _run_counterexample(report)
     else:
@@ -599,4 +562,4 @@ def run_experiment(config):
     text = report.render()
     if config.out and config.task not in ("gram", "generate"):
         write_text(config.out, text)
-    return ExperimentResult(text=text, passed=passed, out_path=out_path)
+    return ExperimentResult(text=text, passed=passed)

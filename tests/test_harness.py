@@ -1,5 +1,6 @@
 """Harness tests: datasets, configuration, reports, experiments, CLI."""
 
+import argparse
 import dataclasses
 import importlib.util
 import math
@@ -17,8 +18,9 @@ from grasskernels.exceptions import (DimensionMismatch, InputError,
                                      InvalidDimensions, RankDeficient)
 from grasskernels.grassmann import Subspace
 from grasskernels.harness import cli, experiments
-from grasskernels.harness.config import (ExperimentConfig, build_config,
-                                         coerce_value, load_config_file)
+from grasskernels.harness.config import (TASKS, ExperimentConfig,
+                                         build_config, coerce_value,
+                                         load_config_file)
 from grasskernels.harness.datasets import (Dataset, generate_planted,
                                            load_dataset, parse_dataset,
                                            save_dataset, serialize_dataset,
@@ -439,6 +441,96 @@ def test_svm_tuning_path():
     assert "tuned=rbf:projection:beta=" in result.text
 
 
+def _items(text):
+    """The key=value rows of a report with one result section."""
+    return dict(line.split("=", 1) for line in text.splitlines()
+                if "=" in line)
+
+
+def _table_rows(text):
+    """The data rows of a report's table, split on whitespace."""
+    table = text[text.index("[table "):text.index("\n\n[verdict]")]
+    return [row.split() for row in table.splitlines()[2:]]
+
+
+SMALL = {"d": "6", "p": "2", "classes": "2", "per_class": "6",
+         "seeds": "0 1"}
+
+
+def test_svm_tuning_skips_invalid_grid_values():
+    """alpha=0 is no polynomial degree, so its candidates are left out."""
+    config = build_config("svm", overrides=dict(
+        SMALL, kernels="polynomial:projection:alpha=2:beta=0.5", tune="true",
+        alpha_grid="0 1 2", beta_grid="0.5 1", cv_folds="2"))
+    spec = kernels.parse_kernel_token(config.kernels[0], 2)
+    candidates = experiments._candidate_specs(spec, config)
+    assert [(c.alpha, c.beta) for c in candidates] == [
+        (1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)]
+    result = run_experiment(config)
+    assert result.passed
+    tuned = _items(result.text)["tuned"].split(" | ")
+    assert len(tuned) == 2
+    assert {token.split(":")[2] for token in tuned} <= {"alpha=1.0",
+                                                         "alpha=2.0"}
+
+
+def test_svm_tuning_keeps_a_parameterless_kernel():
+    overrides = dict(SMALL, kernels="linear:projection")
+    plain = _items(run_experiment(build_config("svm", overrides=overrides))
+                   .text)
+    tuned = _items(run_experiment(build_config(
+        "svm", overrides=dict(overrides, tune="true"))).text)
+    assert tuned["tuned"] == "linear:projection | linear:projection"
+    for key in ("accuracies", "mean_accuracy", "std_accuracy",
+                "smo_iterations", "max_kkt_residual"):
+        assert tuned[key] == plain[key]
+
+
+def test_svm_tuning_when_every_fold_leaves_a_class_out():
+    """Two points per class put one of each on the train side, both in
+    fold 0, so no fold can be fit; every candidate scores the same and
+    the first one wins."""
+    config = build_config("svm", overrides=dict(
+        SMALL, per_class="2", tune="true", beta_grid="0.1 1", cv_folds="3"))
+    result = run_experiment(config)
+    assert result.passed
+    assert _items(result.text)["tuned"] == ("rbf:projection:beta=0.1 | "
+                                            "rbf:projection:beta=0.1")
+
+
+@pytest.mark.parametrize("task,overrides,cells", [
+    ("cluster", {"clusters": "3"}, 2),
+    ("hash", {"bits": "5", "anchors": "4", "top_m": "3"}, 1),
+])
+def test_unlabeled_tasks_leave_label_scores_out(task, overrides, cells,
+                                                tmp_path):
+    pts = tuple(grassmann.random_subspace(6, 2, np.random.default_rng([9, i]))
+                for i in range(8))
+    path = tmp_path / "plain.txt"
+    save_dataset(Dataset(subspaces=pts, name="plain"), str(path))
+    result = run_experiment(build_config(task, overrides=dict(
+        overrides, dataset=str(path), seeds="0 1")))
+    assert result.passed
+    assert "nmi=" not in result.text and "accuracy=" not in result.text
+    rows = _table_rows(result.text)
+    assert len(rows) == 1 and rows[0][-cells:] == ["-"] * cells
+    assert "-" not in rows[0][:-cells]
+
+
+def test_sparse_code_falls_back_on_every_zero_code():
+    """A penalty of 1e300 zeroes every code, so each test point takes the
+    label of its most similar atom."""
+    config = build_config("sparse-code", overrides={"lam": "1e300",
+                                                    "seeds": "0 1"})
+    items = _items(run_experiment(config).text)
+    data = experiments._resolve_dataset(config)
+    test_sizes = [str(stratified_split(data.labels, config.train_fraction,
+                                       np.random.default_rng([seed]))[1].size)
+                  for seed in config.seeds]
+    assert items["zero_code_fallbacks"] == " ".join(test_sizes)
+    assert items["unconverged_codes"] == "0 0"
+
+
 def test_tasks_that_need_labels_reject_unlabeled_data(tmp_path):
     pts = tuple(grassmann.random_subspace(6, 2, np.random.default_rng([9, i]))
                 for i in range(8))
@@ -588,7 +680,7 @@ def test_generate_task_round_trip(tmp_path):
         "d": "5", "p": "2", "classes": "2", "per_class": "3",
         "out": str(out)})
     result = run_experiment(config)
-    assert result.passed and result.out_path == str(out)
+    assert result.passed
     first = out.read_bytes()
     data = load_dataset(str(out))
     assert data.n == 6 and data.d == 5 and data.p == 2
@@ -608,6 +700,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--per-class", "6", "--seed", "0",
                      "--out", data_file]) == 0
     assert os.path.exists(data_file)
+    # generate creates the directories of its output path, as reports do
+    nested = tmp_path / "new" / "dir" / "data.txt"
+    assert cli.main(["generate", "--out", str(nested)]) == 0
+    assert load_dataset(str(nested)).n == 40
     # success: the witness matrix lands in its regression band
     assert cli.main(["counterexample",
                      "--out", str(tmp_path / "ce.txt")]) == 0
@@ -675,10 +771,18 @@ BAD_FILES = {
     ["hash", "--bits", "5,5"],
     ["svm", "--kernels", "linear:bc,linear:bc"],
     ["svm", "--kernels", "catalog,linear:bc"],
+    # every binomial:projection beta must exceed p, so 0.1 leaves no
+    # tuning candidate
+    ["svm", "--tune", "--kernels", "binomial:projection:alpha=1:beta=3",
+     "--beta-grid", "0.1"],
+    # the kernel fails certification on a split's dictionary
+    ["sparse-code", "--d", "8", "--p", "2", "--classes", "3",
+     "--per-class", "6", "--kernels", "logarithm:bc"],
 ], ids=" ".join)
 def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
                                            capsys):
-    """Each argv once exited 1 with a traceback or 0 with a bogus report."""
+    """Each argv exits 2 with one error line and writes nothing; most of
+    them once exited 1 with a traceback or 0 with a bogus report."""
     inputs = tmp_path_factory.mktemp("inputs")
     for name, text in BAD_FILES.items():
         (inputs / name).write_text(text)
@@ -688,6 +792,22 @@ def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not os.listdir(tmp_path)
+
+
+def test_cli_options_match_config_fields():
+    """Each subcommand takes one option per config key, dashed, plus
+    --config: the parser and ExperimentConfig list the keys by hand."""
+    expected = {"--" + field.name.replace("_", "-")
+                for field in dataclasses.fields(ExperimentConfig)
+                if field.name != "task"} | {"--config"}
+    parser = cli._build_parser()
+    subparsers, = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert tuple(subparsers.choices) == TASKS
+    for task, subparser in subparsers.choices.items():
+        options = {option for action in subparser._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options == expected, task
 
 
 def test_cli_accepts_comma_separated_lists(tmp_path, capsys):

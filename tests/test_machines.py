@@ -5,6 +5,7 @@ one-atom soft thresholds, tiny Gram matrices) and from exhaustive
 enumeration oracles small enough to brute-force.
 """
 
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -163,6 +164,25 @@ def _duals(model, y, n):
     alpha[model.support_indices] = model.dual_coefficients \
         * y[model.support_indices]
     return alpha
+
+
+def test_svm_bias_without_free_vectors_is_the_kkt_midpoint():
+    """A tiny penalty bounds every dual, so no free vector fixes the bias:
+    it is the midpoint between the largest score that may still rise and
+    the smallest that may still fall, recomputed here from the duals."""
+    data = generate_planted(d=8, p=2, classes=2, per_class=6,
+                            noise_angle=0.1, seed=0)
+    y = binary_labels(data.labels)
+    g = gram(RBF_PROJ, data.subspaces)
+    c = 1e-3
+    model = svm_train(g, y, c=c)
+    alpha = _duals(model, y, y.size)
+    assert np.all(alpha == c)
+    # -y * gradient of the dual; at alpha = c only negatives can rise
+    # and only positives can fall
+    score = y - g.values @ (alpha * y)
+    midpoint = (np.max(score[y < 0.0]) + np.min(score[y > 0.0])) / 2.0
+    assert model.bias == pytest.approx(midpoint, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.3, 10.0])
@@ -395,6 +415,30 @@ def test_kkmeans_edge_counts():
         kkmeans(g, 7, seed=0)
     with pytest.raises(ValueError):
         kkmeans(g, 2, seed=0, restarts=0)
+
+
+def test_kkmeans_coincident_points_reseed_emptied_clusters():
+    """Five copies of one subspace in three clusters: every distance is
+    zero, so seeding takes the lowest unchosen indices, and the clusters
+    the first assignment empties take points from the one that holds
+    them all."""
+    x = grassmann.random_subspace(5, 2, np.random.default_rng(3))
+    result = kkmeans(gram(RBF_PROJ, [x] * 5), 3, seed=0)
+    assert np.array_equal(result.labels, [1, 2, 0, 0, 0])
+    assert result.inertia == 0.0
+
+
+def test_kkmeans_stops_at_its_iteration_budget(monkeypatch):
+    data = generate_planted(d=8, p=2, classes=3, per_class=10,
+                            noise_angle=0.3, seed=5)
+    g = gram(RBF_PROJ, data.subspaces)
+    assert kkmeans(g, 3, seed=0).iterations > 0
+    monkeypatch.setattr(importlib.import_module("grasskernels.machines."
+                                                "kkmeans"),
+                        "MAX_ITERATIONS", 0)
+    result = kkmeans(g, 3, seed=0)
+    assert result.iterations == 0
+    assert len(result.inertia_history) == 1
 
 
 # ------------------------------------------------------------- metrics
