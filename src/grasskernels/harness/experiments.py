@@ -252,9 +252,10 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     """Train on the given split and predict labels on the test side.
 
     Two classes use a single machine; more classes fall back to
-    one-vs-rest with the largest decision value winning, ties to the
-    lowest class id.  Returns the predicted labels, the SMO iterations
-    of all machines and the largest final KKT residual among them.
+    one-vs-rest, its machines trained together, with the largest decision
+    value winning, ties to the lowest class id.  Returns the predicted
+    labels, the SMO iterations of all machines and the largest final KKT
+    residual among them.
     """
     train_labels = labels[train_idx]
     k_train = gram_matrix.take(train_idx)
@@ -266,12 +267,10 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
         decisions = svm_decision_from_rows(models[0], rows)
         predicted = np.where(decisions >= 0.0, classes[1], classes[0])
     else:
-        models = []
-        decisions = np.empty((test_idx.size, classes.size))
-        for column, value in enumerate(classes):
-            targets = np.where(train_labels == value, 1.0, -1.0)
-            models.append(svm_train(k_train, targets, c=c))
-            decisions[:, column] = svm_decision_from_rows(models[-1], rows)
+        targets = np.where(train_labels == classes[:, None], 1.0, -1.0)
+        models = svm_train(k_train, targets, c=c).models
+        decisions = np.column_stack([svm_decision_from_rows(model, rows)
+                                     for model in models])
         predicted = classes[np.argmax(decisions, axis=1)]
     return (predicted, sum(model.iterations for model in models),
             max(model.kkt_residual for model in models))
@@ -305,7 +304,8 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     `grams` holds the Gram of `spec` and of each of its candidates over
     the whole dataset; each is validated on take(train_idx), the train
     points' own Gram bit for bit.  Returns the winning spec and Gram, or
-    spec and its own Gram for a parameterless spec.
+    spec and its own Gram for a parameterless spec.  Raises InputError
+    when no fold can be fit, since no candidate could then be scored.
     """
     if spec.alpha is None and spec.beta is None:
         return spec, grams[spec]
@@ -313,20 +313,26 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     rng = np.random.default_rng([seed, 101])
     folds = _stratified_folds(labels, min(config.cv_folds, train_idx.size),
                               rng)
+    # a fold can be fit when the other folds hold two or more classes
+    splits = [(np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
+              for fold in np.unique(folds)]
+    splits = [(fit, held) for fit, held in splits
+              if np.unique(labels[fit]).size >= 2]
+    if not splits:
+        raise InputError(
+            f"cannot tune {spec.label()!r} on split seed {seed}: no "
+            f"cross-validation fold of its {train_idx.size} training points "
+            "leaves two classes to fit on")
     best = None
     for candidate in _candidate_specs(spec, config):
         candidate_gram = grams[candidate]
         train_gram = candidate_gram.take(train_idx)
         scores = []
-        for fold in np.unique(folds):
-            fit = np.flatnonzero(folds != fold)
-            held = np.flatnonzero(folds == fold)
-            if np.unique(labels[fit]).size < 2:
-                continue
+        for fit, held in splits:
             predicted, _, _ = _fit_predict(train_gram, labels, fit, held,
                                            config.svm_c)
             scores.append(float(np.mean(predicted == labels[held])))
-        score = float(np.mean(scores)) if scores else -1.0
+        score = float(np.mean(scores))
         if best is None or score > best[0]:
             best = (score, candidate, candidate_gram)
     return best[1], best[2]
@@ -384,7 +390,10 @@ def _run_cluster(config, dataset, specs, grams, report):
         stats = _seeded_result(
             report, f"cluster {spec.label()}",
             [("kernel", spec.label()), ("clusters", cluster_count),
-             ("restarts", config.restarts)], config.seeds, series)
+             ("restarts", config.restarts)], config.seeds, series,
+            [("lloyd_iterations", _joined(r.iterations for r in runs)),
+             ("unconverged_restarts",
+              _joined(r.unconverged_restarts for r in runs))])
         scores = [f"{mean:.4f}" for mean, _ in stats[1:]] or ["-", "-"]
         rows.append((spec.label(), f"{stats[0][0]:.6g}", *scores))
     report.add_table("clustering", ("kernel", "mean_inertia", "mean_nmi",
@@ -439,16 +448,29 @@ def _run_sparse(config, dataset, specs, grams, report):
 
 # --- hash --------------------------------------------------------------
 
-def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m):
-    family = klsh_build(gram_matrix, bits=bits, anchors=anchors, seed=seed)
-    keys = klsh_hash_gram(family, gram_matrix).astype(np.int64)
+def _exact_neighbours(gram_matrix, top_m):
+    """Each point's top_m most similar other points, ties to lower index."""
     # each row ranks every other point, the query itself last
     similarity = -gram_matrix.values
     np.fill_diagonal(similarity, np.inf)
-    exact = np.argsort(similarity, axis=1, kind="stable")[:, :top_m]
+    return np.argsort(similarity, axis=1, kind="stable")[:, :top_m]
+
+
+def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m, exact=None):
+    """Recall@top_m and 1-NN label accuracy under one seed's hash family.
+
+    `exact` is `_exact_neighbours(gram_matrix, top_m)`, ranked here when
+    not given.
+    """
+    if exact is None:
+        exact = _exact_neighbours(gram_matrix, top_m)
+    family = klsh_build(gram_matrix, bits=bits, anchors=anchors, seed=seed)
+    # float64 products go through BLAS, and sums of at most `bits` ones
+    # are exact
+    keys = klsh_hash_gram(family, gram_matrix).astype(np.float64)
     # Hamming distances from the agreeing ones and zeros, without an
     # (n, n, bits) array
-    distance = bits - (keys @ keys.T + (1 - keys) @ (1 - keys).T)
+    distance = bits - (keys @ keys.T + (1.0 - keys) @ (1.0 - keys).T)
     np.fill_diagonal(distance, bits + 1)
     approx = np.argsort(distance, axis=1, kind="stable")[:, :top_m]
     # neither ranking repeats a point, so equal pairs count the overlap
@@ -463,10 +485,12 @@ def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m):
 def _run_hash(config, dataset, specs, grams, report):
     rows = []
     for spec in specs:
+        exact = _exact_neighbours(grams[spec], config.top_m)
         for bits in config.bits:
             recalls, nn_accuracies = zip(*(
                 _hash_cell(grams[spec], dataset.labels, bits, config.anchors,
-                           seed, config.top_m) for seed in config.seeds))
+                           seed, config.top_m, exact)
+                for seed in config.seeds))
             series = [("recall", "recalls", recalls)]
             if dataset.labels is not None:
                 series.append(("nn_accuracy", "nn_accuracies",

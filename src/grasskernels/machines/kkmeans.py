@@ -9,6 +9,7 @@ kernel-space k-means++; runs restart from distinct streams and the best
 inertia wins, ties going to the lowest restart index.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -25,6 +26,9 @@ class ClusterAssignment:
 
     `inertia_history` holds the within-cluster sum of squares after
     seeding and after each Lloyd iteration; it never increases.
+    `converged` is False when the run stopped after MAX_ITERATIONS Lloyd
+    iterations with an assignment that would still change.  `unconverged_restarts` counts the
+    restarts of the `kkmeans` call that stopped so, this run included.
     """
 
     labels: np.ndarray
@@ -32,6 +36,8 @@ class ClusterAssignment:
     inertia_history: Tuple[float, ...]
     iterations: int
     restart: int
+    converged: bool
+    unconverged_restarts: int
 
 
 def _pairwise_sq(k):
@@ -98,12 +104,14 @@ def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1):
         raise ValueError("need at least one restart")
 
     best = None
+    unconverged = 0
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         result = _single_run(k, n_clusters, rng, restart)
+        unconverged += int(not result.converged)
         if best is None or result.inertia < best.inertia:
             best = result
-    return best
+    return dataclasses.replace(best, unconverged_restarts=unconverged)
 
 
 def _single_run(k, n_clusters, rng, restart):
@@ -118,8 +126,6 @@ def _single_run(k, n_clusters, rng, restart):
         sizes, cross, internal = _cluster_stats(k, labels, n_clusters)
         d = _distances(k, sizes, cross, internal)
         history.append(_inertia(d, labels))
-        if iterations >= MAX_ITERATIONS:
-            break
         new_labels = np.argmin(d, axis=1)
         for c in range(n_clusters):
             if np.any(new_labels == c):
@@ -131,7 +137,8 @@ def _single_run(k, n_clusters, rng, restart):
             own[counts[new_labels] <= 1] = -np.inf
             donor = int(np.argmax(own))
             new_labels[donor] = c
-        if np.array_equal(new_labels, labels):
+        converged = bool(np.array_equal(new_labels, labels))
+        if converged or iterations >= MAX_ITERATIONS:
             break
         labels = new_labels
         iterations += 1
@@ -142,6 +149,8 @@ def _single_run(k, n_clusters, rng, restart):
         inertia_history=tuple(history),
         iterations=iterations,
         restart=restart,
+        converged=converged,
+        unconverged_restarts=int(not converged),
     )
 
 

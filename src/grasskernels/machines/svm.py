@@ -19,9 +19,25 @@ positive definite Gram matrices (the curvature along every update direction
 is K_ii + K_jj - 2 K_ij, which such matrices keep nonnegative), and adding a
 constant to every Gram entry leaves the iterates untouched (neither the
 gaps nor the curvatures see it).
+
+Several machines on one Gram matrix, such as the one-vs-rest machines of a
+multi-class split, train in lockstep.  Their duals and scores are the rows
+of (m, n) arrays, and each iteration makes every unfinished machine's own
+selection, tie break, step and box clip at once, with the scalar loop's
+arithmetic.  Where the lockstep words a quantity differently, the value is
+the same bit for bit: it keeps score = -y * gradient in place of the
+gradient and compares y * alpha with the box ends in place of alpha, and
+multiplying by y = +-1 commutes with rounding; it reads rows of K where
+the scalar loop reads columns, and a Gram matrix is exactly symmetric.  So
+each machine takes the same iterates, and ends with the same model, as
+when trained alone.  A machine leaves the arrays at the iteration its gap
+reaches the tolerance.  One machine stays on the scalar loop: as a
+one-row lockstep it took about 2.1 times as long per iteration, on the
+20-point machine of the default `bench` and on a 50-point one.
 """
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -50,6 +66,18 @@ class SvmModel:
     iterations: int
 
 
+@dataclass(frozen=True)
+class SvmModels:
+    """Machines trained together on one Gram matrix, one per target row.
+
+    `models[r]` is the SvmModel of target row r, and `iterations` is the
+    sum of their iteration counts.
+    """
+
+    models: Tuple[SvmModel, ...]
+    iterations: int
+
+
 def _best_partner(gaps, curvatures):
     """Index and value of the largest second-order gain gap^2 / a.
 
@@ -62,33 +90,61 @@ def _best_partner(gaps, curvatures):
     return best, gains[best]
 
 
+def _best_partners(gaps, curvatures, starts):
+    """`_best_partner` of each row of (m, n) gaps and curvatures.
+
+    `starts[r]` is the flat index of row r's first entry.
+    """
+    gains = np.where(gaps > 0.0, gaps * gaps / curvatures, -np.inf)
+    best = gains.argmax(axis=1)
+    return best, gains.ravel()[starts + best]
+
+
+def _pair_key(a, b, n):
+    """Sorted index pairs as integers that order like the sorted tuples."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
 def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
     """Train on a precomputed Gram matrix with labels in {-1, +1}.
 
-    Runs until the maximal KKT violation drops to KKT_TOLERANCE.  Raises
-    ConvergenceFailure (carrying the remaining gap) if the iteration
-    budget runs out first, and DegenerateLabels when only one class is
-    present.
+    `labels` is one target vector, which trains one machine and returns
+    its SvmModel, or an (m, n) matrix of target rows, which trains the m
+    machines in lockstep and returns SvmModels; each row's model equals
+    training that row alone.  Runs until every maximal KKT violation
+    drops to KKT_TOLERANCE.  Raises ConvergenceFailure (carrying the
+    largest remaining gap) if the iteration budget runs out first, and
+    DegenerateLabels when a target holds a single class.
     """
     y = np.asarray(labels, dtype=np.float64)
     k = gram_matrix.values
     n = k.shape[0]
-    if y.shape != (n,):
+    if y.ndim not in (1, 2) or y.shape[-1] != n or y.size == 0:
         raise DimensionMismatch(
-            f"need {n} labels for a {n} x {n} Gram matrix, got {y.shape}")
+            f"need {n} labels per target for a {n} x {n} Gram matrix, "
+            f"got {y.shape}")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    if np.all(y == y[0]):
+    if np.any(np.all(y == y[..., :1], axis=-1)):
         raise DegenerateLabels("training labels contain a single class")
     if not c > 0.0:
         raise ValueError(f"penalty c must be positive, got {c}")
 
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    positive = y > 0.0
     diagonal = np.diag(k)
     # every pair's curvature K_ii + K_jj - 2 K_ij, floored, built once
     curvatures = np.maximum(diagonal[:, None] + diagonal - 2.0 * k, _TAU)
+    if y.ndim == 1:
+        return _train_one(k, y, c, curvatures, max_iterations)
+    models = _train_lockstep(k, y, c, curvatures, max_iterations)
+    return SvmModels(models=tuple(models),
+                     iterations=sum(model.iterations for model in models))
+
+
+def _train_one(k, y, c, curvatures, max_iterations):
+    n = k.shape[0]
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    positive = y > 0.0
 
     # which duals can still move along +y and along -y; a step changes
     # only alpha_i and alpha_j, so only their entries are recomputed
@@ -140,19 +196,107 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
             can_raise[t], can_lower[t] = ((below, above) if positive[t]
                                           else (above, below))
     else:
-        raise ConvergenceFailure(
-            f"no convergence after {max_iterations} iterations, "
-            f"remaining KKT gap {residual:.3e}",
-            iterations=max_iterations, gap=float(residual))
+        _budget_spent(max_iterations, residual)
 
-    score = -y * grad
+    return _model(alpha, y, c, -y * grad, up, down, residual, iterations)
+
+
+def _train_lockstep(k, y, c, curvatures, max_iterations):
+    """The scalar loop of `_train_one` on every target row at once.
+
+    Row r of each (m, n) array belongs to machine `machine[r]`; a machine
+    that converges is finished and its row dropped.  Single entries are
+    read and written through flat indices, row start plus column.
+    """
+    m, n = y.shape
+    models = [None] * m
+    machine = np.arange(m)
+    alpha = np.zeros((m, n))
+    score = y.copy()  # -y * gradient at alpha = 0
+    # where each dual ends when it moves along +y: c for a positive
+    # label, 0 for a negative one; it ends at c - raise_end along -y.  So
+    # alpha can still move along +y while y * alpha < raise_end, and
+    # along -y while y * alpha > raise_end - c.
+    raise_end = np.where(y > 0.0, c, 0.0)
+    residual = np.full(m, np.inf)
+    for iteration in range(1, max_iterations + 1):
+        starts = np.arange(0, alpha.size, n)
+        signed = y * alpha
+        up = np.where(signed < raise_end, score, -np.inf)
+        top = up.argmax(axis=1)
+        down = np.where(signed > raise_end - c, score, np.inf)
+        bottom = down.argmin(axis=1)
+        up_top = up.ravel()[starts + top]
+        down_bottom = down.ravel()[starts + bottom]
+        residual = up_top - down_bottom
+        done = residual <= KKT_TOLERANCE
+        if done.any():
+            for r in done.nonzero()[0]:
+                models[machine[r]] = _model(alpha[r], y[r], c, score[r],
+                                            up[r], down[r], residual[r],
+                                            iteration)
+            left = ~done
+            if not left.any():
+                break
+            (machine, y, alpha, score, raise_end, up, down, top, bottom,
+             up_top, down_bottom, residual) = (
+                 array[left] for array in (
+                     machine, y, alpha, score, raise_end, up, down, top,
+                     bottom, up_top, down_bottom, residual))
+            starts = np.arange(0, alpha.size, n)
+
+        j, gain_j = _best_partners(up_top[:, None] - down, curvatures[top],
+                                   starts)
+        i, gain_i = _best_partners(up - down_bottom[:, None],
+                                   curvatures[bottom], starts)
+        first = (gain_j > gain_i) | ((gain_j == gain_i) & (
+            _pair_key(top, j, n) <= _pair_key(i, bottom, n)))
+        i = np.where(first, top, i)
+        j = np.where(first, j, bottom)
+
+        flat_i, flat_j = starts + i, starts + j
+        step = ((up.ravel()[flat_i] - down.ravel()[flat_j])
+                / curvatures[i, j])
+        duals, labels, ends = alpha.ravel(), y.ravel(), raise_end.ravel()
+        old_i, old_j = duals[flat_i], duals[flat_j]
+        y_i, y_j = labels[flat_i], labels[flat_j]
+        end_i, end_j = ends[flat_i], c - ends[flat_j]
+        # i can move along +y_i and j along -y_j, so these distances to
+        # the ends are the scalar loop's limits, sign and all
+        limit_i = np.abs(end_i - old_i)
+        limit_j = np.abs(end_j - old_j)
+        step = np.minimum(np.minimum(step, limit_i), limit_j)
+
+        new_i = np.where(step == limit_i, end_i, old_i + y_i * step)
+        new_j = np.where(step == limit_j, end_j, old_j - y_j * step)
+        duals[flat_i] = new_i
+        duals[flat_j] = new_j
+        score -= (k[i] * (y_i * (new_i - old_i))[:, None]
+                  + k[j] * (y_j * (new_j - old_j))[:, None])
+    else:
+        _budget_spent(max_iterations, residual.max())
+    return models
+
+
+def _budget_spent(max_iterations, residual):
+    raise ConvergenceFailure(
+        f"no convergence after {max_iterations} iterations, "
+        f"remaining KKT gap {residual:.3e}",
+        iterations=max_iterations, gap=float(residual))
+
+
+def _model(alpha, y, c, score, up, down, residual, iterations):
+    """The SvmModel of converged duals.
+
+    `score` is -y * gradient, and `up` and `down` are the scores of the
+    duals that can still move along +y and along -y, the others set to
+    -inf and +inf.
+    """
     free = (alpha > 0.0) & (alpha < c)
     if np.any(free):
         bias = float(np.mean(score[free]))
     else:
-        hi = np.max(np.where(can_raise, score, -np.inf))
-        lo = np.min(np.where(can_lower, score, np.inf))
-        bias = float((hi + lo) / 2.0)
+        bias = float((np.max(up) + np.min(down)) / 2.0)
 
     support = np.flatnonzero(alpha > 0.0)
     return SvmModel(

@@ -488,14 +488,30 @@ def test_svm_tuning_keeps_a_parameterless_kernel():
 
 def test_svm_tuning_when_every_fold_leaves_a_class_out():
     """Two points per class put one of each on the train side, both in
-    fold 0, so no fold can be fit; every candidate scores the same and
-    the first one wins."""
+    fold 0, so no fold can be fit and no candidate can be validated: an
+    input error, not a tuned parameter nobody scored."""
     config = build_config("svm", overrides=dict(
         SMALL, per_class="2", tune="true", beta_grid="0.1 1", cv_folds="3"))
-    result = run_experiment(config)
-    assert result.passed
-    assert _items(result.text)["tuned"] == ("rbf:projection:beta=0.1 | "
-                                            "rbf:projection:beta=0.1")
+    with pytest.raises(InputError, match="no cross-validation fold"):
+        run_experiment(config)
+
+
+def test_cluster_report_lists_lloyd_counters(monkeypatch):
+    """Per seed, the winning restart's Lloyd iterations and the restarts
+    stopped at the iteration budget, here with and without a budget."""
+    config = build_config("cluster", overrides={
+        "d": "8", "p": "2", "classes": "3", "per_class": "10",
+        "noise_angle": "0.3", "seed": "5", "seeds": "0 1 2",
+        "restarts": "6"})
+    items = _items(run_experiment(config).text)
+    assert items["lloyd_iterations"] == "1 0 0"
+    assert items["unconverged_restarts"] == "0 0 0"
+    monkeypatch.setattr(importlib.import_module("grasskernels.machines."
+                                                "kkmeans"),
+                        "MAX_ITERATIONS", 0)
+    items = _items(run_experiment(config).text)
+    assert items["lloyd_iterations"] == "0 0 0"
+    assert items["unconverged_restarts"] == "1 1 0"
 
 
 @pytest.mark.parametrize("task,overrides,cells", [

@@ -20,6 +20,8 @@ from grasskernels.exceptions import (ConvergenceFailure, DegenerateLabels,
                                      DimensionMismatch, InsufficientData,
                                      NotPositiveSemidefinite, ZeroCode)
 from grasskernels.grassmann import Subspace
+from grasskernels.harness import experiments
+from grasskernels.harness.config import build_config
 from grasskernels.harness.datasets import generate_planted, stratified_split
 from grasskernels.kernels import GramMatrix, evaluate, gram, parse_kernel_token
 from grasskernels.machines import (clustering_accuracy, kernel_sparse_code,
@@ -351,6 +353,120 @@ def test_svm_curvature_table_keeps_iterates():
         assert model.bias == bias
 
 
+def _one_vs_rest(labels):
+    return np.where(np.asarray(labels) == np.unique(labels)[:, None],
+                    1.0, -1.0)
+
+
+def _lockstep_problems():
+    """(Gram, target rows, c) of the ten one-vs-rest machines of two
+    tasks-sized splits, and of small integer Grams whose repeated points
+    and exact ties exercise the floored curvature and the tie rule."""
+    for seed, token in ((0, "rbf:projection:beta=0.5"),
+                        (1, "logarithm:projection")):
+        data = generate_planted(d=100, p=2, classes=10, per_class=10,
+                                noise_angle=0.1, seed=seed)
+        train, _ = stratified_split(data.labels, 0.5,
+                                    np.random.default_rng([seed]))
+        g = gram(parse_kernel_token(token, 2), data.subspaces).take(train)
+        yield g, _one_vs_rest(data.labels[train]), 10.0
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        x = rng.integers(-1, 2, size=(12, 3)).astype(float)
+        rows = rng.choice([-1.0, 1.0], size=(4, 12))
+        rows[:, 0], rows[:, 1] = 1.0, -1.0  # two classes in every row
+        yield GramMatrix(x @ x.T), rows, float(rng.choice([0.5, 2.0, 10.0]))
+
+
+def _assert_trained_alone(g, rows, c):
+    """Each row of a lockstep call equals svm_train on that row alone."""
+    together = svm_train(g, rows, c=c)
+    alone = [svm_train(g, row, c=c) for row in rows]
+    assert len(together.models) == len(alone)
+    for model, single in zip(together.models, alone):
+        assert np.array_equal(model.support_indices, single.support_indices)
+        assert (model.dual_coefficients.tobytes()
+                == single.dual_coefficients.tobytes())
+        assert model.bias == single.bias
+        assert model.kkt_residual == single.kkt_residual
+        assert model.iterations == single.iterations
+    assert together.iterations == sum(m.iterations for m in alone)
+
+
+def test_svm_lockstep_rows_train_as_alone():
+    """One-vs-rest splits and tie-heavy integer Grams, where several
+    points repeat (curvature 0 against their copies)."""
+    repeated = 0
+    for g, rows, c in _lockstep_problems():
+        _assert_trained_alone(g, rows, c)
+        repeated += len(np.unique(g.values, axis=0)) < g.n
+    assert repeated > 0
+
+
+def test_svm_lockstep_duplicated_points():
+    """The duplicated-point problems of the scalar tests, both label
+    choices for the copy, as rows of one call."""
+    small, y = planted_binary()
+    g = gram(RBF_PROJ, list(small.subspaces) + [small.subspaces[0]])
+    rows = np.array([np.append(y, y[0]), np.append(y, -y[0]),
+                     np.append(-y, y[0])])
+    _assert_trained_alone(g, rows, 10.0)
+
+
+def test_svm_lockstep_cross_validation_folds(monkeypatch):
+    """Every lockstep call of an `svm --tune` run, cross-validation folds
+    and final fits alike, matches its machines trained one by one."""
+    calls = []
+
+    def checked(gram_matrix, labels, c=1.0, **kwargs):
+        labels = np.asarray(labels)
+        if labels.ndim == 2:
+            _assert_trained_alone(gram_matrix, labels, c)
+            calls.append(gram_matrix.n)
+        return svm_train(gram_matrix, labels, c=c, **kwargs)
+
+    monkeypatch.setattr(experiments, "svm_train", checked)
+    experiments.run_experiment(build_config("svm", overrides={
+        "d": "8", "p": "2", "classes": "4", "per_class": "8",
+        "seeds": "0 1", "tune": "true", "beta_grid": "0.1 1.0",
+        "cv_folds": "3"}))
+    # per seed, 16 train points of 4 classes: for each of 2 candidates,
+    # folds 0, 1, 2 hold out 8, 4 and 4 of them; then the final fit
+    assert sorted(calls) == [8] * 4 + [12] * 8 + [16] * 2
+
+
+def test_svm_lockstep_budget_reports_largest_remaining_gap():
+    """Rows that need more than the budget fail; the error carries the
+    largest of the gaps they report when trained alone."""
+    g, rows, c = next(_lockstep_problems())
+    counts = sorted(svm_train(g, row, c=c).iterations for row in rows)
+    budget = counts[len(counts) // 2]
+    gaps = []
+    for row in rows:
+        try:
+            svm_train(g, row, c=c, max_iterations=budget)
+        except ConvergenceFailure as failure:
+            gaps.append(failure.gap)
+    assert 0 < len(gaps) < len(rows)
+    with pytest.raises(ConvergenceFailure) as info:
+        svm_train(g, rows, c=c, max_iterations=budget)
+    assert info.value.iterations == budget
+    assert info.value.gap == max(gaps)
+
+
+def test_svm_lockstep_rejects_bad_target_rows():
+    g = gram(RBF_PROJ, planted_binary()[0].subspaces[:4])
+    good = [1.0, -1.0, 1.0, -1.0]
+    with pytest.raises(DegenerateLabels):
+        svm_train(g, [good, [1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError):
+        svm_train(g, [good, [1.0, -1.0, 0.5, -1.0]])
+    with pytest.raises(DimensionMismatch):
+        svm_train(g, [good[:3], good[:3]])
+    with pytest.raises(DimensionMismatch):
+        svm_train(g, np.empty((0, 4)))
+
+
 # ------------------------------------------------------------- kkmeans
 
 
@@ -439,6 +555,26 @@ def test_kkmeans_stops_at_its_iteration_budget(monkeypatch):
     result = kkmeans(g, 3, seed=0)
     assert result.iterations == 0
     assert len(result.inertia_history) == 1
+
+
+def test_kkmeans_flags_runs_stopped_at_the_budget(monkeypatch):
+    """Restart 0 of seed 0 needs one Lloyd iteration.  With none allowed
+    it stops unconverged, the other restarts start stable and converge,
+    and the count covers every restart, not only the one returned."""
+    data = generate_planted(d=8, p=2, classes=3, per_class=10,
+                            noise_angle=0.3, seed=5)
+    g = gram(RBF_PROJ, data.subspaces)
+    free = kkmeans(g, 3, seed=0, restarts=6)
+    assert (free.restart, free.iterations) == (0, 1)
+    assert free.converged and free.unconverged_restarts == 0
+    monkeypatch.setattr(importlib.import_module("grasskernels.machines."
+                                                "kkmeans"),
+                        "MAX_ITERATIONS", 0)
+    alone = kkmeans(g, 3, seed=0)
+    assert not alone.converged and alone.unconverged_restarts == 1
+    capped = kkmeans(g, 3, seed=0, restarts=6)
+    assert capped.restart == 1 and capped.converged
+    assert capped.unconverged_restarts == 1
 
 
 # ------------------------------------------------------------- metrics
