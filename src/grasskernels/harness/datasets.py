@@ -78,14 +78,17 @@ class Dataset:
     @functools.cached_property
     def fingerprint(self):
         """sha256 of the canonical serialization, computed once."""
-        digest = hashlib.sha256(serialize_dataset(self).encode("utf-8"))
-        return digest.hexdigest()
+        return _text_fingerprint(serialize_dataset(self))
 
     @property
     def class_count(self):
         if self.labels is None:
             return 0
         return int(np.unique(self.labels).size)
+
+
+def _text_fingerprint(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def serialize_dataset(dataset):
@@ -174,7 +177,11 @@ def parse_dataset(text):
 
 
 def save_dataset(dataset, path):
-    write_text(path, serialize_dataset(dataset))
+    """Write the dataset's canonical text to `path`; returns the
+    fingerprint of that text, which is `dataset.fingerprint`."""
+    text = serialize_dataset(dataset)
+    write_text(path, text)
+    return _text_fingerprint(text)
 
 
 def load_dataset(path):

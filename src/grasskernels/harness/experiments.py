@@ -151,10 +151,10 @@ def _split(dataset, config, seed):
                                    np.random.default_rng([seed]))
 
 
-def _dataset_items(dataset):
+def _dataset_items(dataset, fingerprint):
     return [("dataset_name", dataset.name), ("n", dataset.n),
             ("d", dataset.d), ("p", dataset.p),
-            ("fingerprint", dataset.fingerprint)]
+            ("fingerprint", fingerprint)]
 
 
 # --- gram -----------------------------------------------------------------
@@ -513,8 +513,8 @@ def _run_hash(config, dataset, specs, grams, report):
 def _run_generate(config, report):
     dataset = _resolve_dataset(config)
     path = config.out or f"{dataset.name}.txt"
-    ds_mod.save_dataset(dataset, path)
-    report.add_section("result", _dataset_items(dataset)
+    fingerprint = ds_mod.save_dataset(dataset, path)
+    report.add_section("result", _dataset_items(dataset, fingerprint)
                        + [("file", path)], label="generate")
     return True
 
@@ -568,7 +568,8 @@ def run_experiment(config):
     else:
         dataset = _resolve_dataset(config)
         _check_inputs(config, dataset)
-        report.add_section("dataset", _dataset_items(dataset))
+        report.add_section("dataset",
+                           _dataset_items(dataset, dataset.fingerprint))
         default = "catalog" if config.task == "pd-check" else DEFAULT_KERNEL
         specs = _resolve_kernels(config.kernels or (default,), dataset.p)
         needed = specs

@@ -103,19 +103,19 @@ def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1):
     if restarts < 1:
         raise ValueError("need at least one restart")
 
+    sq = _pairwise_sq(k)
     best = None
     unconverged = 0
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        result = _single_run(k, n_clusters, rng, restart)
+        result = _single_run(k, sq, n_clusters, rng, restart)
         unconverged += int(not result.converged)
         if best is None or result.inertia < best.inertia:
             best = result
     return dataclasses.replace(best, unconverged_restarts=unconverged)
 
 
-def _single_run(k, n_clusters, rng, restart):
-    sq = _pairwise_sq(k)
+def _single_run(k, sq, n_clusters, rng, restart):
     seeds = _seed_indices(sq, n_clusters, rng)
     labels = np.argmin(sq[:, seeds], axis=1)
     labels[seeds] = np.arange(n_clusters)  # each seed anchors its cluster

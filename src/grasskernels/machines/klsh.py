@@ -57,8 +57,8 @@ def _whitened_weights(k, anchor_indices, indicators):
     for start in range(0, bits, _BIT_BLOCK):
         block = slice(start, start + _BIT_BLOCK)
         idx = anchor_indices[block]
-        m = k[idx[:, :, None], idx[:, None, :]]
-        values, vectors = np.linalg.eigh((m + m.transpose(0, 2, 1)) / 2.0)
+        # a GramMatrix is exactly symmetric, and so is each anchor block
+        values, vectors = np.linalg.eigh(k[idx[:, :, None], idx[:, None, :]])
         inv = np.where(values > EIGENVALUE_FLOOR, values, np.inf) ** -0.5
         whiteners = (vectors * inv[:, None, :]) @ vectors.transpose(0, 2, 1)
         weights[:, block] = (whiteners @ indicators[block, :, None])[:, :, 0].T

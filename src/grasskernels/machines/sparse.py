@@ -20,6 +20,17 @@ and a line search from the current code to that solution checks every
 point where a coefficient crosses zero, keeping the one of lowest f.
 On a positive definite dictionary every step lowers f, and the optimum
 is reached after finitely many steps (Lee et al.).
+
+The line search keeps K y' with each point y' it evaluates, so a sweep
+multiplies K by the accepted code once; that product then gives the
+next gradient, whose violations of the optimality conditions choose
+the next step.  A step is accepted when its change in f,
+
+    d.T K (y' + y) - 2 d.T k + lam (|y'|_1 - |y|_1),   d = y' - y,
+
+is negative.  The difference of two absolute values of f would carry
+the constant q, and on ill-conditioned dictionaries (condition numbers
+of 1e5 and more) the last true decreases are lost to its roundoff.
 """
 
 from dataclasses import dataclass
@@ -39,10 +50,13 @@ KKT_TOLERANCE = 1e-8
 class SparseCode:
     """A fitted code and its optimization trace.
 
-    `objective_history` records f(y) after every sweep and never
-    increases; `objective` is its last entry.  `kkt_residual` is the
-    largest violation of the optimality conditions of f at the returned
-    code, and `converged` says whether it is within the tolerance.
+    `objective_history` records after every sweep the lowest value of f
+    computed at the zero code and the codes accepted since, so it never
+    increases; `objective` is its last entry.  Near the optimum a step
+    accepted for its negative change in f can compute f a few ulp above
+    the last entry, which then stands.  `kkt_residual` is the largest
+    violation of the optimality conditions of f at the returned code,
+    and `converged` says whether it is within the tolerance.
     """
 
     coefficients: np.ndarray
@@ -55,65 +69,67 @@ class SparseCode:
 
 
 def _objective(kmat, k, q, lam, y):
-    return float(y @ (kmat @ y) - 2.0 * (y @ k) + q
-                 + lam * np.sum(np.abs(y)))
+    """f(y), and the product K y it is computed from."""
+    ky = kmat @ y
+    return (float(y @ ky - 2.0 * (y @ k) + q + lam * np.abs(y).sum()),
+            ky)
 
 
-def _violations(y, gradient, lam):
-    """Per-coefficient distance of 0 from the subdifferential of f.
+def _kkt(y, ky, k, lam):
+    """The gradient g = 2 (K y - k) of the smooth part of f at y, each
+    coefficient's distance of 0 from the subdifferential of f, and the
+    KKT residual, the largest of those distances.
 
     A nonzero coefficient needs g_i = -lam * sign(y_i), a zero one
-    |g_i| <= lam, where g = 2 (K y - k) is the gradient of the smooth
-    part.
+    |g_i| <= lam.
     """
-    return np.where(y != 0.0, np.abs(gradient + lam * np.sign(y)),
-                    np.maximum(np.abs(gradient) - lam, 0.0))
+    gradient = 2.0 * (ky - k)
+    violation = np.where(y != 0.0, np.abs(gradient + lam * np.sign(y)),
+                         np.maximum(np.abs(gradient) - lam, 0.0))
+    return gradient, violation, float(violation.max(initial=0.0))
 
 
-def _gradient_and_residual(kmat, k, lam, y):
-    """The gradient g at y and the KKT residual, its largest violation."""
-    gradient = 2.0 * (kmat @ y - k)
-    return gradient, float(np.max(_violations(y, gradient, lam),
-                                  initial=0.0))
+def _feature_sign_step(kmat, k, q, lam, y, ky, gradient, violation):
+    """One active-set step from y: (new y, its f, its K y), or None if f
+    would not drop.
 
-
-def _feature_sign_step(kmat, k, q, lam, y, gradient, objective):
-    """One active-set step from y; (new y, its f), or None if f would not drop.
-
-    A singular or non-finite solve, or a line search whose best point is
-    not strictly lower, ends the step without a move.
+    `ky`, `gradient` and `violation` are those of y.  A singular or
+    non-finite solve, or a line search whose best point has no negative
+    change in f, ends the step without a move.
     """
     signs = np.sign(y)
-    violation = _violations(y, gradient, lam)
-    if np.max(violation[signs != 0.0], initial=0.0) <= KKT_TOLERANCE:
+    if violation[signs != 0.0].max(initial=0.0) <= KKT_TOLERANCE:
         # the active coefficients are optimal: the zero coefficient with
         # the largest violation joins them, with the sign that lowers f
-        entering = int(np.argmax(np.where(signs == 0.0, violation, -1.0)))
+        entering = int(np.where(signs == 0.0, violation, -1.0).argmax())
         signs[entering] = -np.sign(gradient[entering])
-    active = np.flatnonzero(signs)
+    active = signs.nonzero()[0]
     try:
-        target = np.linalg.solve(kmat[np.ix_(active, active)],
+        target = np.linalg.solve(kmat[active[:, None], active],
                                  k[active] - 0.5 * lam * signs[active])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(target)):
+    if not np.isfinite(target).all():
         return None
     start = y[active]
     direction = target - start
     best_y = y.copy()
     best_y[active] = target
-    best = _objective(kmat, k, q, lam, best_y)
+    best, best_ky = _objective(kmat, k, q, lam, best_y)
     # the points on the way where a coefficient changes sign
-    for j in np.flatnonzero(start * target < 0.0):
+    for j in (start * target < 0.0).nonzero()[0]:
         candidate = y.copy()
         candidate[active] = start + (start[j] / -direction[j]) * direction
         candidate[active[j]] = 0.0
-        value = _objective(kmat, k, q, lam, candidate)
+        value, candidate_ky = _objective(kmat, k, q, lam, candidate)
         if value < best:
-            best_y, best = candidate, value
-    if not best < objective:
+            best_y, best, best_ky = candidate, value, candidate_ky
+    d = best_y - y
+    change = (d @ (best_ky + ky) - 2.0 * (d @ k)
+              + lam * (np.abs(best_y).sum() - np.abs(y).sum()))
+    if not change < 0.0:
         return None
-    return best_y, best
+    return best_y, best, best_ky
 
 
 def kernel_sparse_code(dict_gram, query_column, query_self, lam,
@@ -151,18 +167,19 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
 
     q = float(query_self)
     y = np.zeros(n)
-    gradient, residual = _gradient_and_residual(kmat, k, lam, y)
-    objective = _objective(kmat, k, q, lam, y)
+    objective, ky = _objective(kmat, k, q, lam, y)
+    gradient, violation, residual = _kkt(y, ky, k, lam)
     history = []
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         step = None
         if residual > KKT_TOLERANCE:
-            step = _feature_sign_step(kmat, k, q, lam, y, gradient,
-                                      objective)
+            step = _feature_sign_step(kmat, k, q, lam, y, ky, gradient,
+                                      violation)
         if step is not None:
-            y, objective = step
-            gradient, residual = _gradient_and_residual(kmat, k, lam, y)
+            y, value, ky = step
+            objective = min(objective, value)
+            gradient, violation, residual = _kkt(y, ky, k, lam)
         history.append(objective)
         if step is None or residual <= KKT_TOLERANCE:
             break

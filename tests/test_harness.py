@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import math
 import os
@@ -690,16 +691,25 @@ def test_tuning_builds_each_candidate_gram_once(monkeypatch):
     assert similarities == ["projection"]
 
 
-def test_generate_task_round_trip(tmp_path):
+def test_generate_task_round_trip(tmp_path, monkeypatch):
     out = tmp_path / "made.txt"
     config = build_config("generate", overrides={
         "d": "5", "p": "2", "classes": "2", "per_class": "3",
         "out": str(out)})
+    serialized = []
+    serialize = ds_mod.serialize_dataset
+    monkeypatch.setattr(ds_mod, "serialize_dataset",
+                        lambda data: serialized.append(1) or serialize(data))
     result = run_experiment(config)
+    monkeypatch.undo()
     assert result.passed
+    # the file and the reported fingerprint come from one serialization
+    assert len(serialized) == 1
     first = out.read_bytes()
     data = load_dataset(str(out))
     assert data.n == 6 and data.d == 5 and data.p == 2
+    assert f"fingerprint={data.fingerprint}\n" in result.text
+    assert data.fingerprint == hashlib.sha256(first).hexdigest()
     run_experiment(config)
     assert out.read_bytes() == first
     with pytest.raises(InputError):
