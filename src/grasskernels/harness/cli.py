@@ -3,7 +3,8 @@
 One subcommand per task.  Flags override config file values; the fully
 resolved configuration is embedded in every report.  Exit codes: 0 for
 success, 1 when a task that asserts something (pd-check, counterexample,
-bench) finds its assertion violated, 2 for input errors.
+bench) finds its assertion violated, 2 for input errors.  pd-check
+asserts certification only of the kernels that theory calls pd or cpd.
 """
 
 import argparse

@@ -17,7 +17,7 @@ baseline     s^2 (determinant) or s (projection)  pd    pd          pd
 linear       s                                    pd    pd          indefinite
 polynomial   (beta + s)^alpha                     pd    pd          indefinite
 rbf          exp(beta * s)                        pd    pd          indefinite
-laplace      exp(-beta * sqrt(smax - s))          pd    pd          unsettled
+laplace      exp(-beta * sqrt(smax - s))          pd    pd          unproven
 binomial     (beta - s)^-alpha                    pd    pd          indefinite
 logarithm    -log(smax + 1 - s)                   cpd   cpd         indefinite
 ===========  ===================================  ====  ==========  ===========
@@ -26,7 +26,9 @@ where smax is 1 for the determinant embedding and p for the projection
 embedding.  Parameter constraints are enforced eagerly by KernelSpec.
 
 The mode column is what KernelSpec.certification_mode returns and what
-the pd-check task tests; it names a check, not a guarantee.
+the pd-check task tests; it names a check, not a guarantee.  The last two
+columns are what KernelSpec.theory returns, and the pd-check verdict
+requires only the kernels it calls pd or cpd to certify.
 
 On the projection embedding s = <x x.T, y y.T>_F is an inner product of
 projectors and smax - s is half the squared distance between them, so
@@ -198,6 +200,16 @@ class KernelSpec:
         docstring for what theory guarantees).
         """
         return "cpd" if self.family in CPD_FAMILIES else "pd"
+
+    @property
+    def theory(self):
+        """What theory guarantees: 'pd', 'cpd', 'indefinite' or 'unproven'.
+
+        The last two columns of the module docstring's table.
+        """
+        if self.embedding == "projection" or self.family == "baseline":
+            return self.certification_mode
+        return "unproven" if self.family == "laplace" else "indefinite"
 
     def label(self):
         """Compact token, e.g. 'rbf:projection:beta=0.5' or 'linear:bc'."""
@@ -432,7 +444,8 @@ COUNTEREXAMPLE_BASES = (
 
 
 def counterexample_subspaces():
-    """The four witness subspaces, re-orthonormalized from their printed form."""
+    """The four witness subspaces, re-orthonormalized from their printed
+    form."""
     return [grassmann.Subspace(numerics.orthonormalize(np.array(b)))
             for b in COUNTEREXAMPLE_BASES]
 

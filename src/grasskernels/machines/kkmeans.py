@@ -27,8 +27,9 @@ class ClusterAssignment:
     `inertia_history` holds the within-cluster sum of squares after
     seeding and after each Lloyd iteration; it never increases.
     `converged` is False when the run stopped after MAX_ITERATIONS Lloyd
-    iterations with an assignment that would still change.  `unconverged_restarts` counts the
-    restarts of the `kkmeans` call that stopped so, this run included.
+    iterations with an assignment that would still change.
+    `unconverged_restarts` counts the restarts of the `kkmeans` call that
+    stopped so, this run included.
     """
 
     labels: np.ndarray

@@ -21,19 +21,13 @@ constant to every Gram entry leaves the iterates untouched (neither the
 gaps nor the curvatures see it).
 
 Several machines on one Gram matrix, such as the one-vs-rest machines of a
-multi-class split, train in lockstep.  Their duals and scores are the rows
-of (m, n) arrays, and each iteration makes every unfinished machine's own
-selection, tie break, step and box clip at once, with the scalar loop's
-arithmetic.  Where the lockstep words a quantity differently, the value is
-the same bit for bit: it keeps score = -y * gradient in place of the
-gradient and compares y * alpha with the box ends in place of alpha, and
-multiplying by y = +-1 commutes with rounding; it reads rows of K where
-the scalar loop reads columns, and a Gram matrix is exactly symmetric.  So
-each machine takes the same iterates, and ends with the same model, as
-when trained alone.  A machine leaves the arrays at the iteration its gap
-reaches the tolerance.  One machine stays on the scalar loop: as a
-one-row lockstep it took about 2.1 times as long per iteration, on the
-20-point machine of the default `bench` and on a 50-point one.
+multi-class split, train in lockstep: each iteration runs the one-machine
+loop's statements on the rows of (m, n) arrays, one row per unfinished
+machine, so each machine ends with the same model as when trained alone.
+A machine leaves the arrays at the iteration its gap reaches the tolerance.
+One machine keeps its own loop: as a one-row lockstep it took about 2.2
+times as long per iteration, on the 20-point machine of the default `bench`
+and on a 50-point one.
 """
 
 from dataclasses import dataclass
@@ -143,20 +137,19 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
 def _train_one(k, y, c, curvatures, max_iterations):
     n = k.shape[0]
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    positive = y > 0.0
-
-    # which duals can still move along +y and along -y; a step changes
-    # only alpha_i and alpha_j, so only their entries are recomputed
-    can_raise = np.where(positive, alpha < c, alpha > 0.0)
-    can_lower = np.where(positive, alpha > 0.0, alpha < c)
+    score = y.copy()  # -y * gradient at alpha = 0
+    # where each dual ends when it moves along +y: c for a positive
+    # label, 0 for a negative one; it ends at c - raise_end along -y.  So
+    # alpha can still move along +y while y * alpha < raise_end, and
+    # along -y while y * alpha > raise_end - c.
+    raise_end = np.where(y > 0.0, c, 0.0)
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        score = -y * grad
-        up = np.where(can_raise, score, -np.inf)
+        signed = y * alpha
+        up = np.where(signed < raise_end, score, -np.inf)
         top = int(np.argmax(up))
-        down = np.where(can_lower, score, np.inf)
+        down = np.where(signed > raise_end - c, score, np.inf)
         bottom = int(np.argmin(down))
         residual = up[top] - down[bottom]
         if residual <= KKT_TOLERANCE:
@@ -175,34 +168,24 @@ def _train_one(k, y, c, curvatures, max_iterations):
             j = bottom
 
         step = (up[i] - down[j]) / curvatures[i, j]
-        # box limits for alpha_i + y_i * step and alpha_j - y_j * step
-        limit_i = c - alpha[i] if positive[i] else alpha[i]
-        limit_j = alpha[j] if positive[j] else c - alpha[j]
-        step = min(step, limit_i, limit_j)
-
+        # alpha_i moves along +y_i and alpha_j along -y_j; each step stops
+        # at the end of that move
         old_i, old_j = alpha[i], alpha[j]
-        if step == limit_i:
-            alpha[i] = c if positive[i] else 0.0
-        else:
-            alpha[i] = old_i + y[i] * step
-        if step == limit_j:
-            alpha[j] = 0.0 if positive[j] else c
-        else:
-            alpha[j] = old_j - y[j] * step
-        grad += y * (k[:, i] * (y[i] * (alpha[i] - old_i))
-                     + k[:, j] * (y[j] * (alpha[j] - old_j)))
-        for t in (i, j):
-            above, below = alpha[t] > 0.0, alpha[t] < c
-            can_raise[t], can_lower[t] = ((below, above) if positive[t]
-                                          else (above, below))
+        end_i, end_j = raise_end[i], c - raise_end[j]
+        limit_i, limit_j = abs(end_i - old_i), abs(end_j - old_j)
+        step = min(step, limit_i, limit_j)
+        alpha[i] = end_i if step == limit_i else old_i + y[i] * step
+        alpha[j] = end_j if step == limit_j else old_j - y[j] * step
+        score -= (k[i] * (y[i] * (alpha[i] - old_i))
+                  + k[j] * (y[j] * (alpha[j] - old_j)))
     else:
         _budget_spent(max_iterations, residual)
 
-    return _model(alpha, y, c, -y * grad, up, down, residual, iterations)
+    return _model(alpha, y, c, score, up, down, residual, iterations)
 
 
 def _train_lockstep(k, y, c, curvatures, max_iterations):
-    """The scalar loop of `_train_one` on every target row at once.
+    """The loop of `_train_one` on every target row at once.
 
     Row r of each (m, n) array belongs to machine `machine[r]`; a machine
     that converges is finished and its row dropped.  Single entries are
@@ -212,15 +195,11 @@ def _train_lockstep(k, y, c, curvatures, max_iterations):
     models = [None] * m
     machine = np.arange(m)
     alpha = np.zeros((m, n))
-    score = y.copy()  # -y * gradient at alpha = 0
-    # where each dual ends when it moves along +y: c for a positive
-    # label, 0 for a negative one; it ends at c - raise_end along -y.  So
-    # alpha can still move along +y while y * alpha < raise_end, and
-    # along -y while y * alpha > raise_end - c.
+    score = y.copy()
     raise_end = np.where(y > 0.0, c, 0.0)
     residual = np.full(m, np.inf)
+    starts = np.arange(0, alpha.size, n)
     for iteration in range(1, max_iterations + 1):
-        starts = np.arange(0, alpha.size, n)
         signed = y * alpha
         up = np.where(signed < raise_end, score, -np.inf)
         top = up.argmax(axis=1)
@@ -261,8 +240,6 @@ def _train_lockstep(k, y, c, curvatures, max_iterations):
         old_i, old_j = duals[flat_i], duals[flat_j]
         y_i, y_j = labels[flat_i], labels[flat_j]
         end_i, end_j = ends[flat_i], c - ends[flat_j]
-        # i can move along +y_i and j along -y_j, so these distances to
-        # the ends are the scalar loop's limits, sign and all
         limit_i = np.abs(end_i - old_i)
         limit_j = np.abs(end_j - old_j)
         step = np.minimum(np.minimum(step, limit_i), limit_j)

@@ -591,9 +591,11 @@ def test_hash_ranking_matches_per_row_loop():
         for bits, top_m, seed in ((4, 5, 0), (60, 10, 1), (8, 29, 2),
                                   (16, 40, 3)):
             args = (g, data.labels, bits, 12, seed, top_m)
-            assert experiments._hash_cell(*args) \
+            exact = experiments._exact_neighbours(g, top_m)
+            assert experiments._hash_cell(*args, exact) \
                 == _per_row_hash_scores(*args), (token, bits, top_m)
-    assert experiments._hash_cell(g, None, 8, 12, 0, 5)[1] is None
+    exact = experiments._exact_neighbours(g, 5)
+    assert experiments._hash_cell(g, None, 8, 12, 0, 5, exact)[1] is None
 
 
 def test_hash_task_rejects_oversized_anchor_count():
@@ -720,7 +722,7 @@ def test_generate_task_round_trip(tmp_path, monkeypatch):
 # ------------------------------------------------------------------ cli
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     data_file = str(tmp_path / "data.txt")
     assert cli.main(["generate", "--d", "8", "--p", "2", "--classes", "3",
                      "--per-class", "6", "--seed", "0",
@@ -733,13 +735,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     # success: the witness matrix lands in its regression band
     assert cli.main(["counterexample",
                      "--out", str(tmp_path / "ce.txt")]) == 0
-    # assertion failure: the determinant-similarity linear kernel is
-    # indefinite on this dataset, so pd-check reports FAIL via exit 1
+    # the determinant-similarity linear kernel fails certification on
+    # this dataset, but theory calls it indefinite, so the verdict holds
     assert cli.main(["pd-check", "--dataset", data_file,
                      "--kernels", "linear:bc",
-                     "--out", str(tmp_path / "pd.txt")]) == 1
+                     "--out", str(tmp_path / "pd.txt")]) == 0
     pd_text = (tmp_path / "pd.txt").read_text()
-    assert "passed=false" in pd_text
+    assert "theory=indefinite" in pd_text and "passed=false" in pd_text
+    assert pd_text.endswith("[verdict]\npassed=true\n")
+    # assertion failure: a kernel that theory calls pd fails
+    # certification (under a negative tolerance), so pd-check exits 1
+    monkeypatch.setattr(kernels, "PD_TOLERANCE", -1.0)
+    assert cli.main(["pd-check", "--dataset", data_file,
+                     "--kernels", "linear:projection",
+                     "--out", str(tmp_path / "pd-fail.txt")]) == 1
+    fail_text = (tmp_path / "pd-fail.txt").read_text()
+    assert "theory=pd" in fail_text
+    assert fail_text.endswith("[verdict]\npassed=false\n")
+    monkeypatch.undo()
     # input errors: exit 2
     assert cli.main(["svm", "--dataset", str(tmp_path / "absent.txt"),
                      "--out", str(tmp_path / "x.txt")]) == 2
@@ -751,6 +764,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["svm", "--config", str(bad_cfg),
                      "--dataset", data_file,
                      "--out", str(tmp_path / "z.txt")]) == 2
+    capsys.readouterr()
+
+
+def test_pd_check_default_catalog_verdict(tmp_path, capsys):
+    """`pd-check --seed 0` passes: its failing rows are all ones that
+    theory does not call pd or cpd, and every row carries the status the
+    `kernels` module table gives its family and embedding."""
+    out = tmp_path / "pd.txt"
+    assert cli.main(["pd-check", "--seed", "0", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("[verdict]\npassed=true\n")
+    bc_theory = {"baseline": "pd", "laplace": "unproven"}
+    rows = {}
+    for section in text.split("\n\n"):
+        lines = section.splitlines()
+        if lines[0].startswith('[result "pd-check '):
+            items = dict(line.split("=", 1) for line in lines[1:])
+            family, embedding = items["kernel"].split(":")[:2]
+            if embedding == "bc":
+                expected = bc_theory.get(family, "indefinite")
+            else:
+                expected = "cpd" if family == "logarithm" else "pd"
+            assert items["theory"] == expected
+            rows[items["kernel"]] = items
+    assert len(rows) == 14
+    failing = {label for label, items in rows.items()
+               if items["passed"] == "false"}
+    assert failing and all(rows[label]["theory"] in ("indefinite", "unproven")
+                           for label in failing)
     capsys.readouterr()
 
 

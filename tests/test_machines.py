@@ -325,8 +325,10 @@ def _per_pair_curvature_smo(k, y, c, tolerance=1e-6):
 
 
 def _curvature_table_problems():
-    """(Gram, labels, c) of the ten tasks-sized one-vs-rest machines and
-    of both duplicated-point problems, whose copies hit the _TAU floor."""
+    """(Gram, labels, c) of the ten tasks-sized one-vs-rest machines, of
+    both duplicated-point problems, whose copies hit the _TAU floor, of
+    every row of the tie-heavy integer Grams and of the default bench's
+    20-point machine."""
     data = generate_planted(d=100, p=2, classes=10, per_class=10,
                             noise_angle=0.1, seed=0)
     train, _ = stratified_split(data.labels, 0.5, np.random.default_rng([0]))
@@ -337,6 +339,14 @@ def _curvature_table_problems():
     g = gram(RBF_PROJ, list(small.subspaces) + [small.subspaces[0]])
     for label in (y[0], -y[0]):
         yield g, np.append(y, label), 10.0
+    for g, rows, c in _integer_problems():
+        for row in rows:
+            yield g, row, c
+    data = generate_planted(d=8, p=2, classes=2, per_class=20,
+                            noise_angle=0.1, seed=0)
+    train, _ = stratified_split(data.labels, 0.5, np.random.default_rng([0]))
+    yield (gram(RBF_PROJ, data.subspaces).take(train),
+           binary_labels(data.labels[train]), 10.0)
 
 
 def test_svm_curvature_table_keeps_iterates():
@@ -370,6 +380,12 @@ def _lockstep_problems():
                                     np.random.default_rng([seed]))
         g = gram(parse_kernel_token(token, 2), data.subspaces).take(train)
         yield g, _one_vs_rest(data.labels[train]), 10.0
+    yield from _integer_problems()
+
+
+def _integer_problems():
+    """(Gram, target rows, c) of 40 small integer Grams with repeated
+    points and exact ties."""
     rng = np.random.default_rng(3)
     for _ in range(40):
         x = rng.integers(-1, 2, size=(12, 3)).astype(float)
