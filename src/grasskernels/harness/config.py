@@ -7,40 +7,88 @@ never depends on implicit state.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Tuple, get_args, get_origin, get_type_hints
 
 from ..exceptions import InputError
+
+# each task with its description in `grasskernels --help`
+TASK_DESCRIPTIONS = {
+    "gram": "write kernel matrices as CSV",
+    "pd-check": "certify kernels (conditionally) positive definite",
+    "counterexample": "show the geodesic Gaussian indefiniteness witness",
+    "svm": "train and score support vector machines over splits",
+    "cluster": "run kernel k-means and score against labels",
+    "sparse-code": "classify by kernelized sparse coding",
+    "hash": "build hash families and measure retrieval recall",
+    "bench": "run a fixed composite workload",
+    "generate": "synthesize a labeled dataset file",
+}
+TASKS = tuple(TASK_DESCRIPTIONS)
+
+
+def _option(default, help, check=None):
+    """A config field with its flag's help text and, when its values have
+    a range, the (requirement, test) pair checked on the value or on each
+    element of a list value."""
+    return field(default=default, metadata={"help": help, "check": check})
+
+
+def _at_least(low):
+    return f"be at least {low}", lambda v: v >= low
+
+
+_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved settings for one harness run."""
 
     task: str
-    dataset: str = ""
-    out: str = ""
-    name: str = ""
-    seed: int = 0
-    seeds: Tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-    threads: int = 1
-    kernels: Tuple[str, ...] = ()
-    d: int = 8
-    p: int = 2
-    classes: int = 2
-    per_class: int = 20
-    noise_angle: float = 0.1
-    train_fraction: float = 0.5
-    svm_c: float = 10.0
-    clusters: int = 0
-    restarts: int = 5
-    bits: Tuple[int, ...] = (60,)
-    anchors: int = 30
-    lam: float = 0.001
-    top_m: int = 10
-    tune: bool = False
-    beta_grid: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-    alpha_grid: Tuple[int, ...] = (1, 2, 3)
-    cv_folds: int = 3
+    dataset: str = _option(
+        "", "dataset file to load instead of generating one")
+    out: str = _option("", "output path (report file; directory for gram; "
+                           "dataset file for generate)")
+    name: str = _option("", "name for generated data",
+                        ("be one line without '='",
+                         lambda v: "\n" not in v and "=" not in v))
+    seed: int = _option(0, "generation seed", _at_least(0))
+    seeds: Tuple[int, ...] = _option(
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+        "split / repeat seeds, comma or space separated", _at_least(0))
+    threads: int = _option(1, "accepted and has no effect", _at_least(1))
+    kernels: Tuple[str, ...] = _option(
+        (), "kernel tokens like rbf:projection:beta=0.5, comma separated; "
+            "'catalog' expands to the full catalog")
+    d: int = _option(8, "ambient dimension for generated data")
+    p: int = _option(2, "subspace dimension for generated data",
+                     _at_least(1))
+    classes: int = _option(2, "class count for generated data", _at_least(1))
+    per_class: int = _option(20, "members per generated class", _at_least(1))
+    noise_angle: float = _option(
+        0.1, "largest rotation angle within a generated class",
+        ("lie in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2))
+    train_fraction: float = _option(0.5, "training share per split",
+                                    ("lie in (0, 1)",
+                                     lambda v: 0.0 < v < 1.0))
+    svm_c: float = _option(10.0, "soft margin penalty", _POSITIVE)
+    clusters: int = _option(0, "cluster count, 0 means the label count",
+                            _at_least(0))
+    restarts: int = _option(5, "clustering restarts", _at_least(1))
+    bits: Tuple[int, ...] = _option((60,), "hash lengths, comma separated",
+                                    _at_least(1))
+    anchors: int = _option(30, "anchor points per hash bit", _at_least(2))
+    lam: float = _option(0.001, "sparse coding penalty", _POSITIVE)
+    top_m: int = _option(10, "retrieval depth for hashing", _at_least(1))
+    tune: bool = _option(False, "grid-search kernel parameters by "
+                                "cross-validation on each training split")
+    beta_grid: Tuple[float, ...] = _option(
+        (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0),
+        "candidate beta values for tuning")
+    alpha_grid: Tuple[int, ...] = _option(
+        (1, 2, 3), "candidate alpha values for tuning")
+    cv_folds: int = _option(3, "folds used when tuning", _at_least(2))
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -51,12 +99,15 @@ class ExperimentConfig:
             if not value or len(set(value)) < len(value):
                 raise InputError(f"{key} must be nonempty and distinct, "
                                  f"got {_render(value)!r}")
-        for key, (requirement, holds) in _RANGES.items():
-            value = getattr(self, key)
+        for spec in fields(self):
+            if not spec.metadata.get("check"):
+                continue
+            requirement, holds = spec.metadata["check"]
+            value = getattr(self, spec.name)
             for element in value if isinstance(value, tuple) else (value,):
                 if not holds(element):
                     raise InputError(
-                        f"{key} must {requirement}, got {element!r}")
+                        f"{spec.name} must {requirement}, got {element!r}")
         if self.p >= self.d:
             raise InputError(
                 f"p must be less than d, got d={self.d}, p={self.p}")
@@ -77,31 +128,6 @@ class ExperimentConfig:
                 continue
             items.append((spec.name, _render(getattr(self, spec.name))))
         return items
-
-
-def _at_least(low):
-    return f"be at least {low}", lambda v: v >= low
-
-
-_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
-
-# (requirement, test) for a field's value, or each element of a list field
-_RANGES = {
-    "seed": _at_least(0), "seeds": _at_least(0), "threads": _at_least(1),
-    "p": _at_least(1), "classes": _at_least(1), "per_class": _at_least(1),
-    "clusters": _at_least(0), "restarts": _at_least(1),
-    "bits": _at_least(1), "anchors": _at_least(2), "top_m": _at_least(1),
-    "cv_folds": _at_least(2),
-    "svm_c": _POSITIVE, "lam": _POSITIVE,
-    "noise_angle": ("lie in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2),
-    "train_fraction": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "name": ("be one line without '='",
-             lambda v: "\n" not in v and "=" not in v),
-}
-
-
-TASKS = ("gram", "pd-check", "counterexample", "svm", "cluster",
-         "sparse-code", "hash", "bench", "generate")
 
 
 def _render(value):

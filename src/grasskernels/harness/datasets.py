@@ -258,6 +258,21 @@ def subspace_from_samples(samples, p):
     return Subspace(u[:, :p])
 
 
+def class_ranks(labels, rng):
+    """Each point's rank in a seeded shuffle of its class, and the size of
+    its class.
+
+    Each class is shuffled by one `rng.permutation`, in `np.unique` order.
+    """
+    rank = np.empty(labels.size, dtype=np.intp)
+    size = np.empty(labels.size, dtype=np.intp)
+    for value in np.unique(labels):
+        members = np.flatnonzero(labels == value)
+        rank[members[rng.permutation(members.size)]] = np.arange(members.size)
+        size[members] = members.size
+    return rank, size
+
+
 def stratified_split(labels, train_fraction, rng):
     """Seeded train / test split preserving label proportions.
 
@@ -271,15 +286,7 @@ def stratified_split(labels, train_fraction, rng):
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(
             f"train_fraction must lie in (0, 1), got {train_fraction}")
-    train = []
-    test = []
-    for value in np.unique(y):
-        members = np.flatnonzero(y == value)
-        members = members[rng.permutation(members.size)]
-        count = int(round(train_fraction * members.size))
-        count = min(max(count, 1), members.size - 1) if members.size > 1 \
-            else 1
-        train.extend(members[:count])
-        test.extend(members[count:])
-    return np.array(sorted(train), dtype=np.intp), \
-        np.array(sorted(test), dtype=np.intp)
+    rank, size = class_ranks(y, rng)
+    train = rank < np.clip(np.round(train_fraction * size), 1,
+                           np.maximum(size - 1, 1))
+    return np.flatnonzero(train), np.flatnonzero(~train)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
-from ..exceptions import InputError, InvalidKernelParameter, ZeroCode
+from ..exceptions import (ConvergenceFailure, InputError,
+                          InvalidKernelParameter, ZeroCode)
 from ..machines import (kernel_sparse_code, kkmeans, klsh_build,
                         klsh_hash_gram, normalized_mutual_information,
                         clustering_accuracy, sparse_code_classify,
@@ -243,16 +244,6 @@ def _run_counterexample(report):
 
 # --- svm ----------------------------------------------------------------
 
-def _stratified_folds(labels, fold_count, rng):
-    """Deterministic stratified folds as a label array of fold ids."""
-    fold_of = np.empty(labels.size, dtype=np.intp)
-    for value in np.unique(labels):
-        members = np.flatnonzero(labels == value)
-        members = members[rng.permutation(members.size)]
-        fold_of[members] = np.arange(members.size) % fold_count
-    return fold_of
-
-
 def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     """Train on the given split and predict labels on the test side.
 
@@ -316,8 +307,9 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
         return spec, grams[spec]
     labels = dataset.labels[train_idx]
     rng = np.random.default_rng([seed, 101])
-    folds = _stratified_folds(labels, min(config.cv_folds, train_idx.size),
-                              rng)
+    # stratified folds: each class dealt round-robin in shuffled order
+    rank, _ = ds_mod.class_ranks(labels, rng)
+    folds = rank % min(config.cv_folds, train_idx.size)
     # a fold can be fit when the other folds hold two or more classes
     splits = [(np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
               for fold in np.unique(folds)]
@@ -351,12 +343,19 @@ def _run_svm(config, dataset, specs, grams, report):
         for seed in config.seeds:
             train_idx, test_idx = _split(dataset, config, seed)
             used, gram_matrix = spec, grams[spec]
-            if config.tune:
-                used, gram_matrix = _tune_spec(spec, grams, dataset,
-                                               train_idx, config, seed)
-            predicted, count, residual = _fit_predict(
-                gram_matrix, dataset.labels, train_idx, test_idx,
-                config.svm_c)
+            try:
+                if config.tune:
+                    used, gram_matrix = _tune_spec(spec, grams, dataset,
+                                                   train_idx, config, seed)
+                predicted, count, residual = _fit_predict(
+                    gram_matrix, dataset.labels, train_idx, test_idx,
+                    config.svm_c)
+            except ConvergenceFailure as exc:
+                # the KKT tolerance is absolute, so a large penalty can
+                # leave duals too large to meet it
+                raise InputError(
+                    f"svm with kernel {spec.label()!r} on split seed {seed}: "
+                    f"{exc}; a smaller svm_c may converge") from exc
             accuracies.append(
                 float(np.mean(predicted == dataset.labels[test_idx])))
             iterations.append(count)

@@ -1,7 +1,7 @@
 """Harness tests: datasets, configuration, reports, experiments, CLI."""
 
-import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import math
@@ -19,9 +19,9 @@ from grasskernels.exceptions import (DimensionMismatch, InputError,
                                      InvalidDimensions, RankDeficient)
 from grasskernels.grassmann import Subspace
 from grasskernels.harness import cli, experiments
-from grasskernels.harness.config import (TASKS, ExperimentConfig,
-                                         build_config, coerce_value,
-                                         load_config_file)
+from grasskernels.harness.config import (TASK_DESCRIPTIONS, TASKS,
+                                         ExperimentConfig, build_config,
+                                         coerce_value, load_config_file)
 from grasskernels.harness.datasets import (Dataset, generate_planted,
                                            load_dataset, parse_dataset,
                                            save_dataset, serialize_dataset,
@@ -212,6 +212,36 @@ def test_stratified_split_properties():
         stratified_split(np.array([]), 0.5, np.random.default_rng(0))
     with pytest.raises(ValueError):
         stratified_split(labels, 1.0, np.random.default_rng(0))
+
+
+def test_splits_and_folds_deal_out_one_shuffle_per_class():
+    """A split keeps the first shuffled members of each class for training
+    and the folds deal them out in turn, classes shuffled in np.unique
+    order; the loop that dealt out the shuffled members is the reference."""
+    meta = np.random.default_rng(0)
+    for _ in range(200):
+        labels = meta.integers(-2, 4, int(meta.integers(1, 40)))
+        fraction = float(meta.uniform(0.05, 0.95))
+        folds = int(meta.integers(1, 5))
+        seed = int(meta.integers(1000))
+        rng = np.random.default_rng(seed)
+        train, test = [], []
+        fold_of = np.empty(labels.size, dtype=np.intp)
+        for value in np.unique(labels):
+            members = np.flatnonzero(labels == value)
+            members = members[rng.permutation(members.size)]
+            count = 1 if members.size == 1 else min(
+                max(round(fraction * members.size), 1), members.size - 1)
+            train.extend(members[:count])
+            test.extend(members[count:])
+            fold_of[members] = np.arange(members.size) % folds
+        split = stratified_split(labels, fraction,
+                                 np.random.default_rng(seed))
+        for got, want in zip(split, (train, test)):
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.sort(want))
+        rank, _ = ds_mod.class_ranks(labels, np.random.default_rng(seed))
+        assert np.array_equal(rank % folds, fold_of)
 
 
 # --------------------------------------------------------------- config
@@ -862,20 +892,46 @@ def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
     assert not os.listdir(tmp_path)
 
 
-def test_cli_options_match_config_fields():
-    """Each subcommand takes one option per config key, dashed, plus
-    --config: the parser and ExperimentConfig list the keys by hand."""
-    expected = {"--" + field.name.replace("_", "-")
-                for field in dataclasses.fields(ExperimentConfig)
-                if field.name != "task"} | {"--config"}
+def test_svm_out_of_iterations_exits_2(monkeypatch, tmp_path, capsys):
+    """A spent SMO budget, in a split's fit or in a tuning fold, ends in one
+    error line naming the kernel, the split seed and the remaining gap;
+    it once escaped cli.main as a ConvergenceFailure traceback."""
+    monkeypatch.setattr(experiments, "svm_train",
+                        functools.partial(svm_train, max_iterations=1))
+    for tune in ([], ["--tune"]):
+        out = tmp_path / "out.txt"
+        assert cli.main(["svm", "--out", str(out)] + tune) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{DEFAULT_KERNEL!r} on split seed 0" in err[0]
+        assert "remaining KKT gap" in err[0]
+
+
+def test_cli_options_match_config_fields(capsys):
+    """One parser takes every task, then --config and one flag per config
+    field, dashed, each with help text; --help lists the tasks and every
+    range requirement."""
+    options = [field for field in dataclasses.fields(ExperimentConfig)
+               if field.name != "task"]
+    assert all(field.metadata["help"] for field in options)
     parser = cli._build_parser()
-    subparsers, = [action for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    assert tuple(subparsers.choices) == TASKS
-    for task, subparser in subparsers.choices.items():
-        options = {option for action in subparser._actions
-                   for option in action.option_strings} - {"-h", "--help"}
-        assert options == expected, task
+    flags = {flag for action in parser._actions
+             for flag in action.option_strings} - {"-h", "--help"}
+    assert flags == {"--" + field.name.replace("_", "-")
+                     for field in options} | {"--config"}
+    for task in TASKS:
+        assert parser.parse_args([task]).task == task
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for task in TASKS:
+        assert f"{task} {TASK_DESCRIPTIONS[task]}" in text
+    for field in options:
+        if field.metadata["check"]:
+            assert f"must {field.metadata['check'][0]}" in text
 
 
 def test_cli_accepts_comma_separated_lists(tmp_path, capsys):
