@@ -420,13 +420,12 @@ def _run_sparse(config, dataset, specs, grams, report):
                     f"kernel {spec.label()!r} is not positive definite on "
                     "this dictionary; sparse coding needs a pd kernel")
             atom_labels = dataset.labels[train_idx]
-            correct = fallback_count = unconverged_count = 0
-            for query in test_idx:
-                column = gram_matrix.values[query, train_idx]
-                self_value = gram_matrix.values[query, query]
-                code = kernel_sparse_code(dict_gram, column, self_value,
-                                          config.lam, check_psd=False)
-                unconverged_count += int(not code.converged)
+            columns = gram_matrix.values[test_idx[:, None], train_idx]
+            codes = kernel_sparse_code(
+                dict_gram, columns, gram_matrix.values[test_idx, test_idx],
+                config.lam, check_psd=False).codes
+            correct = fallback_count = 0
+            for query, column, code in zip(test_idx, columns, codes):
                 try:
                     predicted = sparse_code_classify(code, atom_labels)
                 except ZeroCode:
@@ -436,7 +435,7 @@ def _run_sparse(config, dataset, specs, grams, report):
                 correct += int(predicted == dataset.labels[query])
             accuracies.append(correct / test_idx.size)
             fallbacks.append(fallback_count)
-            unconverged.append(unconverged_count)
+            unconverged.append(sum(not code.converged for code in codes))
             train_items.append((f"train_indices_{seed}", _joined(train_idx)))
         [(mean, std)] = _seeded_result(
             report, f"sparse-code {spec.label()}",

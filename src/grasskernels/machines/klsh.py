@@ -19,7 +19,8 @@ DEFAULT_ANCHORS = 30
 # eigenvalues below this are treated as zero when inverting
 EIGENVALUE_FLOOR = 1e-10
 
-# bits whitened per stacked eigendecomposition
+# bits whitened per stacked eigendecomposition, and hashed per stacked
+# product
 _BIT_BLOCK = 4
 
 
@@ -100,11 +101,17 @@ def klsh_build(gram_matrix, bits, anchors=DEFAULT_ANCHORS, seed=0):
 def klsh_hash_gram(family, gram_matrix):
     """Hash every point behind the Gram matrix used to build the family.
 
-    Returns an (n, bits) uint8 array of key bits.
+    Returns an (n, bits) uint8 array of key bits.  Bit b's scores are
+    column b of the weights times the Gram rows of its anchors.  The
+    bits are scored `_BIT_BLOCK` at a time by one stacked vector-matrix
+    product, which gives each bit's scores bit for bit as its own
+    product does and gathers the Gram rows of only a few bits at once.
     """
     k = gram_matrix.values
+    weights = family.projection_weights.T[:, None, :]
     keys = np.empty((k.shape[0], family.bit_count), dtype=np.uint8)
-    for b in range(family.bit_count):
-        scores = family.projection_weights[:, b] @ k[family.anchor_indices[b]]
-        keys[:, b] = scores > 0.0
+    for start in range(0, family.bit_count, _BIT_BLOCK):
+        block = slice(start, start + _BIT_BLOCK)
+        scores = np.matmul(weights[block], k[family.anchor_indices[block]])
+        keys[:, block] = (scores[:, 0, :] > 0.0).T
     return keys

@@ -30,7 +30,31 @@ the next step.  A step is accepted when its change in f,
 
 is negative.  The difference of two absolute values of f would carry
 the constant q, and on ill-conditioned dictionaries (condition numbers
-of 1e5 and more) the last true decreases are lost to its roundoff.
+of 1e5 and more) the last true decreases are lost to its roundoff.  A
+step is also refused when its computed f is negative beyond roundoff,
+below -OBJECTIVE_ROUNDOFF times the sum of the magnitudes of the four
+terms of f.  f is a squared feature-space distance plus a penalty, so
+it is nonnegative on a positive semidefinite dictionary; such a value
+comes from a solve on a numerically singular active block, whose huge
+solution drowns f in the roundoff of y.T K y.
+
+The queries of one call, such as the test queries of a split, are coded
+in lockstep: each sweep runs one query's statements on the rows of
+(Q, n) arrays, one row per unfinished query, and a query leaves the
+arrays when it converges, when it has no step, or when its budget runs
+out.  A lone query is a lockstep of one row.  Active sets differ in size
+from row to row, so each sweep solves the rows in groups of one size,
+one stacked `np.linalg.solve` per group; the zero crossings of the line
+searches are ragged, so their points are evaluated in one stack and
+compared row by row.
+
+Every query is coded on the iterates it takes alone, bit for bit,
+because each product is one BLAS call per row, as it is for one query:
+`np.matmul(K, Y[:, :, None])` runs one gemv per row of Y, the stacked
+`(Q, 1, n) @ (Q, n, 1)` one dot per row, and a stacked solve one LAPACK
+gesv per block.  One gemm `Y @ K` sums in another order and moves the
+products by up to 2.3e-13 on a 250 x 250 dictionary, which can change a
+line search's choice and so a code.
 """
 
 from dataclasses import dataclass
@@ -45,6 +69,10 @@ from ..kernels import certify_pd
 MAX_SWEEPS = 10_000
 KKT_TOLERANCE = 1e-8
 
+# relative roundoff allowed below zero in a computed f: a factor of about
+# 1e6 over the unit roundoff, for the error that y.T K y gathers from K y
+OBJECTIVE_ROUNDOFF = 1e-10
+
 
 @dataclass(frozen=True)
 class SparseCode:
@@ -54,7 +82,11 @@ class SparseCode:
     computed at the zero code and the codes accepted since, so it never
     increases; `objective` is its last entry.  Near the optimum a step
     accepted for its negative change in f can compute f a few ulp above
-    the last entry, which then stands.  `kkt_residual` is the largest
+    the last entry, which then stands.  On a solve that stopped without
+    converging, `objective` is f at the last accepted code, not at an
+    optimum: the step that stopped it, one that did not lower f or whose
+    f came out below zero beyond roundoff, is not taken.  So no accepted
+    step gives a negative `objective`.  `kkt_residual` is the largest
     violation of the optimality conditions of f at the returned code,
     and `converged` says whether it is within the tolerance.
     """
@@ -68,17 +100,45 @@ class SparseCode:
     kkt_residual: float
 
 
-def _objective(kmat, k, q, lam, y):
-    """f(y), and the product K y it is computed from."""
-    ky = kmat @ y
-    return (float(y @ ky - 2.0 * (y @ k) + q + lam * np.abs(y).sum()),
-            ky)
+@dataclass(frozen=True)
+class SparseCodes:
+    """Queries coded together against one dictionary.
+
+    `codes[r]` is the SparseCode of query column r, and `sweeps` is the
+    sum of their sweep counts.
+    """
+
+    codes: Tuple[SparseCode, ...]
+    sweeps: int
+
+
+def _products(kmat, y):
+    """K y_r of every row y_r of y, one gemv per row."""
+    return np.matmul(kmat, y[:, :, None])[:, :, 0]
+
+
+def _dots(a, b):
+    """a_r . b_r of every pair of rows, one dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _objectives(kmat, k, q, lam, y):
+    """f of every row of y; also K y, ||y||_1 and the roundoff floor of
+    each f, -OBJECTIVE_ROUNDOFF times the summed magnitudes of its
+    terms."""
+    ky = _products(kmat, y)
+    quadratic = _dots(y, ky)
+    linear = 2.0 * _dots(y, k)
+    l1 = np.abs(y).sum(axis=1)
+    floor = -OBJECTIVE_ROUNDOFF * (np.abs(quadratic) + np.abs(linear)
+                                   + np.abs(q) + lam * l1)
+    return quadratic - linear + q + lam * l1, ky, l1, floor
 
 
 def _kkt(y, ky, k, lam):
-    """The gradient g = 2 (K y - k) of the smooth part of f at y, each
-    coefficient's distance of 0 from the subdifferential of f, and the
-    KKT residual, the largest of those distances.
+    """The gradient g = 2 (K y - k) of the smooth part of f at each row
+    of y, each coefficient's distance of 0 from the subdifferential of
+    f, and each row's KKT residual, the largest of those distances.
 
     A nonzero coefficient needs g_i = -lam * sign(y_i), a zero one
     |g_i| <= lam.
@@ -86,65 +146,171 @@ def _kkt(y, ky, k, lam):
     gradient = 2.0 * (ky - k)
     violation = np.where(y != 0.0, np.abs(gradient + lam * np.sign(y)),
                          np.maximum(np.abs(gradient) - lam, 0.0))
-    return gradient, violation, float(violation.max(initial=0.0))
+    return gradient, violation, violation.max(axis=1, initial=0.0)
 
 
-def _feature_sign_step(kmat, k, q, lam, y, ky, gradient, violation):
-    """One active-set step from y: (new y, its f, its K y), or None if f
-    would not drop.
+def _solve(blocks, rhs):
+    """Solutions of a (B, m, m) stack of systems, NaN for a singular one."""
+    try:
+        return np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        solutions = np.full(rhs.shape, np.nan)
+        for b, (block, right) in enumerate(zip(blocks, rhs)):
+            try:
+                solutions[b] = np.linalg.solve(block, right)
+            except np.linalg.LinAlgError:
+                pass
+        return solutions
 
-    `ky`, `gradient` and `violation` are those of y.  A singular or
-    non-finite solve, or a line search whose best point has no negative
-    change in f, ends the step without a move.
+
+def _targets(kmat, k, lam, signs):
+    """Each row's solution of its sign-constrained problem,
+    K[A, A] y_A = k_A - (lam / 2) theta_A on the atoms A of nonzero sign,
+    written into a row of zeros; NaN on A when the block is singular.
+
+    Rows are solved in groups of one active-set size, one stacked solve
+    per group.
+    """
+    active = signs != 0.0
+    sizes = active.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    # the active entries of the rows in order of size, each row's in
+    # order of atom
+    at, cols = active[order].nonzero()
+    rows = order[at]
+    rhs = k[rows, cols] - 0.5 * lam * signs[rows, cols]
+    counts = np.bincount(sizes)
+    solutions = []
+    start = 0
+    for size in counts.nonzero()[0].tolist():
+        stop = start + size * int(counts[size])
+        group = cols[start:stop].reshape(-1, size)
+        solutions.append(_solve(kmat[group[:, :, None], group[:, None, :]],
+                                rhs[start:stop].reshape(-1, size)))
+        start = stop
+    target = np.zeros(signs.shape)
+    target[rows, cols] = np.concatenate(solutions, axis=None)
+    return target
+
+
+def _steps(kmat, k, q, lam, y, ky, l1, gradient, violation):
+    """One feature-sign step from every row of y.
+
+    Returns whether each row moved, and the rows' codes, f, K y and
+    ||y||_1 after the step, a row that did not move keeping its own.
+    `ky`, `l1`, `gradient` and `violation` are those of y.  A singular
+    or non-finite solve, or a line search whose best point has no
+    negative change in f or a computed f below its roundoff floor, ends
+    the row's step without a move.
     """
     signs = np.sign(y)
-    if violation[signs != 0.0].max(initial=0.0) <= KKT_TOLERANCE:
-        # the active coefficients are optimal: the zero coefficient with
-        # the largest violation joins them, with the sign that lowers f
-        entering = int(np.where(signs == 0.0, violation, -1.0).argmax())
-        signs[entering] = -np.sign(gradient[entering])
-    active = signs.nonzero()[0]
-    try:
-        target = np.linalg.solve(kmat[active[:, None], active],
-                                 k[active] - 0.5 * lam * signs[active])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(target).all():
-        return None
-    start = y[active]
-    direction = target - start
-    best_y = y.copy()
-    best_y[active] = target
-    best, best_ky = _objective(kmat, k, q, lam, best_y)
-    # the points on the way where a coefficient changes sign
-    for j in (start * target < 0.0).nonzero()[0]:
-        candidate = y.copy()
-        candidate[active] = start + (start[j] / -direction[j]) * direction
-        candidate[active[j]] = 0.0
-        value, candidate_ky = _objective(kmat, k, q, lam, candidate)
-        if value < best:
-            best_y, best, best_ky = candidate, value, candidate_ky
-    d = best_y - y
-    change = (d @ (best_ky + ky) - 2.0 * (d @ k)
-              + lam * (np.abs(best_y).sum() - np.abs(y).sum()))
-    if not change < 0.0:
-        return None
-    return best_y, best, best_ky
+    # rows whose active coefficients are optimal: the zero coefficient
+    # with the largest violation joins them, with the sign that lowers f
+    rows = (np.where(signs != 0.0, violation, 0.0).max(axis=1)
+            <= KKT_TOLERANCE).nonzero()[0]
+    entering = np.where(signs[rows] == 0.0, violation[rows], -1.0).argmax(
+        axis=1)
+    signs[rows, entering] = -np.sign(gradient[rows, entering])
+    target = _targets(kmat, k, lam, signs)
+    active = signs != 0.0
+    best = np.where(active & np.isfinite(target).all(axis=1)[:, None],
+                    target, y)
+    value, best_ky, best_l1, floor = _objectives(kmat, k, q, lam, best)
+    # the points on the way where a coefficient changes sign; a row
+    # keeps its first point of lowest f, the solution first
+    rows, cols = (y * best < 0.0).nonzero()
+    if rows.size:
+        direction = best - y
+        points = np.where(active[rows], y[rows] + (
+            y[rows, cols] / -direction[rows, cols])[:, None]
+            * direction[rows], y[rows])
+        points[np.arange(rows.size), cols] = 0.0
+        point = _objectives(kmat, k[rows], q[rows], lam, points)
+        lowest = value.tolist()
+        chosen = {}
+        for c, (r, f) in enumerate(zip(rows.tolist(), point[0].tolist())):
+            if f < lowest[r]:
+                lowest[r] = f
+                chosen[r] = c
+        rows, picks = list(chosen), list(chosen.values())
+        for array, of_points in zip((best, value, best_ky, best_l1, floor),
+                                    (points, *point)):
+            array[rows] = of_points[picks]
+    d = best - y
+    change = (_dots(d, best_ky + ky) - 2.0 * _dots(d, k)
+              + lam * (best_l1 - l1))
+    moved = (change < 0.0) & (value >= floor)
+    return (moved, np.where(moved[:, None], best, y), value,
+            np.where(moved[:, None], best_ky, ky),
+            np.where(moved, best_l1, l1))
+
+
+def _code(y, lam, history, sweeps, residual):
+    return SparseCode(coefficients=y.copy(), lam=lam, objective=history[-1],
+                      objective_history=tuple(history), sweeps=sweeps,
+                      converged=bool(residual <= KKT_TOLERANCE),
+                      kkt_residual=float(residual))
+
+
+def _code_rows(kmat, k, q, lam, max_sweeps):
+    """Feature-sign search on every row of (Q, n) query columns `k`, with
+    (Q,) self values `q`: the list of their Q SparseCodes.
+
+    Row r of each array belongs to query `query[r]`; a query that
+    finishes is recorded and its row dropped.
+    """
+    codes = [None] * len(k)
+    histories = [[] for _ in codes]
+    query = np.arange(len(k))
+    y = np.zeros(k.shape)
+    objective, ky, l1, _ = _objectives(kmat, k, q, lam, y)
+    gradient, violation, residual = _kkt(y, ky, k, lam)
+    # a zero code that is already optimal takes one sweep and no step
+    done = residual <= KKT_TOLERANCE
+    for sweeps in range(max_sweeps + 1):
+        if sweeps:
+            moved, y, value, ky, l1 = _steps(kmat, k, q, lam, y, ky, l1,
+                                             gradient, violation)
+            objective = np.where(moved & (value < objective), value,
+                                 objective)
+            gradient, violation, residual = _kkt(y, ky, k, lam)
+            for r, lowest in zip(query.tolist(), objective.tolist()):
+                histories[r].append(lowest)
+            done = (~moved | (residual <= KKT_TOLERANCE)
+                    | (sweeps == max_sweeps))
+        for r in done.nonzero()[0]:
+            # pass 0 finishes the zero codes, each after one sweep
+            history = histories[query[r]] or [float(objective[r])]
+            codes[query[r]] = _code(y[r], lam, history, max(sweeps, 1),
+                                    residual[r])
+        if done.any():
+            left = ~done
+            (query, k, q, y, objective, ky, l1, gradient, violation,
+             residual) = (array[left] for array in (
+                 query, k, q, y, objective, ky, l1, gradient, violation,
+                 residual))
+        if not query.size:
+            break
+    return codes
 
 
 def kernel_sparse_code(dict_gram, query_column, query_self, lam,
                        max_sweeps=MAX_SWEEPS, check_psd=True):
-    """Code one query against a dictionary held as a Gram matrix.
+    """Code queries against a dictionary held as a Gram matrix.
 
     `query_column[t]` is the kernel between the query and dictionary
-    atom t, and `query_self` the kernel of the query with itself.  A
-    sweep is one feature-sign step: choose the active set and signs,
-    solve on it and line-search to the solution.  The solve stops once
-    the largest violation of the optimality conditions (the KKT
-    residual) is at most KKT_TOLERANCE, after `max_sweeps` sweeps, or when
-    a step cannot lower f (a singular or indefinite active block); the
-    result's `converged` and `kkt_residual` say which.  A code that is
-    zero from the start takes one sweep.
+    atom t, and `query_self` the kernel of the query with itself; this
+    codes one query and returns its SparseCode.  A (Q, n) matrix of
+    query columns with a (Q,) vector of self values codes the Q queries
+    in lockstep and returns SparseCodes; each row's code equals coding
+    that query alone.  A sweep is one feature-sign step: choose the
+    active set and signs, solve on it and line-search to the solution.
+    The solve stops once the largest violation of the optimality
+    conditions (the KKT residual) is at most KKT_TOLERANCE, after
+    `max_sweeps` sweeps, or when a step cannot lower f (a singular or
+    indefinite active block) or computes f below zero beyond roundoff;
+    the result's `converged` and `kkt_residual` say which.  A code that
+    is zero from the start takes one sweep.
 
     Dictionaries whose Gram matrix is not positive semidefinite are
     rejected; callers that certify once and code many queries can pass
@@ -152,10 +318,15 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
     """
     kmat = dict_gram.values
     n = kmat.shape[0]
-    k = np.asarray(query_column, dtype=np.float64).ravel()
-    if k.shape != (n,):
+    k = np.asarray(query_column, dtype=np.float64)
+    q = np.asarray(query_self, dtype=np.float64)
+    if k.ndim not in (1, 2) or k.shape[-1] != n:
         raise DimensionMismatch(
-            f"query column must have {n} entries, got {k.shape}")
+            f"query columns must have {n} entries, got {k.shape}")
+    if q.shape != k.shape[:-1]:
+        raise DimensionMismatch(
+            f"need {k.shape[:-1] or 'one'} query self values, got "
+            f"{q.shape}")
     if not lam > 0.0:
         raise ValueError(f"penalty lam must be positive, got {lam}")
     if max_sweeps < 1:
@@ -165,33 +336,12 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
             "dictionary Gram matrix has a negative eigenvalue beyond "
             "roundoff; the coding objective would be unbounded")
 
-    q = float(query_self)
-    y = np.zeros(n)
-    objective, ky = _objective(kmat, k, q, lam, y)
-    gradient, violation, residual = _kkt(y, ky, k, lam)
-    history = []
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        step = None
-        if residual > KKT_TOLERANCE:
-            step = _feature_sign_step(kmat, k, q, lam, y, ky, gradient,
-                                      violation)
-        if step is not None:
-            y, value, ky = step
-            objective = min(objective, value)
-            gradient, violation, residual = _kkt(y, ky, k, lam)
-        history.append(objective)
-        if step is None or residual <= KKT_TOLERANCE:
-            break
-    return SparseCode(
-        coefficients=y,
-        lam=float(lam),
-        objective=history[-1],
-        objective_history=tuple(history),
-        sweeps=sweeps,
-        converged=residual <= KKT_TOLERANCE,
-        kkt_residual=residual,
-    )
+    codes = _code_rows(kmat, np.atleast_2d(k), np.atleast_1d(q), float(lam),
+                       max_sweeps)
+    if k.ndim == 1:
+        return codes[0]
+    return SparseCodes(codes=tuple(codes),
+                       sweeps=sum(code.sweeps for code in codes))
 
 
 def sparse_code_classify(code, atom_labels):

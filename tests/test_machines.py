@@ -23,7 +23,8 @@ from grasskernels.grassmann import Subspace
 from grasskernels.harness import experiments
 from grasskernels.harness.config import build_config
 from grasskernels.harness.datasets import generate_planted, stratified_split
-from grasskernels.kernels import GramMatrix, evaluate, gram, parse_kernel_token
+from grasskernels.kernels import (GramMatrix, evaluate, gram, grams,
+                                 parse_kernel_token)
 from grasskernels.machines import (clustering_accuracy, kernel_sparse_code,
                                    kkmeans, klsh_build, klsh_hash_gram,
                                    normalized_mutual_information,
@@ -31,7 +32,7 @@ from grasskernels.machines import (clustering_accuracy, kernel_sparse_code,
 from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.klsh import EIGENVALUE_FLOOR
 from grasskernels.machines.metrics import _max_matching_total
-from grasskernels.machines.sparse import SparseCode
+from grasskernels.machines.sparse import SparseCode, SparseCodes
 from grasskernels.machines.svm import svm_decision_from_rows
 
 RBF_PROJ = parse_kernel_token("rbf:projection:beta=0.5", 2)
@@ -834,7 +835,8 @@ def test_sparse_budget_exhaustion_is_reported():
 
 def _degenerate_problems():
     """(dictionary, column, self value, converges) of repeated-atom and
-    indefinite dictionaries, each coded with check_psd=False."""
+    indefinite dictionaries, each coded with check_psd=False; columns of
+    one dictionary share its object."""
     data = generate_planted(d=8, p=2, classes=2, per_class=4,
                             noise_angle=0.1, seed=3)
     g = gram(RBF_PROJ, data.subspaces)
@@ -849,8 +851,12 @@ def _degenerate_problems():
     # block is a saddle, and the step would raise f
     skewed = gram(parse_kernel_token("linear:bc", 1),
                   [line(0.3)] + [line(t) for t in (0.0, 1.0, 2.0, 3.0)])
+    # with its true self value f turns negative on the first step, and
+    # the roundoff floor stops the solve there; a larger one keeps f
+    # positive until the singular block is solved
     return [(repeated, g.values[0, atoms], g.values[0, 0], True),
             (repeated, disagreeing, g.values[1, 1], False),
+            (repeated, disagreeing, 5.0, False),
             (indefinite, indefinite.values[0], 1.0, True),
             (indefinite, np.array([0.9, 0.1, -0.8, 0.3]), 1.0, False),
             (skewed.take(np.arange(1, 5)), skewed.values[0, 1:], 1.0,
@@ -873,15 +879,21 @@ def test_sparse_degenerate_dictionaries_return():
 
 
 def _feature_sign_reference(kmat, k, q, lam, max_sweeps=10_000):
-    """A feature-sign loop that shares no work between sweeps: each sweep
-    multiplies K by the accepted code again for the gradient, recomputes
-    the violations and accepts a step whose absolute f is lower.  Returns
-    (coefficients, objective history, sweeps, KKT residual, converged)."""
+    """A feature-sign loop that codes one query and shares no work
+    between sweeps: each sweep multiplies K by the accepted code again
+    for the gradient, recomputes the violations and accepts a step whose
+    absolute f is lower, unless that f is below -1e-10 times the summed
+    magnitudes of its terms.  Returns (coefficients, objective history,
+    sweeps, KKT residual, converged)."""
     tolerance = 1e-8
 
     def objective(y):
         return float(y @ (kmat @ y) - 2.0 * (y @ k) + q
                      + lam * np.sum(np.abs(y)))
+
+    def below_roundoff(y, value):
+        terms = (y @ (kmat @ y), 2.0 * (y @ k), q, lam * np.sum(np.abs(y)))
+        return value < -1e-10 * sum(abs(term) for term in terms)
 
     def violations(y, gradient):
         return np.where(y != 0.0, np.abs(gradient + lam * np.sign(y)),
@@ -918,7 +930,7 @@ def _feature_sign_reference(kmat, k, q, lam, max_sweeps=10_000):
             value = objective(candidate)
             if value < best:
                 best_y, best = candidate, value
-        if not best < current:
+        if not best < current or below_roundoff(best_y, best):
             return None
         return best_y, best
 
@@ -939,18 +951,25 @@ def _feature_sign_reference(kmat, k, q, lam, max_sweeps=10_000):
     return y, tuple(history), sweeps, residual, residual <= tolerance
 
 
-def _assert_coded_as_reference(dictionary, column, self_value, lam,
-                               **kwargs):
-    code = kernel_sparse_code(dictionary, column, self_value, lam,
-                              check_psd=False, **kwargs)
+def _assert_is_reference_code(code, dictionary, column, self_value, lam,
+                              **kwargs):
     y, history, sweeps, residual, converged = _feature_sign_reference(
         dictionary.values, np.asarray(column, dtype=np.float64), self_value,
         lam, **kwargs)
     assert code.coefficients.tobytes() == y.tobytes()
     assert code.objective_history == history
+    assert code.objective == history[-1]
     assert code.sweeps == sweeps
     assert code.kkt_residual == residual
     assert code.converged == converged
+
+
+def _assert_coded_as_reference(dictionary, column, self_value, lam,
+                               **kwargs):
+    code = kernel_sparse_code(dictionary, column, self_value, lam,
+                              check_psd=False, **kwargs)
+    _assert_is_reference_code(code, dictionary, column, self_value, lam,
+                              **kwargs)
     return code
 
 
@@ -1013,6 +1032,162 @@ def test_sparse_converges_where_absolute_objectives_tie():
     _, history, sweeps, _, _ = _feature_sign_reference(
         dictionary.values, column, g.values[query, query], 1e-3)
     assert code.sweeps == sweeps and code.objective_history == history
+
+
+def _assert_rows_coded_as_reference(dictionary, columns, self_values, lam,
+                                    **kwargs):
+    """One lockstep call on the rows of `columns` gives each row the code
+    `_feature_sign_reference` gives it alone."""
+    coded = kernel_sparse_code(dictionary, columns, self_values, lam,
+                               check_psd=False, **kwargs)
+    assert isinstance(coded, SparseCodes)
+    assert len(coded.codes) == len(columns)
+    for code, column, self_value in zip(coded.codes, columns, self_values):
+        _assert_is_reference_code(code, dictionary, column, self_value, lam,
+                                  **kwargs)
+    assert coded.sweeps == sum(code.sweeps for code in coded.codes)
+    return coded
+
+
+def _split_problem(g, train, test):
+    """(dictionary, query columns, self values) of one split."""
+    return (g.take(train), g.values[test[:, None], train],
+            g.values[test, test])
+
+
+def test_sparse_lockstep_rows_code_as_alone():
+    """A split's queries coded in one call: the bench split at full and
+    cut budgets, the 50-query n=100 split, and the degenerate problems
+    with their singular and regular columns side by side."""
+    g, train, test = _bench_dictionary()
+    for max_sweeps in (10_000, 1, 3):
+        _assert_rows_coded_as_reference(*_split_problem(g, train, test),
+                                        1e-3, max_sweeps=max_sweeps)
+    data = generate_planted(d=100, p=2, classes=10, per_class=10,
+                            noise_angle=0.1, seed=24)
+    g = gram(RBF_PROJ, data.subspaces)
+    train, test = stratified_split(data.labels, 0.5,
+                                   np.random.default_rng([0]))
+    coded = _assert_rows_coded_as_reference(*_split_problem(g, train, test),
+                                            1e-3)
+    assert len(coded.codes) == 50 and coded.sweeps > 2 * 50
+    by_dictionary = {}
+    for dictionary, column, self_value, converges in _degenerate_problems():
+        by_dictionary.setdefault(id(dictionary), (dictionary, []))[1].append(
+            (column, self_value, converges))
+    assert any(len(rows) > 1 and {c for _, _, c in rows} == {True, False}
+               for _, rows in by_dictionary.values())
+    for dictionary, rows in by_dictionary.values():
+        columns, self_values, converges = zip(*rows)
+        coded = _assert_rows_coded_as_reference(
+            dictionary, np.array(columns), np.array(self_values), 1e-3)
+        assert [code.converged for code in coded.codes] == list(converges)
+
+
+def test_sparse_one_row_matrix_codes_as_a_vector():
+    g, train, test = _bench_dictionary()
+    dictionary, columns, self_values = _split_problem(g, train, test)
+    for row in (0, 7):
+        alone = kernel_sparse_code(dictionary, columns[row], self_values[row],
+                                   1e-3)
+        coded = kernel_sparse_code(dictionary, columns[row:row + 1],
+                                   self_values[row:row + 1], 1e-3)
+        assert isinstance(alone, SparseCode)
+        assert isinstance(coded, SparseCodes) and len(coded.codes) == 1
+        [code] = coded.codes
+        assert code.coefficients.tobytes() == alone.coefficients.tobytes()
+        assert (code.objective_history, code.sweeps, code.kkt_residual,
+                code.converged, code.lam) == (
+                    alone.objective_history, alone.sweeps,
+                    alone.kkt_residual, alone.converged, alone.lam)
+        assert coded.sweeps == alone.sweeps
+    empty = kernel_sparse_code(dictionary, columns[:0], self_values[:0], 1e-3)
+    assert empty.codes == () and empty.sweeps == 0
+
+
+def test_sparse_lockstep_rejects_mismatched_queries():
+    g, train, test = _bench_dictionary()
+    dictionary, columns, self_values = _split_problem(g, train, test)
+    bad = [(columns[:, :-1], self_values), (columns, self_values[:-1]),
+           (columns, self_values[:, None]), (columns, 1.0),
+           (columns[0], self_values[:1]), (columns[None], self_values)]
+    for column, self_value in bad:
+        with pytest.raises(DimensionMismatch):
+            kernel_sparse_code(dictionary, column, self_value, 1e-3)
+
+
+def _hard_file():
+    """The noise-0.9 planted file on which the linear projection
+    dictionary has numerical rank 21 = d (d + 1) / 2 of its 60 atoms."""
+    with warnings.catch_warnings():
+        # six 2-planes in R^6 cannot have orthogonal prototypes
+        warnings.simplefilter("ignore")
+        return generate_planted(d=6, p=2, classes=6, per_class=20,
+                                noise_angle=0.9, seed=3)
+
+
+def test_sparse_never_accepts_a_negative_objective():
+    """Split seed 1 of the hard file under linear:projection: a 22-atom
+    active block is numerically singular, and on queries 67 and 107 the
+    step to its huge solution computed f = -1.27e12 and -3.77e11 (it
+    cannot be negative) with coefficients up to 5.4e13.  The roundoff
+    floor refuses those steps, so each solve stops at its last code."""
+    data = _hard_file()
+    g = gram(parse_kernel_token("linear:projection", 2), data.subspaces)
+    train, test = stratified_split(data.labels, 0.5,
+                                   np.random.default_rng([1]))
+    queries = np.array([67, 107])
+    assert np.isin(queries, test).all()
+    dictionary = g.take(train)
+    coded = kernel_sparse_code(dictionary, g.values[queries[:, None], train],
+                               g.values[queries, queries], 1e-3)
+    for query, code in zip(queries, coded.codes):
+        y = code.coefficients
+        column = g.values[query, train]
+        recomputed = (y @ (dictionary.values @ y) - 2.0 * (y @ column)
+                      + g.values[query, query] + 1e-3 * np.abs(y).sum())
+        assert code.objective >= 0.0 and recomputed >= 0.0
+        assert np.all(np.diff(code.objective_history) <= 0.0)
+        assert np.abs(y).max() < 10.0
+        assert not code.converged
+
+
+def test_stacked_products_match_per_row_blas_calls():
+    """The numpy rule two loops rely on: a stack of matrix-vector or
+    vector-matrix products, dots or solves gives each result bit for bit
+    as it comes alone.  If a numpy or BLAS upgrade breaks it, the
+    sparse-coding lockstep no longer codes each query as alone and
+    klsh_hash_gram's keys may change, so this fails first."""
+    rng = np.random.default_rng(5)
+    message = ("stacked products differ from per-row ones; the feature-"
+               "sign lockstep (machines/sparse.py) and klsh_hash_gram "
+               "(machines/klsh.py) rely on them being equal")
+    for m in (1, 2, 5, 12, 30):
+        a = rng.standard_normal((9, m, m))
+        blocks = a @ a.transpose(0, 2, 1) + np.eye(m)
+        rhs = rng.standard_normal((9, m))
+        solved = np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
+        assert all(np.array_equal(solved[b], np.linalg.solve(blocks[b],
+                                                             rhs[b]))
+                   for b in range(9)), message
+    for n in (1, 5, 20, 50, 250):
+        a = rng.standard_normal((n, n))
+        kmat = a @ a.T
+        y = rng.standard_normal((7, n)) * (rng.random((7, n)) < 0.5)
+        stacked = np.matmul(kmat, y[:, :, None])[:, :, 0]
+        assert all(np.array_equal(stacked[r], kmat @ y[r])
+                   for r in range(7)), message
+        dots = np.matmul(y[:, None, :], stacked[:, :, None])[:, 0, 0]
+        assert all(dots[r] == y[r] @ stacked[r] for r in range(7)), message
+        assert all(np.abs(y).sum(axis=1)[r] == np.abs(y[r]).sum()
+                   for r in range(7)), message
+        anchors = min(n, 30)
+        weights = rng.standard_normal((anchors, 12))
+        index = np.array([rng.choice(n, anchors, replace=False)
+                          for _ in range(12)])
+        scores = np.matmul(weights.T[:, None, :], kmat[index])[:, 0, :]
+        assert all(np.array_equal(scores[b], weights[:, b] @ kmat[index[b]])
+                   for b in range(12)), message
 
 
 # ---------------------------------------------------------------- klsh
@@ -1098,6 +1273,30 @@ def test_klsh_blocked_whitening_matches_per_bit_loop():
                 assert np.array_equal(family.projection_weights, weights)
                 floored += count
     assert floored > 0
+
+
+def test_klsh_stacked_keys_match_per_bit_loop():
+    """Keys of the bench and n=100 families against each bit's own
+    vector-matrix product."""
+    bench = generate_planted(d=8, p=2, classes=2, per_class=20,
+                             noise_angle=0.1, seed=24)
+    n100 = generate_planted(d=100, p=2, classes=10, per_class=10,
+                            noise_angle=0.1, seed=24)
+    for data in (bench, n100):
+        for g in grams([RBF_PROJ, parse_kernel_token("linear:projection", 2),
+                        parse_kernel_token("laplace:projection:beta=1", 2)],
+                       data.subspaces).values():
+            for seed in range(3):
+                family = klsh_build(g, bits=60, anchors=30, seed=seed)
+                keys = np.empty((g.n, 60), dtype=np.uint8)
+                for b in range(60):
+                    scores = (family.projection_weights[:, b]
+                              @ g.values[family.anchor_indices[b]])
+                    keys[:, b] = scores > 0.0
+                hashed = klsh_hash_gram(family, g)
+                assert hashed.dtype == np.uint8
+                assert hashed.flags.c_contiguous
+                assert np.array_equal(hashed, keys)
 
 
 def test_klsh_build_peak_allocation():
