@@ -62,5 +62,9 @@ class InvalidDimensions(GrassError):
     """Requested dimensions are not realizable."""
 
 
+class NumericalOverflow(GrassError):
+    """An intermediate result left the range of a float."""
+
+
 class InputError(GrassError):
     """Bad user input: unreadable files, malformed configs, unknown keys."""

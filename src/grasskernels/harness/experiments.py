@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import kernels
 from ..exceptions import (ConvergenceFailure, InputError,
-                          InvalidKernelParameter, ZeroCode)
+                          InvalidKernelParameter, NumericalOverflow, ZeroCode)
 from ..machines import (kernel_sparse_code, kkmeans, klsh_build,
                         klsh_hash_gram, normalized_mutual_information,
                         clustering_accuracy, sparse_code_classify,
@@ -34,6 +34,10 @@ DEFAULT_KERNEL = "rbf:projection:beta=0.5"
 
 # where the gram task writes its CSV files when no output path is given
 GRAM_DIR = "out"
+
+# the hint of an error raised when a machine's sums of kernel values leave
+# the float range, which the kernels' own overflow guard cannot foresee
+_SMALLER_KERNEL = "kernel values this large need a smaller parameter"
 
 
 @dataclass(frozen=True)
@@ -356,6 +360,10 @@ def _run_svm(config, dataset, specs, grams, report):
                 raise InputError(
                     f"svm with kernel {spec.label()!r} on split seed {seed}: "
                     f"{exc}; a smaller svm_c may converge") from exc
+            except NumericalOverflow as exc:
+                raise InputError(
+                    f"svm with kernel {spec.label()!r} on split seed {seed}: "
+                    f"{exc}; {_SMALLER_KERNEL}") from exc
             accuracies.append(
                 float(np.mean(predicted == dataset.labels[test_idx])))
             iterations.append(count)
@@ -382,8 +390,15 @@ def _run_cluster(config, dataset, specs, grams, report):
     cluster_count = config.clusters or dataset.class_count
     rows = []
     for spec in specs:
-        runs = [kkmeans(grams[spec], cluster_count, seed=seed,
-                        restarts=config.restarts) for seed in config.seeds]
+        runs = []
+        for seed in config.seeds:
+            try:
+                runs.append(kkmeans(grams[spec], cluster_count, seed=seed,
+                                    restarts=config.restarts))
+            except NumericalOverflow as exc:
+                raise InputError(
+                    f"cluster with kernel {spec.label()!r} on seed {seed}: "
+                    f"{exc}; {_SMALLER_KERNEL}") from exc
         series = [("inertia", "inertias", [r.inertia for r in runs])]
         if dataset.labels is not None:
             series += [

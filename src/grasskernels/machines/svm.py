@@ -35,6 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .. import numerics
 from ..exceptions import (ConvergenceFailure, DegenerateLabels,
                           DimensionMismatch)
 
@@ -107,8 +108,9 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
     machines in lockstep and returns SvmModels; each row's model equals
     training that row alone.  Runs until every maximal KKT violation
     drops to KKT_TOLERANCE.  Raises ConvergenceFailure (carrying the
-    largest remaining gap) if the iteration budget runs out first, and
-    DegenerateLabels when a target holds a single class.
+    largest remaining gap) if the iteration budget runs out first,
+    DegenerateLabels when a target holds a single class, and
+    NumericalOverflow when a pair's curvature leaves the float range.
     """
     y = np.asarray(labels, dtype=np.float64)
     k = gram_matrix.values
@@ -124,9 +126,8 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
     if not c > 0.0:
         raise ValueError(f"penalty c must be positive, got {c}")
 
-    diagonal = np.diag(k)
     # every pair's curvature K_ii + K_jj - 2 K_ij, floored, built once
-    curvatures = np.maximum(diagonal[:, None] + diagonal - 2.0 * k, _TAU)
+    curvatures = np.maximum(numerics.gram_distances_sq(k), _TAU)
     if y.ndim == 1:
         return _train_one(k, y, c, curvatures, max_iterations)
     models = _train_lockstep(k, y, c, curvatures, max_iterations)

@@ -1,6 +1,7 @@
 """Dense float64 matrix primitives backed by LAPACK through numpy.
 
-Validation, SVD failure reporting and the rank tolerance live here.  Gram
+Validation, SVD failure reporting, the rank tolerance and the overflow
+check on a Gram's squared feature distances live here.  Gram
 assembly and certification take their determinants and eigenvalues from
 these helpers; the principal-angle SVD in `grassmann` and the
 eigendecomposition in `machines.klsh` still call numpy directly.
@@ -8,7 +9,8 @@ eigendecomposition in `machines.klsh` still call numpy directly.
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, DimensionMismatch, RankDeficient
+from .exceptions import (ConvergenceFailure, DimensionMismatch,
+                         NumericalOverflow, RankDeficient)
 
 RANK_TOLERANCE = 1e-10
 
@@ -23,6 +25,27 @@ def as_matrix(values):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def require_finite(values, what):
+    """`values`, or NumericalOverflow naming `what` when one of them is
+    infinite or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalOverflow(f"{what} overflow a float")
+    return values
+
+
+def gram_distances_sq(k):
+    """Squared distances K_ii + K_jj - 2 K_ij between the feature points
+    behind the Gram matrix `k`.
+
+    Raises NumericalOverflow when one leaves the float range, which
+    needs a kernel value above a quarter of the largest float.
+    """
+    diagonal = np.diag(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(diagonal[:, None] + diagonal - 2.0 * k,
+                              "squared feature distances")
 
 
 def _require_square(m, what):

@@ -909,6 +909,31 @@ def test_svm_out_of_iterations_exits_2(monkeypatch, tmp_path, capsys):
         assert "remaining KKT gap" in err[0]
 
 
+@pytest.mark.parametrize("task", ["cluster", "bench"])
+@pytest.mark.parametrize("token", [
+    "rbf:projection:beta=354", "rbf:projection:beta=354.8",
+    "polynomial:projection:alpha=102:beta=1000"])
+def test_overflowing_kernel_values_exit_2(task, token, tmp_path, capsys):
+    """Kernels that pass their own overflow guard on the default data but
+    whose machines' sums of kernel values leave the float range end in
+    one error line naming the kernel and the seed: k-means++ weight
+    totals at beta=354, K_ii + K_jj at beta=354.8 (in bench's svm section
+    first), Lloyd's centroid distances for the polynomial.  They once
+    ended in a ValueError traceback from Generator.choice, in 1,000,000
+    SMO iterations on NaN curvatures, or in a report of infinite
+    inertias."""
+    out = tmp_path / "out.txt"
+    assert cli.main([task, "--kernels", token, "--seeds", "0",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    label = kernels.parse_kernel_token(token, 2).label()
+    assert f" with kernel {label!r} on " in err[0]
+    assert "seed 0: " in err[0] and " overflow a float; " in err[0]
+
+
 def test_cli_options_match_config_fields(capsys):
     """One parser takes every task, then --config and one flag per config
     field, dashed, each with help text; --help lists the tasks and every

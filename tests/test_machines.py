@@ -37,6 +37,9 @@ from grasskernels.machines.svm import svm_decision_from_rows
 
 RBF_PROJ = parse_kernel_token("rbf:projection:beta=0.5", 2)
 
+# the package's `kkmeans` name is the function, which hides its module
+kkmeans_mod = importlib.import_module("grasskernels.machines.kkmeans")
+
 
 def line(t):
     return Subspace([[math.cos(t)], [math.sin(t)]])
@@ -592,6 +595,157 @@ def test_kkmeans_flags_runs_stopped_at_the_budget(monkeypatch):
     capped = kkmeans(g, 3, seed=0, restarts=6)
     assert capped.restart == 1 and capped.converged
     assert capped.unconverged_restarts == 1
+
+
+def _seed_reference(sq, n_clusters, rng, taken):
+    """k-means++ seeding of one restart through `Generator.choice`, as
+    `kkmeans` seeded before its restarts ran in lockstep."""
+    n = sq.shape[0]
+    chosen = [int(rng.integers(n))]
+    closest = sq[chosen[0]].copy()
+    for _ in range(n_clusters - 1):
+        total = float(np.sum(np.maximum(closest, 0.0)))
+        if total <= 0.0:
+            taken.add("coincident seeding")
+            pick = next(i for i in range(n) if i not in chosen)
+        else:
+            weights = np.maximum(closest, 0.0) / total
+            pick = int(rng.choice(n, p=weights))
+        chosen.append(pick)
+        np.minimum(closest, sq[pick], out=closest)
+    return chosen
+
+
+def _restart_reference(k, sq, n_clusters, rng, restart, taken):
+    """One restart's Lloyd loop on (n, clusters) arrays."""
+    n = k.shape[0]
+    seeds = _seed_reference(sq, n_clusters, rng, taken)
+    labels = np.argmin(sq[:, seeds], axis=1)
+    labels[seeds] = np.arange(n_clusters)
+    diag = np.diag(k)[:, None]
+    history = []
+    iterations = 0
+    while True:
+        member = np.zeros((n, n_clusters))
+        member[np.arange(n), labels] = 1.0
+        sizes = member.sum(axis=0)
+        cross = k @ member
+        internal = np.einsum("ic,ic->c", member, cross)
+        safe = np.maximum(sizes, 1.0)
+        d = diag - 2.0 * cross / safe + internal / (safe * safe)
+        d[:, sizes == 0] = np.inf
+        history.append(float(max(np.sum(d[np.arange(n), labels]), 0.0)))
+        new_labels = np.argmin(d, axis=1)
+        for c in range(n_clusters):
+            if np.any(new_labels == c):
+                continue
+            taken.add("empty cluster")
+            own = d[np.arange(n), new_labels].copy()
+            counts = np.bincount(new_labels, minlength=n_clusters)
+            own[counts[new_labels] <= 1] = -np.inf
+            new_labels[int(np.argmax(own))] = c
+        converged = bool(np.array_equal(new_labels, labels))
+        if converged or iterations >= kkmeans_mod.MAX_ITERATIONS:
+            break
+        labels = new_labels
+        iterations += 1
+    return (labels.astype(np.int64), history[-1], tuple(history), iterations,
+            restart, converged)
+
+
+def _assert_clusters_as_reference(g, n_clusters, seed, restarts, taken):
+    """`kkmeans` returns, field for field, the best of the restarts that
+    `_restart_reference` runs one at a time."""
+    sq = np.diag(g.values)[:, None] + np.diag(g.values) - 2.0 * g.values
+    runs = [_restart_reference(g.values, sq, n_clusters,
+                               np.random.default_rng([seed, r]), r, taken)
+            for r in range(restarts)]
+    best = runs[0]
+    for run in runs[1:]:
+        if run[1] < best[1]:
+            best = run
+    labels, inertia, history, iterations, restart, converged = best
+    result = kkmeans(g, n_clusters, seed=seed, restarts=restarts)
+    assert result.labels.dtype == labels.dtype
+    assert result.labels.tobytes() == labels.tobytes()
+    # hex tells -0.0 from 0.0 and every last bit
+    assert inertia.hex() == result.inertia.hex()
+    assert ([x.hex() for x in result.inertia_history]
+            == [x.hex() for x in history])
+    assert (result.iterations, result.restart, result.converged) == (
+        iterations, restart, converged)
+    assert result.unconverged_restarts == sum(not run[5] for run in runs)
+    return result
+
+
+def _coincident_grams():
+    """Grams with repeated points: five copies of one subspace, and four
+    and three copies of two, so that seeding runs out of distinct points
+    and the first assignment leaves clusters empty."""
+    x, y = (grassmann.random_subspace(5, 2, np.random.default_rng(s))
+            for s in (3, 4))
+    return [(gram(RBF_PROJ, [x] * 5), 3),
+            (gram(RBF_PROJ, [x] * 4 + [y] * 3), 4),
+            (gram(RBF_PROJ, [y, x, y, x, x]), 4)]
+
+
+def test_kkmeans_lockstep_restarts_run_as_alone():
+    """The hard file at seeds 0-9, an n=100 pool file in 10 clusters, and
+    the coincident Grams, with 1 and 5 restarts."""
+    taken = set()
+    hard = gram(RBF_PROJ, _hard_file().subspaces)
+    pool = gram(RBF_PROJ, generate_planted(d=100, p=2, classes=10,
+                                           per_class=10, noise_angle=0.1,
+                                           seed=24).subspaces)
+    iterations = []
+    for restarts in (1, 5):
+        for seed in range(10):
+            iterations.append(_assert_clusters_as_reference(
+                hard, 6, seed, restarts, taken).iterations)
+        for seed in range(3):
+            _assert_clusters_as_reference(pool, 10, seed, restarts, taken)
+            for g, n_clusters in _coincident_grams():
+                _assert_clusters_as_reference(g, n_clusters, seed, restarts,
+                                              taken)
+    assert min(iterations) >= 2 and max(iterations) >= 10
+    assert taken == {"coincident seeding", "empty cluster"}
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_kkmeans_lockstep_at_a_cut_budget(budget, monkeypatch):
+    """Rows that stop at the budget leave the lockstep as they stop alone,
+    unconverged, beside rows that converge within it."""
+    monkeypatch.setattr(kkmeans_mod, "MAX_ITERATIONS", budget)
+    hard = gram(RBF_PROJ, _hard_file().subspaces)
+    results = [_assert_clusters_as_reference(hard, 6, seed, 5, set())
+               for seed in range(10)]
+    assert all(r.iterations == budget for r in results)
+    assert any(r.unconverged_restarts for r in results)
+
+
+def test_generator_choice_counts_its_cdf_at_or_below_one_draw():
+    """The numpy rule k-means++ seeding (machines/kkmeans.py) relies on:
+    `rng.choice(n, p=w)` takes one `random()` draw u and returns the
+    number of entries of cumsum(w) / cumsum(w)[-1] at or below u.  If a
+    numpy upgrade changes it, the lockstep seeds no longer match the ones
+    `choice` draws and reports change, so this fails first.
+    pyproject.toml allows numpy>=1.24; the rule was checked on numpy 2.4.6
+    only."""
+    source = np.random.default_rng(17)
+    for trial in range(2000):
+        n = int(source.integers(1, 120))
+        raw = source.exponential(size=n) * 10.0 ** source.integers(-8, 8)
+        raw[source.random(n) < source.random()] = 0.0
+        if not raw.sum() > 0.0:
+            raw[source.integers(n)] = 1.0
+        w = raw / np.sum(raw)
+        drawn, counted = (np.random.default_rng([17, trial])
+                          for _ in range(2))
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        assert drawn.choice(n, p=w) == np.count_nonzero(
+            cdf <= counted.random())
+        assert drawn.random() == counted.random()
 
 
 # ------------------------------------------------------------- metrics
@@ -1156,12 +1310,13 @@ def test_stacked_products_match_per_row_blas_calls():
     """The numpy rule two loops rely on: a stack of matrix-vector or
     vector-matrix products, dots or solves gives each result bit for bit
     as it comes alone.  If a numpy or BLAS upgrade breaks it, the
-    sparse-coding lockstep no longer codes each query as alone and
+    sparse-coding and k-means lockstep rows no longer run as alone and
     klsh_hash_gram's keys may change, so this fails first."""
     rng = np.random.default_rng(5)
     message = ("stacked products differ from per-row ones; the feature-"
-               "sign lockstep (machines/sparse.py) and klsh_hash_gram "
-               "(machines/klsh.py) rely on them being equal")
+               "sign and k-means locksteps (machines/sparse.py, "
+               "machines/kkmeans.py) and klsh_hash_gram (machines/klsh.py) "
+               "rely on them being equal")
     for m in (1, 2, 5, 12, 30):
         a = rng.standard_normal((9, m, m))
         blocks = a @ a.transpose(0, 2, 1) + np.eye(m)
@@ -1180,6 +1335,15 @@ def test_stacked_products_match_per_row_blas_calls():
         dots = np.matmul(y[:, None, :], stacked[:, :, None])[:, 0, 0]
         assert all(dots[r] == y[r] @ stacked[r] for r in range(7)), message
         assert all(np.abs(y).sum(axis=1)[r] == np.abs(y[r]).sum()
+                   for r in range(7)), message
+        member = np.zeros((7, n, 4))
+        member[np.arange(7)[:, None], np.arange(n),
+               rng.integers(4, size=(7, n))] = 1.0
+        cross = np.matmul(kmat, member)
+        internal = np.einsum("ric,ric->rc", member, cross)
+        assert all(np.array_equal(cross[r], kmat @ member[r])
+                   and np.array_equal(internal[r], np.einsum(
+                       "ic,ic->c", member[r], kmat @ member[r]))
                    for r in range(7)), message
         anchors = min(n, 30)
         weights = rng.standard_normal((anchors, 12))
