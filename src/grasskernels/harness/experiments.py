@@ -7,6 +7,7 @@ seed itself, never from shared state, so the same configuration gives
 the same report text.
 """
 
+import contextlib
 import dataclasses
 import os
 import re
@@ -16,7 +17,8 @@ import numpy as np
 
 from .. import kernels
 from ..exceptions import (ConvergenceFailure, InputError,
-                          InvalidKernelParameter, NumericalOverflow, ZeroCode)
+                          InvalidKernelParameter, NotPositiveSemidefinite,
+                          NumericalOverflow, ZeroCode)
 from ..machines import (kernel_sparse_code, kkmeans, klsh_build,
                         klsh_hash_gram, normalized_mutual_information,
                         clustering_accuracy, sparse_code_classify,
@@ -34,10 +36,6 @@ DEFAULT_KERNEL = "rbf:projection:beta=0.5"
 
 # where the gram task writes its CSV files when no output path is given
 GRAM_DIR = "out"
-
-# the hint of an error raised when a machine's sums of kernel values leave
-# the float range, which the kernels' own overflow guard cannot foresee
-_SMALLER_KERNEL = "kernel values this large need a smaller parameter"
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,23 @@ def _dataset_items(dataset, fingerprint):
             ("fingerprint", fingerprint)]
 
 
+@contextlib.contextmanager
+def _kernel_failures(where):
+    """Report a library step that a kernel's values broke as one InputError
+    naming `where` (the task, the kernel and any seed) and what to try."""
+    hints = {
+        # the SMO's KKT tolerance is absolute, so a large penalty can
+        # leave duals too large to meet it
+        ConvergenceFailure: "a smaller svm_c may converge",
+        NumericalOverflow: "kernel values this large need a smaller "
+                           "parameter",
+        NotPositiveSemidefinite: "sparse coding needs a pd kernel"}
+    try:
+        yield
+    except tuple(hints) as exc:
+        raise InputError(f"{where}: {exc}; {hints[type(exc)]}") from exc
+
+
 # --- gram -----------------------------------------------------------------
 
 def _safe_filename(label):
@@ -203,8 +218,9 @@ def _run_pd_check(config, dataset, specs, grams, report):
     passed = True
     rows = []
     for spec in specs:
-        verdict = kernels.certify_pd(grams[spec],
-                                     mode=spec.certification_mode)
+        with _kernel_failures(f"pd-check with kernel {spec.label()!r}"):
+            verdict = kernels.certify_pd(grams[spec],
+                                         mode=spec.certification_mode)
         theory = spec.theory
         if theory in ("pd", "cpd"):
             passed = passed and verdict.passed
@@ -347,23 +363,14 @@ def _run_svm(config, dataset, specs, grams, report):
         for seed in config.seeds:
             train_idx, test_idx = _split(dataset, config, seed)
             used, gram_matrix = spec, grams[spec]
-            try:
+            with _kernel_failures(f"svm with kernel {spec.label()!r} on "
+                                  f"split seed {seed}"):
                 if config.tune:
                     used, gram_matrix = _tune_spec(spec, grams, dataset,
                                                    train_idx, config, seed)
                 predicted, count, residual = _fit_predict(
                     gram_matrix, dataset.labels, train_idx, test_idx,
                     config.svm_c)
-            except ConvergenceFailure as exc:
-                # the KKT tolerance is absolute, so a large penalty can
-                # leave duals too large to meet it
-                raise InputError(
-                    f"svm with kernel {spec.label()!r} on split seed {seed}: "
-                    f"{exc}; a smaller svm_c may converge") from exc
-            except NumericalOverflow as exc:
-                raise InputError(
-                    f"svm with kernel {spec.label()!r} on split seed {seed}: "
-                    f"{exc}; {_SMALLER_KERNEL}") from exc
             accuracies.append(
                 float(np.mean(predicted == dataset.labels[test_idx])))
             iterations.append(count)
@@ -392,13 +399,10 @@ def _run_cluster(config, dataset, specs, grams, report):
     for spec in specs:
         runs = []
         for seed in config.seeds:
-            try:
+            with _kernel_failures(f"cluster with kernel {spec.label()!r} "
+                                  f"on seed {seed}"):
                 runs.append(kkmeans(grams[spec], cluster_count, seed=seed,
                                     restarts=config.restarts))
-            except NumericalOverflow as exc:
-                raise InputError(
-                    f"cluster with kernel {spec.label()!r} on seed {seed}: "
-                    f"{exc}; {_SMALLER_KERNEL}") from exc
         series = [("inertia", "inertias", [r.inertia for r in runs])]
         if dataset.labels is not None:
             series += [
@@ -429,16 +433,13 @@ def _run_sparse(config, dataset, specs, grams, report):
         accuracies, fallbacks, unconverged, train_items = [], [], [], []
         for seed in config.seeds:
             train_idx, test_idx = _split(dataset, config, seed)
-            dict_gram = gram_matrix.take(train_idx)
-            if not kernels.certify_pd(dict_gram, mode="pd").passed:
-                raise InputError(
-                    f"kernel {spec.label()!r} is not positive definite on "
-                    "this dictionary; sparse coding needs a pd kernel")
             atom_labels = dataset.labels[train_idx]
             columns = gram_matrix.values[test_idx[:, None], train_idx]
-            codes = kernel_sparse_code(
-                dict_gram, columns, gram_matrix.values[test_idx, test_idx],
-                config.lam, check_psd=False).codes
+            with _kernel_failures(f"sparse-code with kernel "
+                                  f"{spec.label()!r} on split seed {seed}"):
+                codes = kernel_sparse_code(
+                    gram_matrix.take(train_idx), columns,
+                    gram_matrix.values[test_idx, test_idx], config.lam).codes
             correct = fallback_count = 0
             for query, column, code in zip(test_idx, columns, codes):
                 try:

@@ -312,9 +312,9 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
     the result's `converged` and `kkt_residual` say which.  A code that
     is zero from the start takes one sweep.
 
-    Dictionaries whose Gram matrix is not positive semidefinite are
-    rejected; callers that certify once and code many queries can pass
-    check_psd=False to skip the repeated eigenvalue check.
+    Dictionaries whose Gram matrix does not certify positive definite
+    raise NotPositiveSemidefinite; check_psd=False waives the check for
+    a dictionary that is not psd on purpose.
     """
     kmat = dict_gram.values
     n = kmat.shape[0]

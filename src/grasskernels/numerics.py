@@ -3,8 +3,9 @@
 Validation, SVD failure reporting, the rank tolerance and the overflow
 check on a Gram's squared feature distances live here.  Gram
 assembly and certification take their determinants and eigenvalues from
-these helpers; the principal-angle SVD in `grassmann` and the
-eigendecomposition in `machines.klsh` still call numpy directly.
+these helpers; the principal-angle SVD in `grassmann`, the
+eigendecomposition in `machines.klsh` and the active-set solves in
+`machines.sparse` still call numpy directly.
 """
 
 import numpy as np
@@ -92,10 +93,12 @@ def orthonormalize(m):
 
 
 def symmetric_eigenvalues(m):
-    """Eigenvalues of the symmetric part (m + m.T) / 2, ascending."""
-    m = as_matrix(m)
+    """Eigenvalues of the symmetric part (m + m.T) / 2, ascending.  m is
+    halved before the sum, which then cannot overflow.  Raises
+    NumericalOverflow when an eigenvalue leaves the float range."""
+    m = as_matrix(m) / 2.0
     _require_square(m, "eigenvalue computation")
-    return np.linalg.eigvalsh((m + m.T) / 2.0)
+    return require_finite(np.linalg.eigvalsh(m + m.T), "eigenvalues")
 
 
 def determinant(m):

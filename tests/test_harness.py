@@ -934,6 +934,46 @@ def test_overflowing_kernel_values_exit_2(task, token, tmp_path, capsys):
     assert "seed 0: " in err[0] and " overflow a float; " in err[0]
 
 
+# the section of each task that first meets the kernel's values; bench
+# reaches its svm section first
+_FIRST_FAILURE = {
+    "pd-check": "pd-check with kernel {label!r}: ",
+    "sparse-code": "sparse-code with kernel {label!r} on split seed 1: ",
+    "svm": "svm with kernel {label!r} on split seed 1: ",
+    "cluster": "cluster with kernel {label!r} on seed 1: ",
+    "bench": "svm with kernel {label!r} on split seed 1: ",
+}
+
+
+@pytest.mark.parametrize("task", [task for task in TASKS
+                                  if task not in ("generate",
+                                                  "counterexample")])
+def test_no_dataset_task_crashes_on_overflowing_kernel_values(task, tmp_path,
+                                                              capsys):
+    """At rbf beta=354.8 the default data's Gram reaches 1.5e308.  Every
+    task that certifies it or runs a machine on it exits 2 with one error
+    line naming the task, the kernel and the seed it was on; gram and hash
+    still exit 0.  pd-check and sparse-code once ended in a LinAlgError
+    traceback from the certification's eigenvalues."""
+    token = "rbf:projection:beta=354.8"
+    out = tmp_path / "out"
+    code = cli.main([task, "--kernels", token, "--seeds", "1,0",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    if task not in _FIRST_FAILURE:
+        assert code == 0 and captured.err == ""
+        return
+    assert code == 2 and captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    label = kernels.parse_kernel_token(token, 2).label()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "error: " + _FIRST_FAILURE[task].format(label=label))
+    assert err[0].endswith(
+        " overflow a float; kernel values this large need a smaller "
+        "parameter")
+
+
 def test_cli_options_match_config_fields(capsys):
     """One parser takes every task, then --config and one flag per config
     field, dashed, each with help text; --help lists the tasks and every

@@ -12,7 +12,7 @@ import pytest
 
 from grasskernels import numerics
 from grasskernels.exceptions import (ConvergenceFailure, DimensionMismatch,
-                                     RankDeficient)
+                                     NumericalOverflow, RankDeficient)
 
 
 def leibniz_det(m):
@@ -178,3 +178,31 @@ class TestSymmetricEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             numerics.symmetric_eigenvalues(np.ones((2, 3)))
+
+    def test_halving_first_keeps_finite_results(self):
+        """On Grams and their doubly centered products J K J with finite
+        entries, some with a norm near half the largest float, halving
+        before the sum gives the eigenvalues of (m + m.T) / 2 bit for
+        bit."""
+        rng = np.random.default_rng(43)
+        for trial in range(100):
+            n = int(rng.integers(2, 30))
+            x = rng.standard_normal((n, int(rng.integers(1, 8))))
+            gram = x @ x.T
+            # the Frobenius norm bounds each entry and eigenvalue of both
+            gram *= [1.0, 1e-150, 1e150,
+                     8e307 / np.linalg.norm(gram)][trial % 4]
+            centering = np.eye(n) - np.full((n, n), 1.0 / n)
+            for m in (gram, centering @ gram @ centering):
+                assert np.array_equal(numerics.symmetric_eigenvalues(m),
+                                      np.linalg.eigvalsh((m + m.T) / 2.0))
+
+    def test_entries_past_half_the_largest_float(self):
+        """m + m.T overflows on both.  Halving first keeps the diagonal's
+        eigenvalues exact, and the other's largest, 2e308, is reported as
+        an overflow, not as the NaN eigenvalues of the unhalved sum."""
+        np.testing.assert_array_equal(
+            numerics.symmetric_eigenvalues(np.diag([1e308, 1e308])),
+            [1e308, 1e308])
+        with pytest.raises(NumericalOverflow, match="eigenvalues"):
+            numerics.symmetric_eigenvalues(np.full((2, 2), 1e308))
