@@ -58,10 +58,6 @@ class NotPositiveSemidefinite(GrassError):
     """A Gram matrix required to be positive semidefinite is not."""
 
 
-class InvalidDimensions(GrassError):
-    """Requested dimensions are not realizable."""
-
-
 class NumericalOverflow(GrassError):
     """An intermediate result left the range of a float."""
 

@@ -244,13 +244,6 @@ def plucker_embed(x):
     return PluckerVector(coords)
 
 
-def projection_embed(x):
-    """The orthogonal projector x @ x.T as an explicit d x d embedding."""
-    if not isinstance(x, Subspace):
-        raise TypeError("expected a Subspace")
-    return x.projector()
-
-
 def compound_matrix(m, q):
     """Matrix of all q x q minors of m, rows and columns lexicographic.
 

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import numerics
-from ..exceptions import (DimensionMismatch, InputError, InvalidDimensions,
+from ..exceptions import (DimensionMismatch, InputError, InsufficientData,
                           RankDeficient)
 from ..grassmann import Subspace, random_subspace, tilt_subspace
 from .reports import write_text
@@ -203,11 +203,11 @@ def generate_planted(d, p, classes, per_class, noise_angle, seed=0,
     independent angle drawn uniformly from [0, noise_angle].
     """
     if not 0 < p < d:
-        raise InvalidDimensions(f"need 0 < p < d, got d={d}, p={p}")
+        raise DimensionMismatch(f"need 0 < p < d, got d={d}, p={p}")
     if classes < 1 or per_class < 1:
-        raise InvalidDimensions("need at least one class and one member")
+        raise InsufficientData("need at least one class and one member")
     if not 0.0 <= noise_angle < math.pi / 2:
-        raise InvalidDimensions(
+        raise ValueError(
             f"noise_angle must lie in [0, pi/2), got {noise_angle}")
     rng = np.random.default_rng(seed)
     if classes * p <= d:

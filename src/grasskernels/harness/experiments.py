@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernels
+from .. import __version__, kernels
 from ..exceptions import (ConvergenceFailure, InputError,
                           InvalidKernelParameter, NotPositiveSemidefinite,
                           NumericalOverflow, ZeroCode)
@@ -26,7 +26,7 @@ from ..machines import (kernel_sparse_code, kkmeans, klsh_build,
 from . import datasets as ds_mod
 from .reports import ReportBuilder, format_float, write_text
 
-GENERATOR = "grasskernels 0.1.0"
+GENERATOR = f"grasskernels {__version__}"
 
 # the counterexample matrix is a fixed regression target; its smallest
 # eigenvalue must land in this window

@@ -231,16 +231,15 @@ class KernelSpec:
 def parse_kernel_token(token, p):
     """Parse a compact token like 'rbf:projection:beta=0.5'.
 
-    Grammar: family:embedding[:alpha=A][:beta=B].  Embedding accepts the
-    aliases understood by KernelSpec.
+    Grammar: family:embedding[:alpha=A][:beta=B], each parameter given at
+    most once.  Embedding accepts the aliases understood by KernelSpec.
     """
     parts = [part.strip() for part in str(token).split(":")]
     if len(parts) < 2:
         raise InvalidKernelParameter(
             f"kernel token {token!r} needs at least family:embedding")
     family, embedding = parts[0], parts[1]
-    alpha = None
-    beta = None
+    params = {}
     for part in parts[2:]:
         key, eq, value = part.partition("=")
         if not eq:
@@ -251,15 +250,14 @@ def parse_kernel_token(token, p):
         except ValueError:
             raise InvalidKernelParameter(
                 f"kernel token parameter {part!r} has a non-numeric value")
-        if key == "alpha":
-            alpha = value
-        elif key == "beta":
-            beta = value
-        else:
+        if key not in ("alpha", "beta"):
             raise InvalidKernelParameter(
                 f"kernel token parameter {key!r} not recognized")
-    return KernelSpec(embedding=embedding, family=family, p=p,
-                      alpha=alpha, beta=beta)
+        if key in params:
+            raise InvalidKernelParameter(
+                f"kernel token parameter {key!r} is given twice")
+        params[key] = value
+    return KernelSpec(embedding=embedding, family=family, p=p, **params)
 
 
 def cross_gram(spec, queries, refs):

@@ -14,8 +14,6 @@ import numpy as np
 
 from ..exceptions import InsufficientData
 
-DEFAULT_ANCHORS = 30
-
 # eigenvalues below this are treated as zero when inverting
 EIGENVALUE_FLOOR = 1e-10
 
@@ -66,7 +64,7 @@ def _whitened_weights(k, anchor_indices, indicators):
     return weights
 
 
-def klsh_build(gram_matrix, bits, anchors=DEFAULT_ANCHORS, seed=0):
+def klsh_build(gram_matrix, bits, anchors, seed=0):
     """Build a hash family from the Gram matrix of the database.
 
     For every bit, `anchors` database points are drawn without

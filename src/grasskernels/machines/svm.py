@@ -123,7 +123,7 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
         raise ValueError("labels must be -1 or +1")
     if np.any(np.all(y == y[..., :1], axis=-1)):
         raise DegenerateLabels("training labels contain a single class")
-    if not c > 0.0:
+    if not 0.0 < c < np.inf:
         raise ValueError(f"penalty c must be positive, got {c}")
 
     # every pair's curvature K_ii + K_jj - 2 K_ij, floored, built once

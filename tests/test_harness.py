@@ -16,7 +16,7 @@ import grasskernels
 from grasskernels import grassmann, kernels
 from grasskernels.harness import datasets as ds_mod
 from grasskernels.exceptions import (DimensionMismatch, InputError,
-                                     InvalidDimensions, RankDeficient)
+                                     InsufficientData, RankDeficient)
 from grasskernels.grassmann import Subspace
 from grasskernels.harness import cli, experiments
 from grasskernels.harness.config import (TASK_DESCRIPTIONS, TASKS,
@@ -158,13 +158,13 @@ def test_generate_planted_geometry():
 
 
 def test_generate_planted_guards_and_warning():
-    with pytest.raises(InvalidDimensions):
+    with pytest.raises(DimensionMismatch):
         generate_planted(d=4, p=4, classes=2, per_class=2, noise_angle=0.1)
-    with pytest.raises(InvalidDimensions):
+    with pytest.raises(InsufficientData):
         generate_planted(d=4, p=2, classes=0, per_class=2, noise_angle=0.1)
-    with pytest.raises(InvalidDimensions):
+    with pytest.raises(InsufficientData):
         generate_planted(d=4, p=2, classes=2, per_class=0, noise_angle=0.1)
-    with pytest.raises(InvalidDimensions):
+    with pytest.raises(ValueError):
         generate_planted(d=4, p=2, classes=2, per_class=2,
                          noise_angle=math.pi / 2)
     with pytest.warns(UserWarning):
@@ -869,6 +869,7 @@ BAD_FILES = {
     ["hash", "--bits", "5,5"],
     ["svm", "--kernels", "linear:bc,linear:bc"],
     ["svm", "--kernels", "catalog,linear:bc"],
+    ["svm", "--kernels", "rbf:projection:beta=0.5:beta=2", "--seeds", "0"],
     # every binomial:projection beta must exceed p, so 0.1 leaves no
     # tuning candidate
     ["svm", "--tune", "--kernels", "binomial:projection:alpha=1:beta=3",

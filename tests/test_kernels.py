@@ -195,6 +195,8 @@ def test_parse_token_errors():
     for bad in ("linear", "rbf:bc:beta", "rbf:bc:beta=abc", "rbf:bc:gamma=1"):
         with pytest.raises(InvalidKernelParameter):
             parse_kernel_token(bad, 2)
+    with pytest.raises(InvalidKernelParameter, match="'beta' is given twice"):
+        parse_kernel_token("rbf:projection:beta=0.5:beta=2", 2)
 
 
 def test_kv_round_trip():

@@ -152,8 +152,9 @@ def test_svm_error_paths():
         svm_train(g, [0.0, 1.0])
     with pytest.raises(DimensionMismatch):
         svm_train(g, [1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        svm_train(g, [1.0, -1.0], c=0.0)
+    for c in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            svm_train(g, [1.0, -1.0], c=c)
 
 
 def test_svm_budget_exhaustion_reports_gap():
@@ -889,8 +890,9 @@ def test_sparse_error_paths():
            for i in range(4)]
     g = gram(RBF_PROJ, pts)
     column = g.values[0]
-    with pytest.raises(ValueError):
-        kernel_sparse_code(g, column, 1.0, lam=0.0)
+    for lam in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            kernel_sparse_code(g, column, 1.0, lam=lam)
     with pytest.raises(DimensionMismatch):
         kernel_sparse_code(g, column[:2], 1.0, lam=0.1)
     lines = [line(k * math.pi / 4.0) for k in range(4)]
