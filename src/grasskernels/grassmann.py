@@ -65,10 +65,6 @@ class Subspace:
         """The orthogonal projector onto the subspace, a d x d matrix."""
         return self.basis @ self.basis.T
 
-    def rotated(self, rotation):
-        """The same subspace under a p x p orthogonal change of basis."""
-        return Subspace(self.basis @ numerics.as_matrix(rotation))
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -105,10 +101,6 @@ class PrincipalAngles:
 
     def __len__(self):
         return self.angles.size
-
-    def norm(self):
-        """Euclidean norm of the angle vector."""
-        return float(np.linalg.norm(self.angles))
 
 
 @dataclass(frozen=True)
@@ -209,21 +201,6 @@ def bc_inner(x, y):
 def proj_inner(x, y):
     """Squared Frobenius norm of x.T @ y, the sum of squared cosines."""
     return float(similarity("projection", [x], [y])[0, 0])
-
-
-def bc_distance_sq(x, y):
-    """Squared chordal distance induced by the determinant similarity.
-
-    Defined as 2 - 2 * |det(x.T @ y)|; zero exactly when the subspaces
-    coincide and at most 2 when they share no direction.
-    """
-    return 2.0 - 2.0 * bc_inner(x, y)
-
-
-def proj_distance_sq(x, y):
-    """Squared distance between orthogonal projectors, 2p - 2 * proj_inner."""
-    _check_pair(x, y)
-    return 2.0 * x.p - 2.0 * proj_inner(x, y)
 
 
 def plucker_embed(x):

@@ -1,23 +1,1 @@
 """Experiment harness: datasets, configuration, experiments and the CLI."""
-
-from .config import ExperimentConfig, build_config, load_config_file
-from .datasets import (Dataset, generate_planted, load_dataset,
-                       parse_dataset, save_dataset, serialize_dataset,
-                       stratified_split, subspace_from_samples)
-from .experiments import ExperimentResult, run_experiment
-
-__all__ = [
-    "Dataset",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "build_config",
-    "generate_planted",
-    "load_config_file",
-    "load_dataset",
-    "parse_dataset",
-    "run_experiment",
-    "save_dataset",
-    "serialize_dataset",
-    "stratified_split",
-    "subspace_from_samples",
-]

@@ -10,6 +10,7 @@ asserts certification only of the kernels that theory calls pd or cpd.
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 
 from ..exceptions import InputError, InvalidKernelParameter
@@ -51,9 +52,14 @@ def main(argv=None):
     task = args.pop("task")
     config_path = args.pop("config")
     try:
-        file_values = load_config_file(config_path) if config_path else {}
-        config = build_config(task, file_values, args)
-        result = run_experiment(config)
+        with warnings.catch_warnings():
+            # a library warning prints as one line, without its source
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            file_values = (load_config_file(config_path) if config_path
+                           else {})
+            config = build_config(task, file_values, args)
+            result = run_experiment(config)
         sys.stdout.write(result.text)
         return 0 if result.passed else 1
     except (InputError, InvalidKernelParameter, OSError) as exc:

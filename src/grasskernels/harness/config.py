@@ -184,7 +184,7 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path!r}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

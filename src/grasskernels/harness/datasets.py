@@ -188,7 +188,7 @@ def load_dataset(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_dataset(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset {path!r}: {exc}") from exc
 
 

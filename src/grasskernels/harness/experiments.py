@@ -19,10 +19,12 @@ from .. import __version__, kernels
 from ..exceptions import (ConvergenceFailure, InputError,
                           InvalidKernelParameter, NotPositiveSemidefinite,
                           NumericalOverflow, ZeroCode)
-from ..machines import (kernel_sparse_code, kkmeans, klsh_build,
-                        klsh_hash_gram, normalized_mutual_information,
-                        clustering_accuracy, sparse_code_classify,
-                        svm_decision_from_rows, svm_train)
+from ..machines.kkmeans import kkmeans
+from ..machines.klsh import klsh_build, klsh_hash_gram
+from ..machines.metrics import (clustering_accuracy,
+                                normalized_mutual_information)
+from ..machines.sparse import kernel_sparse_code, sparse_code_classify
+from ..machines.svm import svm_decision_from_rows, svm_train
 from . import datasets as ds_mod
 from .reports import ReportBuilder, format_float, write_text
 
@@ -185,8 +187,11 @@ def _safe_filename(label):
 
 def gram_csv_text(spec, gram_matrix, fingerprint):
     """A Gram matrix as CSV under a line naming its kernel and dataset."""
-    fields = spec.to_kv().replace("\n", " ")
-    lines = [f"# format_version=1 {fields} fingerprint={fingerprint}"]
+    alpha, beta = ("" if v is None else repr(v)
+                   for v in (spec.alpha, spec.beta))
+    lines = [f"# format_version=1 embedding={spec.embedding} "
+             f"family={spec.family} alpha={alpha} beta={beta} "
+             f"fingerprint={fingerprint}"]
     for row in gram_matrix.values:
         lines.append(",".join(format_float(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -220,13 +220,6 @@ class KernelSpec:
             parts.append(f"beta={self.beta!r}")
         return ":".join(parts)
 
-    def to_kv(self):
-        """Key=value record, one field per line, empty value for unset."""
-        alpha = "" if self.alpha is None else repr(self.alpha)
-        beta = "" if self.beta is None else repr(self.beta)
-        return (f"embedding={self.embedding}\nfamily={self.family}\n"
-                f"alpha={alpha}\nbeta={beta}")
-
 
 def parse_kernel_token(token, p):
     """Parse a compact token like 'rbf:projection:beta=0.5'.
@@ -409,22 +402,9 @@ def certify_pd(gram_matrix, mode="pd"):
                                passed=bool(lo >= -PD_TOLERANCE * hi))
 
 
-def geodesic_rbf_pseudo_kernel(x, y, beta=1.0):
-    """exp(-beta * geodesic^2): a similarity that is NOT a kernel.
-
-    Despite its Gaussian look this function fails to be positive
-    definite on the manifold; see counterexample_gram for four subspaces
-    whose matrix has a negative eigenvalue.  Provided for comparison
-    studies, never for training.
-    """
-    if not beta > 0.0:
-        raise InvalidKernelParameter(f"beta must be positive, got {beta}")
-    return math.exp(-beta * grassmann.geodesic_distance(x, y) ** 2)
-
-
 # Four bases on the manifold of 2-planes in R^3, printed to four decimal
 # places.  Re-orthonormalized on use, they witness the indefiniteness of
-# the geodesic Gaussian above.
+# the geodesic Gaussian exp(-geodesic^2) (see counterexample_gram).
 COUNTEREXAMPLE_BASES = (
     ((1.0, 0.0),
      (0.0, 1.0),

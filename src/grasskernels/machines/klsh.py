@@ -38,10 +38,6 @@ class HashFamily:
     def bit_count(self):
         return self.anchor_indices.shape[0]
 
-    @property
-    def anchor_count(self):
-        return self.anchor_indices.shape[1]
-
 
 def _whitened_weights(k, anchor_indices, indicators):
     """(anchors, bits) projection weights: column b is K_SS^{-1/2} times

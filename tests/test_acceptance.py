@@ -34,11 +34,12 @@ from grasskernels.harness.config import build_config
 from grasskernels.harness.datasets import generate_planted, stratified_split
 from grasskernels.harness.experiments import (default_catalog_tokens,
                                               run_experiment)
-from grasskernels.machines import (kernel_sparse_code, kkmeans, klsh_build,
-                                   klsh_hash_gram,
-                                   normalized_mutual_information,
-                                   sparse_code_classify, svm_train)
-from grasskernels.machines.svm import svm_decision_from_rows
+from grasskernels.machines.kkmeans import kkmeans
+from grasskernels.machines.klsh import klsh_build, klsh_hash_gram
+from grasskernels.machines.metrics import normalized_mutual_information
+from grasskernels.machines.sparse import (kernel_sparse_code,
+                                          sparse_code_classify)
+from grasskernels.machines.svm import svm_decision_from_rows, svm_train
 
 RBF_PROJ = "rbf:projection:beta=0.5"
 

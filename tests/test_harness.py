@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from grasskernels.harness.experiments import (DEFAULT_KERNEL,
                                               gram_csv_text, run_experiment)
 from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
-from grasskernels.machines import klsh_build, klsh_hash_gram, svm_train
+from grasskernels.machines import kkmeans as kkmeans_mod
+from grasskernels.machines.klsh import klsh_build, klsh_hash_gram
+from grasskernels.machines.svm import svm_train
 
 # ------------------------------------------------------------- datasets
 
@@ -537,9 +541,7 @@ def test_cluster_report_lists_lloyd_counters(monkeypatch):
     items = _items(run_experiment(config).text)
     assert items["lloyd_iterations"] == "1 0 0"
     assert items["unconverged_restarts"] == "0 0 0"
-    monkeypatch.setattr(importlib.import_module("grasskernels.machines."
-                                                "kkmeans"),
-                        "MAX_ITERATIONS", 0)
+    monkeypatch.setattr(kkmeans_mod, "MAX_ITERATIONS", 0)
     items = _items(run_experiment(config).text)
     assert items["lloyd_iterations"] == "0 0 0"
     assert items["unconverged_restarts"] == "1 1 0"
@@ -829,9 +831,10 @@ def test_pd_check_default_catalog_verdict(tmp_path, capsys):
 # hand-written dataset and config files the exit-2 test below names
 BAD_FILES = {
     "name-with-equals.txt":
-        "format_version=1\nname=a=b\nd=3\np=1\nn=1\nsubspace=1 0 0\n",
-    "no-points.txt": "format_version=1\nname=empty\nd=3\np=1\nn=0\n",
-    "no-bits.cfg": "bits=\n",
+        b"format_version=1\nname=a=b\nd=3\np=1\nn=1\nsubspace=1 0 0\n",
+    "no-points.txt": b"format_version=1\nname=empty\nd=3\np=1\nn=0\n",
+    "no-bits.cfg": b"bits=\n",
+    "not-utf8.bin": b"\xff\xfe\x00bad",
 }
 
 
@@ -866,6 +869,8 @@ BAD_FILES = {
     ["svm", "--dataset", "no-points.txt"],
     ["hash", "--bits", ""],
     ["hash", "--config", "no-bits.cfg"],
+    ["svm", "--dataset", "not-utf8.bin"],
+    ["svm", "--config", "not-utf8.bin"],
     ["hash", "--bits", "5,5"],
     ["svm", "--kernels", "linear:bc,linear:bc"],
     ["svm", "--kernels", "catalog,linear:bc"],
@@ -884,13 +889,32 @@ def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
     them once exited 1 with a traceback or 0 with a bogus report."""
     inputs = tmp_path_factory.mktemp("inputs")
     for name, text in BAD_FILES.items():
-        (inputs / name).write_text(text)
+        (inputs / name).write_bytes(text)
     argv = [str(inputs / arg) if arg in BAD_FILES else arg
             for arg in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not os.listdir(tmp_path)
+
+
+def test_cli_prints_a_library_warning_as_one_line(tmp_path, capsys):
+    """A library warning reaches stderr as one `warning:` line, without
+    the source location and source line that Python's default format
+    adds; stdout is the same as with the warning ignored."""
+    argv = ["generate", "--d", "6", "--p", "2", "--classes", "6",
+            "--per-class", "20", "--noise-angle", "0.9", "--seed", "3",
+            "--out", str(tmp_path / "hard.txt")]
+    assert cli.main(argv) == 0
+    warned = capsys.readouterr()
+    assert warned.err == (
+        "warning: classes * p = 12 exceeds d = 6; prototypes cannot be "
+        "mutually orthogonal and are drawn independently\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == "" and warned.out == quiet.out != ""
 
 
 def test_svm_out_of_iterations_exits_2(monkeypatch, tmp_path, capsys):
@@ -1065,6 +1089,21 @@ def test_traced_benchmark_names_resolve():
     for module, attr in names:
         function = getattr(importlib.import_module(module), attr, None)
         assert callable(function), f"{module}.{attr}"
+
+
+def test_packages_bind_only_submodules():
+    """One import path per name: the package modules bind no public name
+    but their submodules (and the root's `__version__`), so a submodule
+    is never hidden by a function of the same name."""
+    import grasskernels.harness.cli
+    import grasskernels.machines.kkmeans as kkmeans_module
+    assert isinstance(kkmeans_module, types.ModuleType)
+    for package in (grasskernels, grasskernels.machines,
+                    grasskernels.harness):
+        for name, value in vars(package).items():
+            if not name.startswith("_"):
+                assert isinstance(value, types.ModuleType), name
+                assert value.__name__ == f"{package.__name__}.{name}"
 
 
 def test_package_imports_no_scipy():

@@ -14,13 +14,12 @@ import pytest
 from grasskernels import grassmann
 from grasskernels.exceptions import DimensionMismatch, InvalidKernelParameter
 from grasskernels.grassmann import Subspace, subspace_pair_with_angles
-from grasskernels.harness.experiments import default_catalog_tokens
+from grasskernels.harness.experiments import (default_catalog_tokens,
+                                              gram_csv_text)
 from grasskernels.kernels import (GramMatrix, KernelSpec, certify_pd,
                                   counterexample_gram,
                                   counterexample_subspaces, cross_gram,
-                                  evaluate,
-                                  geodesic_rbf_pseudo_kernel, gram, grams,
-                                  parse_kernel_token)
+                                  evaluate, gram, grams, parse_kernel_token)
 
 CATALOG = (
     "baseline:bc", "linear:bc", "polynomial:bc:alpha=2:beta=0.5",
@@ -35,6 +34,11 @@ CATALOG = (
 
 def line(t):
     return Subspace([[math.cos(t)], [math.sin(t)]])
+
+
+def geodesic_gaussian(x, y):
+    """exp(-geodesic^2), the map counterexample_gram applies."""
+    return math.exp(-grassmann.geodesic_distance(x, y) ** 2)
 
 
 def four_lines():
@@ -200,8 +204,11 @@ def test_parse_token_errors():
 
 
 def test_kv_round_trip():
+    """A Gram CSV header names the kernel's fields, empty when unset."""
     spec = KernelSpec("proj", "rbf", 2, beta=0.5)
-    assert spec.to_kv() == "embedding=projection\nfamily=rbf\nalpha=\nbeta=0.5"
+    text = gram_csv_text(spec, GramMatrix(np.eye(2)), "f")
+    assert text.splitlines()[0] == ("# format_version=1 embedding=projection "
+                                    "family=rbf alpha= beta=0.5 fingerprint=f")
 
 
 # ---------------------------------------------------------- evaluation
@@ -507,14 +514,11 @@ def test_certification_regression_on_sampled_subspaces():
 
 def test_geodesic_pseudo_kernel():
     x, y = line(0.0), line(0.6)
-    assert geodesic_rbf_pseudo_kernel(x, x) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(geodesic_rbf_pseudo_kernel(x, y),
-                               geodesic_rbf_pseudo_kernel(y, x), rtol=1e-12)
-    np.testing.assert_allclose(geodesic_rbf_pseudo_kernel(x, y),
-                               math.exp(-0.36), rtol=1e-10)
-    for bad in (0.0, -1.0):
-        with pytest.raises(InvalidKernelParameter):
-            geodesic_rbf_pseudo_kernel(x, y, beta=bad)
+    assert geodesic_gaussian(x, x) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(geodesic_gaussian(x, y),
+                               geodesic_gaussian(y, x), rtol=1e-12)
+    np.testing.assert_allclose(geodesic_gaussian(x, y), math.exp(-0.36),
+                               rtol=1e-10)
 
 
 def test_counterexample_gram():
@@ -534,5 +538,5 @@ def test_counterexample_gram():
     assert all(distances[i, j] == grassmann.geodesic_distance(x, y)
                for i, x in enumerate(pts) for j, y in enumerate(pts))
     np.testing.assert_allclose(
-        g.values, [[geodesic_rbf_pseudo_kernel(x, y) for y in pts]
-                   for x in pts], rtol=1e-15, atol=0)
+        g.values, [[geodesic_gaussian(x, y) for y in pts] for x in pts],
+        rtol=1e-15, atol=0)
