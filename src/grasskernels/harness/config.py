@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from typing import Tuple, get_args, get_origin, get_type_hints
 
 from ..exceptions import InputError
+from .datasets import NAME_RULE, name_round_trips
 
 # each task with its description in `grasskernels --help`
 TASK_DESCRIPTIONS = {
@@ -51,8 +52,7 @@ class ExperimentConfig:
     out: str = _option("", "output path (report file; directory for gram; "
                            "dataset file for generate)")
     name: str = _option("", "name for generated data",
-                        ("be one line without '='",
-                         lambda v: "\n" not in v and "=" not in v))
+                        (NAME_RULE, name_round_trips))
     seed: int = _option(0, "generation seed", _at_least(0))
     seeds: Tuple[int, ...] = _option(
         (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),

@@ -12,8 +12,11 @@ A dataset file is line oriented:
     ... one subspace line per point ...
 
 The labels line is omitted for unlabeled data.  Serialization is
-canonical, so the identical Dataset always produces byte-identical text,
-and the dataset fingerprint is the sha256 of exactly that text.
+canonical, so the identical Dataset always produces byte-identical text.
+The dataset fingerprint identifies what the text encodes, not its bytes:
+it is a sha256 over the parsed name, sizes, labels and bases (see
+`Dataset.fingerprint`), so two files that parse to the same arrays share
+it, and a loaded file is fingerprinted without being written out again.
 """
 
 import functools
@@ -59,9 +62,9 @@ class Dataset:
                     f"need {len(subspaces)} labels, got {labels.shape}")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
-        if "\n" in self.name or "=" in self.name:
-            raise ValueError("dataset names must be single-line and "
-                             "free of '='")
+        if not name_round_trips(self.name):
+            raise ValueError(f"dataset names must {NAME_RULE}, "
+                             f"got {self.name!r}")
 
     @property
     def n(self):
@@ -77,8 +80,29 @@ class Dataset:
 
     @functools.cached_property
     def fingerprint(self):
-        """sha256 of the canonical serialization, computed once."""
-        return _text_fingerprint(serialize_dataset(self))
+        """sha256 of the parsed content, computed once.
+
+        The hashed bytes are, in order: the UTF-8 name, preceded by its
+        byte length; n, d, p and a labels-present flag; the labels, if
+        present; then each basis in column-major order, the order of its
+        subspace line.  Integers are little-endian int64 and basis
+        entries little-endian float64.  The text format writes every
+        float so that it parses back to the same bits, so a dataset keeps
+        its fingerprint through `save_dataset` and `load_dataset`.
+        """
+        name = self.name.encode("utf-8")
+        has_labels = self.labels is not None
+        digest = hashlib.sha256(np.array([len(name)], "<i8").tobytes())
+        digest.update(name)
+        digest.update(np.array([self.n, self.d, self.p, has_labels],
+                               "<i8").tobytes())
+        if has_labels:
+            digest.update(self.labels.astype("<i8", copy=False).tobytes())
+        # transposed, each C-ordered (p, d) block is one basis in
+        # column-major order
+        bases = np.stack([x.basis.T for x in self.subspaces])
+        digest.update(bases.astype("<f8", copy=False).tobytes())
+        return digest.hexdigest()
 
     @property
     def class_count(self):
@@ -87,8 +111,14 @@ class Dataset:
         return int(np.unique(self.labels).size)
 
 
-def _text_fingerprint(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+NAME_RULE = "be one line without '=' or surrounding whitespace"
+
+
+def name_round_trips(name):
+    """Whether `parse_dataset` reads `name` back unchanged from its
+    `name=` line, which it splits into lines and strips."""
+    return ("=" not in name and name == name.strip()
+            and len(name.splitlines()) <= 1)
 
 
 def serialize_dataset(dataset):
@@ -177,11 +207,8 @@ def parse_dataset(text):
 
 
 def save_dataset(dataset, path):
-    """Write the dataset's canonical text to `path`; returns the
-    fingerprint of that text, which is `dataset.fingerprint`."""
-    text = serialize_dataset(dataset)
-    write_text(path, text)
-    return _text_fingerprint(text)
+    """Write the dataset's canonical text to `path`."""
+    write_text(path, serialize_dataset(dataset))
 
 
 def load_dataset(path):

@@ -156,10 +156,10 @@ def _split(dataset, config, seed):
                                    np.random.default_rng([seed]))
 
 
-def _dataset_items(dataset, fingerprint):
+def _dataset_items(dataset):
     return [("dataset_name", dataset.name), ("n", dataset.n),
             ("d", dataset.d), ("p", dataset.p),
-            ("fingerprint", fingerprint)]
+            ("fingerprint", dataset.fingerprint)]
 
 
 @contextlib.contextmanager
@@ -534,9 +534,9 @@ def _run_hash(config, dataset, specs, grams, report):
 def _run_generate(config, report):
     dataset = _resolve_dataset(config)
     path = config.out or f"{dataset.name}.txt"
-    fingerprint = ds_mod.save_dataset(dataset, path)
-    report.add_section("result", _dataset_items(dataset, fingerprint)
-                       + [("file", path)], label="generate")
+    ds_mod.save_dataset(dataset, path)
+    report.add_section("result", _dataset_items(dataset) + [("file", path)],
+                       label="generate")
     return True
 
 
@@ -587,8 +587,7 @@ def run_experiment(config):
     else:
         dataset = _resolve_dataset(config)
         _check_inputs(config, dataset)
-        report.add_section("dataset",
-                           _dataset_items(dataset, dataset.fingerprint))
+        report.add_section("dataset", _dataset_items(dataset))
         default = "catalog" if config.task == "pd-check" else DEFAULT_KERNEL
         specs = _resolve_kernels(config.kernels or (default,), dataset.p)
         needed = specs

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import struct
 import subprocess
 import sys
 import types
@@ -42,11 +43,32 @@ from grasskernels.machines.svm import svm_train
 
 
 def test_fingerprint_is_pinned():
-    """The canonical text, and so every recorded fingerprint, stays put."""
+    """The fingerprint covers the parsed content: the name, n, d, p, the
+    labels and every basis entry, so every recorded fingerprint stays put
+    while generation and that layout do."""
     data = generate_planted(d=8, p=2, classes=2, per_class=20,
                             noise_angle=0.1, seed=0)
-    assert data.fingerprint == ("9a5437a3e63567dcce3663ca855835fa"
-                                "00527717002f1593aa758ad7b89e259b")
+    assert data.fingerprint == ("2ab2929cd1a1a09fa86fc5cb802dab83"
+                                "910b6479af2942def1a9760e14f2038c")
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_fingerprint_hashes_the_documented_layout(labeled):
+    """The length-prefixed UTF-8 name, then n, d, p and the labels flag,
+    the labels and each column-major basis, packed field by field."""
+    data = generate_planted(d=5, p=2, classes=2, per_class=3,
+                            noise_angle=0.2, seed=4, name="caf\u00e9 au lait")
+    if not labeled:
+        data = Dataset(subspaces=data.subspaces, name=data.name)
+    name = data.name.encode("utf-8")
+    packed = [struct.pack("<q", len(name)), name,
+              struct.pack("<4q", data.n, data.d, data.p, labeled)]
+    if labeled:
+        packed.append(struct.pack(f"<{data.n}q", *data.labels.tolist()))
+    for x in data.subspaces:
+        packed.append(struct.pack(f"<{data.d * data.p}d",
+                                  *x.basis.flatten(order="F").tolist()))
+    assert data.fingerprint == hashlib.sha256(b"".join(packed)).hexdigest()
 
 
 def test_dataset_round_trip_is_byte_identical():
@@ -94,8 +116,10 @@ def test_dataset_validation():
         Dataset(subspaces=(x,), labels=np.array([0, 1]))
     with pytest.raises(ValueError):
         Dataset(subspaces=(x,), name="bad=name")
-    with pytest.raises(ValueError):
-        Dataset(subspaces=(x,), name="two\nlines")
+    # each of these names would read back differently from its file
+    for name in ("two\nlines", "two\rlines", "abc ", " abc", "\tabc"):
+        with pytest.raises(ValueError):
+            Dataset(subspaces=(x,), name=name)
     plain = Dataset(subspaces=(x,))
     assert plain.class_count == 0
     labeled = Dataset(subspaces=(x, x), labels=np.array([3, 5]))
@@ -660,7 +684,7 @@ def test_bench_caps_hash_short_list_at_other_points():
     assert "\nmean_recall=1\n" in hash_section
 
 
-def test_task_run_serializes_its_dataset_once(monkeypatch):
+def test_task_run_never_serializes_its_dataset(monkeypatch):
     calls = []
 
     def counting(dataset):
@@ -671,7 +695,7 @@ def test_task_run_serializes_its_dataset_once(monkeypatch):
     run_experiment(build_config("svm", overrides={
         "d": "6", "p": "2", "classes": "2", "per_class": "4",
         "seeds": "0 1", "kernels": "linear:projection linear:bc"}))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def _count_gram_work(monkeypatch):
@@ -737,13 +761,16 @@ def test_generate_task_round_trip(tmp_path, monkeypatch):
     result = run_experiment(config)
     monkeypatch.undo()
     assert result.passed
-    # the file and the reported fingerprint come from one serialization
+    # writing the file is the one serialization, and the reported
+    # fingerprint is the one any later task run on the file reports
     assert len(serialized) == 1
     first = out.read_bytes()
     data = load_dataset(str(out))
     assert data.n == 6 and data.d == 5 and data.p == 2
     assert f"fingerprint={data.fingerprint}\n" in result.text
-    assert data.fingerprint == hashlib.sha256(first).hexdigest()
+    task = run_experiment(build_config("pd-check", overrides={
+        "dataset": str(out), "kernels": "linear:bc"}))
+    assert f"fingerprint={data.fingerprint}\n" in task.text
     run_experiment(config)
     assert out.read_bytes() == first
     with pytest.raises(InputError):
@@ -856,6 +883,8 @@ BAD_FILES = {
     ["svm", "--classes", "0"],
     ["svm", "--per-class", "0"],
     ["generate", "--name", "two=parts"],
+    ["generate", "--name", "abc "],
+    ["generate", "--name", " abc"],
     ["cluster", "--clusters", "41"],
     ["cluster", "--clusters", "-1"],
     ["svm", "--classes", "1"],

@@ -1,18 +1,21 @@
-"""Property tests: the kernel token grammar, the config parser and the
-dataset parser.
+"""Property tests: the kernel token grammar, the config parser, the
+dataset parser and the dataset fingerprint.
 
 Every draw is derandomized so the suite stays reproducible.
 """
 
 from dataclasses import fields
 
+import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from grasskernels import kernels
 from grasskernels.exceptions import InputError, InvalidKernelParameter
+from grasskernels.grassmann import Subspace, random_subspace
 from grasskernels.harness.config import ExperimentConfig, build_config
-from grasskernels.harness.datasets import Dataset, parse_dataset
+from grasskernels.harness.datasets import (Dataset, name_round_trips,
+                                           parse_dataset, serialize_dataset)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
@@ -124,3 +127,90 @@ def test_dataset_text_parses_or_raises_input_error(text):
     except InputError:
         return
     assert isinstance(dataset, Dataset)
+
+
+@st.composite
+def datasets(draw):
+    """A small dataset with random bases, any int64 labels or none, and
+    any name its file can hold."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    p = draw(st.integers(min_value=1, max_value=d - 1))
+    n = draw(st.integers(min_value=2, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    labels = draw(st.none() | st.lists(
+        st.integers(min_value=-2**63, max_value=2**63 - 1),
+        min_size=n, max_size=n))
+    return Dataset(
+        subspaces=tuple(random_subspace(d, p, rng) for _ in range(n)),
+        labels=labels, name=draw(st.text(max_size=10).filter(
+            name_round_trips)))
+
+
+@st.composite
+def loose_texts(draw, dataset):
+    """Text that parses to `dataset`'s arrays but reads differently: the
+    header lines in any order, comment and blank lines between lines,
+    surrounding and repeated whitespace, and other exact float forms."""
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    header = ["format_version=1", f"name={dataset.name}",
+              f"d={draw(space)}{dataset.d}", f"p={dataset.p}{draw(space)}",
+              f"n={dataset.n}"]
+    if dataset.labels is not None:
+        header.append("labels=" + draw(space).join(
+            str(v) for v in dataset.labels.tolist()))
+    writer = draw(st.sampled_from([repr, "{:.16e}".format,
+                                   "{:.17g}".format]))
+    body = ["subspace=" + draw(space).join(
+        writer(v) for v in x.basis.flatten(order="F").tolist())
+        for x in dataset.subspaces]
+    lines = []
+    for line in draw(st.permutations(header)) + body:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# a comment",
+                                                "  #x=1"]), max_size=2))
+        lines.append(draw(space) + line + draw(space))
+    return "\n".join(lines)
+
+
+@SETTINGS
+@given(st.data())
+def test_fingerprint_identifies_the_parsed_arrays(data):
+    dataset = data.draw(datasets())
+    fingerprint = dataset.fingerprint
+    assert parse_dataset(serialize_dataset(dataset)).fingerprint \
+        == fingerprint
+    assert parse_dataset(data.draw(loose_texts(dataset))).fingerprint \
+        == fingerprint
+
+    def changed(subspaces=dataset.subspaces, labels=dataset.labels,
+                name=dataset.name):
+        return Dataset(subspaces=subspaces, labels=labels,
+                       name=name).fingerprint
+
+    # one ulp on one basis entry
+    i = data.draw(st.integers(min_value=0, max_value=dataset.n - 1))
+    basis = dataset.subspaces[i].basis.copy()
+    row = data.draw(st.integers(min_value=0, max_value=dataset.d - 1))
+    col = data.draw(st.integers(min_value=0, max_value=dataset.p - 1))
+    basis[row, col] = np.nextafter(basis[row, col], np.inf)
+    bumped = list(dataset.subspaces)
+    bumped[i] = Subspace(basis)
+    assert changed(subspaces=tuple(bumped)) != fingerprint
+    # two subspaces swapped
+    j = data.draw(st.integers(min_value=0, max_value=dataset.n - 1)
+                  .filter(lambda j: j != i))
+    swapped = list(dataset.subspaces)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert changed(subspaces=tuple(swapped)) != fingerprint
+    # a changed name
+    assert changed(name=dataset.name + "x") != fingerprint
+    if dataset.labels is not None:
+        # a changed label
+        labels = dataset.labels.copy()
+        labels[i] = labels[i] - 1 if labels[i] > 0 else labels[i] + 1
+        assert changed(labels=labels) != fingerprint
+        # the labels line dropped
+        text = serialize_dataset(dataset)
+        unlabeled = "".join(line for line in text.splitlines(True)
+                            if not line.startswith("labels="))
+        assert parse_dataset(unlabeled).fingerprint != fingerprint
