@@ -50,10 +50,6 @@ class InsufficientData(GrassError):
     """Not enough data points for the requested construction."""
 
 
-class ZeroCode(GrassError):
-    """A sparse code with no nonzero coefficient cannot be classified."""
-
-
 class NotPositiveSemidefinite(GrassError):
     """A Gram matrix required to be positive semidefinite is not."""
 

@@ -226,8 +226,9 @@ def generate_planted(d, p, classes, per_class, noise_angle, seed=0,
     When classes * p <= d the prototypes are carved out of one Haar frame
     and are therefore mutually orthogonal; otherwise they are independent
     uniform draws and a warning notes the lost separation.  Each class
-    member is its prototype with every basis direction rotated by an
-    independent angle drawn uniformly from [0, noise_angle].
+    member is its prototype with its first min(p, d - p) basis directions
+    rotated by independent angles drawn uniformly from [0, noise_angle],
+    the others kept: on G(2, 3) one angle to the prototype stays 0.
     """
     if not 0 < p < d:
         raise DimensionMismatch(f"need 0 < p < d, got d={d}, p={p}")

@@ -18,7 +18,7 @@ import numpy as np
 from .. import __version__, kernels
 from ..exceptions import (ConvergenceFailure, InputError,
                           InvalidKernelParameter, NotPositiveSemidefinite,
-                          NumericalOverflow, ZeroCode)
+                          NumericalOverflow)
 from ..machines.kkmeans import kkmeans
 from ..machines.klsh import klsh_build, klsh_hash_gram
 from ..machines.metrics import (clustering_accuracy,
@@ -445,17 +445,12 @@ def _run_sparse(config, dataset, specs, grams, report):
                 codes = kernel_sparse_code(
                     gram_matrix.take(train_idx), columns,
                     gram_matrix.values[test_idx, test_idx], config.lam).codes
-            correct = fallback_count = 0
-            for query, column, code in zip(test_idx, columns, codes):
-                try:
-                    predicted = sparse_code_classify(code, atom_labels)
-                except ZeroCode:
-                    # empty code: fall back to the most similar atom
-                    fallback_count += 1
-                    predicted = atom_labels[int(np.argmax(column))]
-                correct += int(predicted == dataset.labels[query])
-            accuracies.append(correct / test_idx.size)
-            fallbacks.append(fallback_count)
+            predicted = [sparse_code_classify(code, atom_labels, column)
+                         for column, code in zip(columns, codes)]
+            accuracies.append(np.mean(dataset.labels[test_idx] == predicted))
+            # the codes classified by their most similar atom instead
+            fallbacks.append(sum(not np.any(np.abs(code.coefficients) > 0.0)
+                                 for code in codes))
             unconverged.append(sum(not code.converged for code in codes))
             train_items.append((f"train_indices_{seed}", _joined(train_idx)))
         [(mean, std)] = _seeded_result(

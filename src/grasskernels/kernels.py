@@ -383,15 +383,17 @@ class CertificationReport:
 def certify_pd(gram_matrix, mode="pd"):
     """Check a Gram matrix for (conditional) positive definiteness.
 
-    Passes when the smallest eigenvalue is no smaller than
-    -PD_TOLERANCE times the largest, which treats tiny negative
-    eigenvalues commensurate with roundoff as zero.
+    Passes when the smallest eigenvalue is at least -(PD_TOLERANCE times
+    the largest + n eps max|K|), K the uncentered Gram, which treats tiny
+    negative eigenvalues commensurate with roundoff as zero, also in a
+    matrix of roundoff alone, such as coincident points give in cpd mode.
     """
     if mode not in ("pd", "cpd"):
         raise ValueError(f"mode must be 'pd' or 'cpd', got {mode!r}")
     k = gram_matrix.values
+    n = k.shape[0]
+    roundoff = n * np.finfo(np.float64).eps * max(k.max(), -k.min())
     if mode == "cpd":
-        n = k.shape[0]
         centering = np.eye(n) - np.full((n, n), 1.0 / n)
         k = centering @ k @ centering
     eigenvalues = numerics.symmetric_eigenvalues(k)
@@ -399,7 +401,8 @@ def certify_pd(gram_matrix, mode="pd"):
     hi = float(eigenvalues[-1])
     return CertificationReport(mode=mode, min_eigenvalue=lo,
                                max_eigenvalue=hi, tolerance=PD_TOLERANCE,
-                               passed=bool(lo >= -PD_TOLERANCE * hi))
+                               passed=bool(lo >= -(PD_TOLERANCE * hi
+                                                   + roundoff)))
 
 
 # Four bases on the manifold of 2-planes in R^3, printed to four decimal

@@ -62,8 +62,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..exceptions import (DimensionMismatch, NotPositiveSemidefinite,
-                          ZeroCode)
+from ..exceptions import DimensionMismatch, NotPositiveSemidefinite
 from ..kernels import certify_pd
 
 MAX_SWEEPS = 10_000
@@ -352,18 +351,21 @@ def kernel_sparse_code(dict_gram, query_column, query_self, lam,
                        sweeps=sum(code.sweeps for code in codes))
 
 
-def sparse_code_classify(code, atom_labels):
+def sparse_code_classify(code, atom_labels, column):
     """Label of the atom with the largest absolute coefficient.
 
-    Ties go to the lowest atom index.  Raises ZeroCode when every
-    coefficient is zero, which signals that the penalty was too large
-    for the query.
+    Ties go to the lowest atom index.  A code with no nonzero
+    coefficient, which a penalty too large for the query gives, takes
+    the label of the atom most similar to the query instead: the largest
+    entry of its kernel `column`, ties again to the lowest index.
     """
     labels = np.asarray(atom_labels)
+    column = np.asarray(column)
     weight = np.abs(code.coefficients)
-    if labels.shape != weight.shape:
+    if labels.shape != weight.shape or column.shape != weight.shape:
         raise DimensionMismatch(
-            f"need {weight.size} atom labels, got {labels.shape}")
+            f"need {weight.size} atom labels and column entries, got "
+            f"shapes {labels.shape} and {column.shape}")
     if not np.any(weight > 0.0):
-        raise ZeroCode("all coefficients are zero; no atom to attribute")
+        weight = column
     return labels[int(np.argmax(weight))]

@@ -14,8 +14,7 @@ import pytest
 from grasskernels import numerics
 from grasskernels.exceptions import (DegenerateRatio, DimensionMismatch,
                                      EmbeddingTooLarge)
-from grasskernels.grassmann import (PluckerVector, PrincipalAngles, Subspace,
-                                    bc_inner, compound_matrix,
+from grasskernels.grassmann import (Subspace, bc_inner, compound_matrix,
                                     curve_length_ratio, geodesic_distance,
                                     plucker_embed, principal_angles,
                                     proj_inner, random_subspace,
@@ -87,53 +86,29 @@ class TestSubspace:
                                    atol=1e-15)
 
 
-class TestAngleContainers:
-    def test_principal_angles_validation(self):
-        with pytest.raises(ValueError):
-            PrincipalAngles(np.array([0.4, 0.2]))  # not ascending
-        with pytest.raises(ValueError):
-            PrincipalAngles(np.array([-0.1]))
-        with pytest.raises(ValueError):
-            PrincipalAngles(np.array([2.0]))  # beyond pi/2
-        with pytest.raises(DimensionMismatch):
-            PrincipalAngles(np.array([]))
-
-    def test_norm_and_len(self):
-        a = PrincipalAngles(np.array([0.3, 0.4]))
-        assert len(a) == 2
-        np.testing.assert_allclose(np.linalg.norm(a.angles), 0.5, atol=1e-15)
-
-    def test_plucker_vector_validation(self):
-        PluckerVector(np.array([0.6, 0.8]))
-        with pytest.raises(ValueError):
-            PluckerVector(np.array([0.6, 0.9]))
-        with pytest.raises(DimensionMismatch):
-            PluckerVector(np.array([[1.0]]))
-
-
 class TestPrincipalAngles:
     def test_planar_angle_recovered(self):
         for t in (0.0, 0.1, math.pi / 6, math.pi / 3, math.pi / 2):
-            angles = principal_angles(line(0.0), line(t)).angles
+            angles = principal_angles(line(0.0), line(t))
             np.testing.assert_allclose(angles, [t], atol=1e-12)
 
     def test_constructed_pair_recovers_angles(self):
         rng = np.random.default_rng(7)
         target = np.array([0.2, 0.9])
         x, y = subspace_pair_with_angles(6, 2, target, rng)
-        got = principal_angles(x, y).angles
+        got = principal_angles(x, y)
         np.testing.assert_allclose(got, target, atol=1e-10)
 
     def test_identical_subspaces_give_zeros(self):
         rng = np.random.default_rng(8)
         x = random_subspace(5, 2, rng)
-        np.testing.assert_allclose(principal_angles(x, x).angles, 0.0,
+        np.testing.assert_allclose(principal_angles(x, x), 0.0,
                                    atol=1e-7)
 
     def test_orthogonal_lines(self):
         x = Subspace([[1.0], [0.0], [0.0]])
         y = Subspace([[0.0], [1.0], [0.0]])
-        np.testing.assert_allclose(principal_angles(x, y).angles,
+        np.testing.assert_allclose(principal_angles(x, y),
                                    [math.pi / 2], atol=1e-12)
 
     def test_manifold_mismatch_raises(self):
@@ -164,7 +139,7 @@ class TestInnerProductsAndDistances:
         for _ in range(200):
             x = random_subspace(7, 3, rng)
             y = random_subspace(7, 3, rng)
-            cosines = np.cos(principal_angles(x, y).angles)
+            cosines = np.cos(principal_angles(x, y))
             np.testing.assert_allclose(proj_inner(x, y),
                                        float(np.sum(cosines ** 2)),
                                        atol=1e-10)
@@ -207,7 +182,7 @@ class TestPluckerEmbedding:
     def test_standard_plane_coordinates(self):
         x = Subspace(np.eye(4)[:, :2])
         # row pairs in lexicographic order: (0,1) is the only unit minor
-        np.testing.assert_allclose(plucker_embed(x).coords,
+        np.testing.assert_allclose(plucker_embed(x),
                                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                                    atol=1e-15)
 
@@ -217,8 +192,8 @@ class TestPluckerEmbedding:
             for _ in range(20):
                 x = random_subspace(d, p, rng)
                 y = random_subspace(d, p, rng)
-                px = plucker_embed(x).coords
-                py = plucker_embed(y).coords
+                px = plucker_embed(x)
+                py = plucker_embed(y)
                 np.testing.assert_allclose(abs(float(px @ py)),
                                            bc_inner(x, y), atol=1e-10)
 
@@ -256,7 +231,7 @@ class TestCompoundMatrix:
         rng = np.random.default_rng(36)
         x = random_subspace(5, 2, rng)
         column = compound_matrix(x.basis, 2)[:, 0]
-        embedded = plucker_embed(x).coords
+        embedded = plucker_embed(x)
         np.testing.assert_allclose(column / np.linalg.norm(column), embedded,
                                    atol=1e-12)
 
@@ -314,7 +289,7 @@ class TestConstructions:
         x = random_subspace(8, 2, rng)
         target = np.array([0.15, 0.3])
         y = tilt_subspace(x, target, rng)
-        got = principal_angles(x, y).angles
+        got = principal_angles(x, y)
         np.testing.assert_allclose(got, np.sort(target), atol=1e-10)
 
     def test_tilt_in_narrow_complement(self):
@@ -322,7 +297,7 @@ class TestConstructions:
         rng = np.random.default_rng(53)
         x = random_subspace(3, 2, rng)
         y = tilt_subspace(x, np.array([0.2, 0.4]), rng)
-        got = principal_angles(x, y).angles
+        got = principal_angles(x, y)
         np.testing.assert_allclose(got, [0.0, 0.2], atol=1e-7)
 
     def test_tilt_guards(self):

@@ -604,6 +604,16 @@ def test_sparse_code_falls_back_on_every_zero_code():
     assert items["unconverged_codes"] == "0 0"
 
 
+def test_sparse_code_large_penalty_is_pinned():
+    """`sparse-code --lam 1000 --seeds 0,1` zeroes all 20 test codes of
+    each split, and the most similar atom labels every one right."""
+    config = build_config("sparse-code", overrides={"lam": "1000",
+                                                    "seeds": "0 1"})
+    items = _items(run_experiment(config).text)
+    assert items["zero_code_fallbacks"] == "20 20"
+    assert items["accuracies"] == "1 1"
+
+
 def test_tasks_that_need_labels_reject_unlabeled_data(tmp_path):
     pts = tuple(grassmann.random_subspace(6, 2, np.random.default_rng([9, i]))
                 for i in range(8))
@@ -852,6 +862,25 @@ def test_pd_check_default_catalog_verdict(tmp_path, capsys):
                if items["passed"] == "false"}
     assert failing and all(rows[label]["theory"] in ("indefinite", "unproven")
                            for label in failing)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape", [("8", "2", "5"), ("2", "1", "3")],
+                         ids=["d8-p2", "d2-p1"])
+def test_pd_check_passes_coincident_points(shape, tmp_path, capsys):
+    """With no noise every point of one class is its prototype, so the
+    centered Gram of a cpd kernel is roundoff alone, of either sign;
+    certification treats it as zero and the verdict passes."""
+    d, p, per_class = shape
+    out = tmp_path / "pd.txt"
+    assert cli.main(["pd-check", "--d", d, "--p", p, "--classes", "1",
+                     "--per-class", per_class, "--noise-angle", "0",
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("[verdict]\npassed=true\n")
+    [row] = [row for row in _table_rows(text)
+             if row[0] == "logarithm:projection"]
+    assert row[2] == "cpd" and float(row[3]) < 0.0 and row[-1] == "pass"
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment, minimize
 from grasskernels import grassmann, kernels
 from grasskernels.exceptions import (ConvergenceFailure, DegenerateLabels,
                                      DimensionMismatch, InsufficientData,
-                                     NotPositiveSemidefinite, ZeroCode)
+                                     NotPositiveSemidefinite)
 from grasskernels.grassmann import Subspace
 from grasskernels.harness import experiments
 from grasskernels.harness.config import build_config
@@ -906,28 +906,47 @@ def test_sparse_classify():
                           objective=0.0, objective_history=(0.0,), sweeps=1,
                           converged=True, kkt_residual=0.0)
 
-    code = fitted([0.1, -0.7, 0.3])
-    assert sparse_code_classify(code, np.array([5, 7, 9])) == 7
-    tie = fitted([0.5, -0.5])
-    assert sparse_code_classify(tie, np.array([3, 4])) == 3
-    empty = fitted([0.0, 0.0])
-    with pytest.raises(ZeroCode):
-        sparse_code_classify(empty, np.array([3, 4]))
+    labels = np.array([5, 7, 9])
+    column = np.array([0.9, 0.1, 0.5])
+    # the largest |coefficient| wins, whatever the column says
+    assert sparse_code_classify(fitted([0.1, -0.7, 0.3]), labels,
+                                column) == 7
+    # ties in |coefficient| go to the lowest atom
+    assert sparse_code_classify(fitted([0.0, 0.5, -0.5]), labels,
+                                column) == 7
+    # a zero code takes the most similar atom
+    empty = fitted([0.0, 0.0, 0.0])
+    assert sparse_code_classify(empty, labels, column) == 5
+    assert sparse_code_classify(empty, labels, [0.1, 0.9, 0.5]) == 7
+    # ties in the column go to the lowest atom
+    assert sparse_code_classify(empty, labels, [0.2, 0.8, 0.8]) == 7
+    # negative zeros are zero
+    assert sparse_code_classify(fitted([-0.0, 0.0, -0.0]), labels,
+                                [0.1, 0.2, 0.3]) == 9
     with pytest.raises(DimensionMismatch):
-        sparse_code_classify(tie, np.array([3, 4, 5]))
+        sparse_code_classify(empty, np.array([3, 4]), column)
+    with pytest.raises(DimensionMismatch):
+        sparse_code_classify(empty, labels, column[:2])
+    with pytest.raises(DimensionMismatch):
+        sparse_code_classify(empty, labels, column[None, :])
 
 
 def test_sparse_zero_code_from_large_penalty():
+    """A penalty too large for the query zeroes its code in one sweep,
+    and the classifier falls back to the most similar atom."""
     data = generate_planted(d=8, p=2, classes=2, per_class=4,
                             noise_angle=0.1, seed=3)
     g = gram(RBF_PROJ, data.subspaces)
     dictionary = g.take(np.arange(1, g.n))
-    code = kernel_sparse_code(dictionary, g.values[0, 1:], g.values[0, 0],
+    column = g.values[0, 1:]
+    code = kernel_sparse_code(dictionary, column, g.values[0, 0],
                               lam=100.0)
-    with pytest.raises(ZeroCode):
-        sparse_code_classify(code, data.labels[1:])
+    assert not np.any(code.coefficients)
     assert code.converged and code.sweeps == 1
     assert code.objective_history == (code.objective,)
+    nearest = int(np.argmax(column))
+    assert sparse_code_classify(code, data.labels[1:], column) == \
+        data.labels[1 + nearest] == data.labels[0]
 
 
 def _kkt_residual(kmat, column, lam, y):

@@ -1,18 +1,23 @@
-"""Property tests: the kernel token grammar, the config parser, the
-dataset parser and the dataset fingerprint.
+"""Property tests: principal angles and the Pluecker embedding, the
+kernel token grammar, the config parser, the dataset parser and the
+dataset fingerprint.
 
 Every draw is derandomized so the suite stays reproducible.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from grasskernels import kernels
 from grasskernels.exceptions import InputError, InvalidKernelParameter
-from grasskernels.grassmann import Subspace, random_subspace
+from grasskernels.grassmann import (Subspace, plucker_embed,
+                                    principal_angles, random_subspace,
+                                    subspace_pair_with_angles)
 from grasskernels.harness.config import ExperimentConfig, build_config
 from grasskernels.harness.datasets import (Dataset, name_round_trips,
                                            parse_dataset, serialize_dataset)
@@ -21,6 +26,63 @@ SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
 
 scales = st.floats(min_value=1e-3, max_value=1e3)
+
+
+# arccos keeps only half the digits of a small angle (see
+# principal_angles), so angles agree to about sqrt(eps)
+ANGLE_TOL = 1e-7
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two random subspaces of one small manifold."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    p = draw(st.integers(min_value=1, max_value=d - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    return random_subspace(d, p, rng), random_subspace(d, p, rng)
+
+
+@SETTINGS
+@given(subspace_pairs())
+def test_principal_angles_ascend_in_range_and_are_symmetric(pair):
+    x, y = pair
+    angles = principal_angles(x, y)
+    assert angles.shape == (x.p,)
+    assert np.all(np.diff(angles) >= 0.0)
+    assert np.all(angles >= 0.0) and np.all(angles <= math.pi / 2)
+    np.testing.assert_allclose(principal_angles(y, x), angles, rtol=0.0,
+                               atol=ANGLE_TOL)
+
+
+@SETTINGS
+@given(subspace_pairs())
+def test_plucker_embedding_has_unit_norm(pair):
+    x, _ = pair
+    assert abs(np.linalg.norm(plucker_embed(x)) - 1.0) <= 1e-12
+
+
+valid_angle = st.floats(min_value=0.0, max_value=math.pi / 2)
+bad_angle = (st.floats(max_value=0.0, exclude_max=True)
+             | st.floats(min_value=math.pi / 2 + 1e-11))
+
+
+@SETTINGS
+@given(st.lists(valid_angle, min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0),
+       st.data())
+def test_pair_with_angles_takes_any_order_and_rejects_out_of_range(
+        angles, spare, seed, data):
+    p = len(angles)
+    d = 2 * p + spare
+    x, y = subspace_pair_with_angles(d, p, angles,
+                                     np.random.default_rng(seed))
+    np.testing.assert_allclose(principal_angles(x, y), np.sort(angles),
+                               rtol=0.0, atol=ANGLE_TOL)
+    angles[data.draw(st.integers(min_value=0, max_value=p - 1))] = \
+        data.draw(bad_angle)
+    with pytest.raises(ValueError):
+        subspace_pair_with_angles(d, p, angles, np.random.default_rng(seed))
 
 
 @st.composite
