@@ -2,7 +2,8 @@
 
 
 class GrassError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class of the library's own errors; misuse, such as a wrong
+    argument type or value, raises TypeError or ValueError instead."""
 
 
 class DimensionMismatch(GrassError):

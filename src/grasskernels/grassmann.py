@@ -15,7 +15,7 @@ from .exceptions import (DegenerateRatio, DimensionMismatch,
                          EmbeddingTooLarge)
 
 EMBEDDING_CAP = 10_000
-EMBEDDINGS = ("binet_cauchy", "projection")  # the two similarities
+EMBEDDINGS = ("bc", "projection")  # Binet-Cauchy and projection similarity
 
 _ORTHONORMALITY_TOL = 1e-10
 _PROJECTOR_EQ_TOL = 1e-8
@@ -104,7 +104,7 @@ def _row_products(xs, ys):
 def similarity(embedding, xs, ys):
     """Similarity of every x in xs to every y in ys, a len(xs) x len(ys) array.
 
-    "binet_cauchy" gives |det(x.T @ y)|, the product of the angle
+    "bc" (Binet-Cauchy) gives |det(x.T @ y)|, the product of the angle
     cosines; "projection" gives ||x.T @ y||_F^2, the sum of their
     squares.  Each row is one batched product and one reduction per
     block, so entry (i, j) is bit for bit the value of the pair alone;
@@ -113,7 +113,7 @@ def similarity(embedding, xs, ys):
     if embedding not in EMBEDDINGS:
         raise ValueError(f"unknown embedding {embedding!r}")
     rows = _row_products(xs, ys)
-    if embedding == "binet_cauchy":
+    if embedding == "bc":
         return np.array([np.abs(numerics.determinant(r)) for r in rows])
     return np.array([np.square(r).reshape(len(r), -1).sum(axis=1)
                      for r in rows])
@@ -147,7 +147,7 @@ def geodesic_distance(x, y):
 
 def bc_inner(x, y):
     """Absolute determinant of x.T @ y, the product of angle cosines."""
-    return float(similarity("binet_cauchy", [x], [y])[0, 0])
+    return float(similarity("bc", [x], [y])[0, 0])
 
 
 def proj_inner(x, y):

@@ -35,6 +35,7 @@ from ..grassmann import Subspace, random_subspace, tilt_subspace
 from .reports import write_text
 
 FORMAT_VERSION = 1
+_KEYS = ("format_version", "name", "d", "p", "n", "labels", "subspace")
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,9 @@ def serialize_dataset(dataset):
 
 
 def parse_dataset(text):
-    """Parse the canonical text form back into a Dataset."""
+    """Parse the canonical text form back into a Dataset, reading lines
+    as config files are read: keys and values stripped, an unknown key
+    rejected."""
     fields = {}
     subspace_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,6 +156,9 @@ def parse_dataset(text):
         if not eq:
             raise InputError(f"line {lineno}: expected key=value, "
                              f"got {raw!r}")
+        key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise InputError(f"line {lineno}: unknown key {key!r}")
         if key == "subspace":
             subspace_lines.append((lineno, value))
         elif key in fields:

@@ -592,7 +592,8 @@ def run_experiment(config):
             # each candidate's Gram is built once for all kernels and seeds
             needed = needed + [candidate for spec in specs
                                for candidate in _candidate_specs(spec, config)]
-        grams = kernels.grams(needed, dataset.subspaces)
+        with _kernel_failures(config.task):
+            grams = kernels.grams(needed, dataset.subspaces)
         passed = _RUNNERS[config.task](config, dataset, specs, grams,
                                        report)
 

@@ -1,11 +1,12 @@
 """The kernel catalog on subspaces, Gram assembly and spectral certification.
 
 Every kernel is a scalar function of one of two basis-invariant
-similarities between subspaces x and y:
+similarities between subspaces x and y, named by its embedding:
 
-* the determinant similarity |det(x.T @ y)|, written s below, with
-  s in [0, 1];
-* the projection similarity ||x.T @ y||_F^2, with s in [0, p].
+* "bc" (Binet-Cauchy), the determinant similarity |det(x.T @ y)|,
+  written s below, with s in [0, 1];
+* "projection", the projection similarity ||x.T @ y||_F^2, with s in
+  [0, p].
 
 Families, the mode certify_pd checks each in, and what theory
 guarantees on each embedding:
@@ -23,7 +24,9 @@ logarithm    -log(smax + 1 - s)                   cpd   cpd         indefinite
 ===========  ===================================  ====  ==========  ===========
 
 where smax is 1 for the determinant embedding and p for the projection
-embedding.  Parameter constraints are enforced eagerly by KernelSpec.
+embedding.  Parameter constraints are enforced eagerly by KernelSpec,
+including a finite value at s = smax, the largest, since every family
+is nondecreasing in s.
 
 The mode column is what KernelSpec.certification_mode returns and what
 the pd-check task tests; it names a check, not a guarantee.  The last two
@@ -55,7 +58,6 @@ Run the pd-check task to see the verdicts on any dataset.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,26 +66,10 @@ import numpy as np
 from . import grassmann, numerics
 from .exceptions import DimensionMismatch, InvalidKernelParameter
 
-EMBEDDINGS = grassmann.EMBEDDINGS
 FAMILIES = ("baseline", "linear", "polynomial", "rbf", "laplace",
             "binomial", "logarithm")
 
-# families whose natural certification mode is conditionally pd
-CPD_FAMILIES = ("logarithm",)
-
 PD_TOLERANCE = 1e-8
-
-# kernel values whose log exceeds this overflow a float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-_EMBEDDING_ALIASES = {
-    "bc": "binet_cauchy",
-    "binet_cauchy": "binet_cauchy",
-    "binet-cauchy": "binet_cauchy",
-    "proj": "projection",
-    "projection": "projection",
-}
-_EMBEDDING_SHORT = {"binet_cauchy": "bc", "projection": "projection"}
 
 _NEEDS_BETA = ("polynomial", "rbf", "laplace", "binomial")
 _NEEDS_ALPHA = ("polynomial", "binomial")
@@ -96,7 +82,8 @@ class KernelSpec:
     Parameters
     ----------
     embedding : str
-        "binet_cauchy" or "projection" (aliases "bc" and "proj" accepted).
+        One of grassmann.EMBEDDINGS: "bc" for the determinant
+        (Binet-Cauchy) similarity or "projection".
     family : str
         One of FAMILIES.
     p : int
@@ -110,8 +97,8 @@ class KernelSpec:
         on the determinant embedding and > p on the projection embedding,
         disallowed elsewhere.
 
-    Parameters at which the kernel's largest value would overflow a
-    float are rejected too.
+    Parameters at which the kernel's largest value, its value at
+    s = similarity_max, overflows a float are rejected too.
     """
 
     embedding: str
@@ -121,12 +108,10 @@ class KernelSpec:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        embedding = _EMBEDDING_ALIASES.get(str(self.embedding))
-        if embedding is None:
+        if self.embedding not in grassmann.EMBEDDINGS:
             raise InvalidKernelParameter(
                 f"unknown embedding {self.embedding!r}; "
-                f"pick one of {EMBEDDINGS}")
-        object.__setattr__(self, "embedding", embedding)
+                f"pick one of {grassmann.EMBEDDINGS}")
         if self.family not in FAMILIES:
             raise InvalidKernelParameter(
                 f"unknown family {self.family!r}; pick one of {FAMILIES}")
@@ -137,10 +122,6 @@ class KernelSpec:
         object.__setattr__(self, "p", int(self.p))
         self._check_param("alpha", self.alpha, self.family in _NEEDS_ALPHA)
         self._check_param("beta", self.beta, self.family in _NEEDS_BETA)
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", float(self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", float(self.beta))
         self._check_ranges()
 
     def _check_param(self, name, value, needed):
@@ -150,45 +131,38 @@ class KernelSpec:
         if not needed and value is not None:
             raise InvalidKernelParameter(
                 f"family {self.family!r} takes no {name}")
-        if value is not None and not math.isfinite(float(value)):
-            raise InvalidKernelParameter(f"{name} must be finite")
+        if value is not None:
+            if not math.isfinite(float(value)):
+                raise InvalidKernelParameter(f"{name} must be finite")
+            object.__setattr__(self, name, float(value))
 
     def _check_ranges(self):
-        a, b = self.alpha, self.beta
+        a, b, family = self.alpha, self.beta, self.family
         smax = self.similarity_max
-        log_top = 0.0  # log of the largest value the kernel takes
-        if self.family == "polynomial":
-            if b <= 0.0:
-                raise InvalidKernelParameter(
-                    f"polynomial kernel needs beta > 0, got {b}")
-            if a < 1.0 or not float(a).is_integer():
-                raise InvalidKernelParameter(
-                    f"polynomial kernel needs an integer alpha >= 1, got {a}")
-            log_top = a * math.log(b + smax)
-        elif self.family in ("rbf", "laplace"):
-            if b <= 0.0:
-                raise InvalidKernelParameter(
-                    f"{self.family} kernel needs beta > 0, got {b}")
-            if self.family == "rbf":
-                log_top = b * smax
-        elif self.family == "binomial":
-            if a <= 0.0:
-                raise InvalidKernelParameter(
-                    f"binomial kernel needs alpha > 0, got {a}")
-            if b <= smax:
-                raise InvalidKernelParameter(
-                    f"binomial kernel on the {self.embedding} embedding "
-                    f"needs beta > {smax:g}, got {b}")
-            log_top = -a * math.log(b - smax)
-        if log_top > _LOG_FLOAT_MAX:
+        if family in ("polynomial", "rbf", "laplace") and b <= 0.0:
             raise InvalidKernelParameter(
-                f"kernel {self.label()} overflows a float: the log of its "
-                f"largest value is {log_top:.6g}, above {_LOG_FLOAT_MAX:.6g}")
+                f"{family} kernel needs beta > 0, got {b}")
+        if family == "polynomial" and (a < 1.0 or not a.is_integer()):
+            raise InvalidKernelParameter(
+                f"polynomial kernel needs an integer alpha >= 1, got {a}")
+        if family == "binomial" and a <= 0.0:
+            raise InvalidKernelParameter(
+                f"binomial kernel needs alpha > 0, got {a}")
+        if family == "binomial" and b <= smax:
+            raise InvalidKernelParameter(
+                f"binomial kernel on the {self.embedding} embedding "
+                f"needs beta > {smax:g}, got {b}")
+        # every family is nondecreasing in s, so this is its largest value
+        with np.errstate(over="ignore"):
+            top = _apply(self, np.float64(smax))
+        if not np.isfinite(top):
+            raise InvalidKernelParameter(
+                f"kernel {self.label()} overflows a float at s = {smax:g}")
 
     @property
     def similarity_max(self):
         """Largest value the underlying similarity can take."""
-        return 1.0 if self.embedding == "binet_cauchy" else float(self.p)
+        return 1.0 if self.embedding == "bc" else float(self.p)
 
     @property
     def certification_mode(self):
@@ -199,7 +173,7 @@ class KernelSpec:
         the determinant embedding most families fail it (see the module
         docstring for what theory guarantees).
         """
-        return "cpd" if self.family in CPD_FAMILIES else "pd"
+        return "cpd" if self.family == "logarithm" else "pd"
 
     @property
     def theory(self):
@@ -213,7 +187,7 @@ class KernelSpec:
 
     def label(self):
         """Compact token, e.g. 'rbf:projection:beta=0.5' or 'linear:bc'."""
-        parts = [self.family, _EMBEDDING_SHORT[self.embedding]]
+        parts = [self.family, self.embedding]
         if self.alpha is not None:
             parts.append(f"alpha={self.alpha!r}")
         if self.beta is not None:
@@ -225,7 +199,7 @@ def parse_kernel_token(token, p):
     """Parse a compact token like 'rbf:projection:beta=0.5'.
 
     Grammar: family:embedding[:alpha=A][:beta=B], each parameter given at
-    most once.  Embedding accepts the aliases understood by KernelSpec.
+    most once; the embedding is "bc" or "projection".
     """
     parts = [part.strip() for part in str(token).split(":")]
     if len(parts) < 2:
@@ -259,12 +233,13 @@ def cross_gram(spec, queries, refs):
     One similarity matrix on the spec's embedding (grassmann.similarity)
     mapped elementwise by the family, so an entry depends only on its own
     pair.  Raises DimensionMismatch unless both sides are nonempty and
-    share one manifold with the spec's p.
+    share one manifold with the spec's p, and NumericalOverflow when a
+    value overflows a float.
     """
     queries = list(queries)
     s = grassmann.similarity(spec.embedding, queries, refs)
     _check_p(spec, queries[0].p)
-    return _apply(spec, s)
+    return _mapped(spec, s)
 
 
 def _check_p(spec, p):
@@ -278,11 +253,20 @@ def evaluate(spec, x, y):
     return float(cross_gram(spec, [x], [y])[0, 0])
 
 
+def _mapped(spec, s):
+    """_apply, or NumericalOverflow naming the kernel where a value is
+    not finite, as it can be where roundoff puts s a few ulp past smax
+    (for binomial, up to or past beta)."""
+    with np.errstate(all="ignore"):
+        return numerics.require_finite(_apply(spec, s),
+                                       f"values of kernel {spec.label()!r}")
+
+
 def _apply(spec, s):
     """The family's value at similarity s, elementwise over an array."""
     family = spec.family
     if family == "baseline":
-        return s * s if spec.embedding == "binet_cauchy" else s
+        return s * s if spec.embedding == "bc" else s
     if family == "linear":
         return s
     if family == "polynomial":
@@ -344,7 +328,8 @@ def grams(specs, data):
     that symmetry is exact: entry (i, j) with i <= j is exactly
     evaluate(spec, data[i], data[j]), and the Gram of an increasing
     subset of indices is take() of the full matrix bit for bit.  Nothing
-    is kept between calls.
+    is kept between calls.  Raises NumericalOverflow when a value
+    overflows a float.
     """
     data = list(data)
     similarities = {}
@@ -355,7 +340,7 @@ def grams(specs, data):
                 spec.embedding, data, data)
         _check_p(spec, data[0].p)
         # a copy, since _apply may return s itself and mirroring writes
-        values = _apply(spec, similarities[spec.embedding].copy())
+        values = _mapped(spec, similarities[spec.embedding].copy())
         result[spec] = GramMatrix(_mirror_upper(values))
     return result
 

@@ -42,11 +42,10 @@ The queries of one call, such as the test queries of a split, are coded
 in lockstep: each sweep runs one query's statements on the rows of
 (Q, n) arrays, one row per unfinished query, and a query leaves the
 arrays when it converges, when it has no step, or when its budget runs
-out.  A lone query is a lockstep of one row.  Active sets differ in size
-from row to row, so each sweep solves the rows in groups of one size,
-one stacked `np.linalg.solve` per group; the zero crossings of the line
-searches are ragged, so their points are evaluated in one stack and
-compared row by row.
+out.  Active sets differ in size from row to row, so each sweep solves
+the rows in groups of one size, one stacked `np.linalg.solve` per group;
+the zero crossings of the line searches are ragged, so their points are
+evaluated in one stack and compared row by row.
 
 Every query is coded on the iterates it takes alone, bit for bit,
 because each product is one BLAS call per row, as it is for one query:
@@ -91,7 +90,6 @@ class SparseCode:
     """
 
     coefficients: np.ndarray
-    lam: float
     objective: float
     objective_history: Tuple[float, ...]
     sweeps: int
@@ -244,14 +242,7 @@ def _steps(kmat, k, q, lam, y, ky, l1, gradient, violation):
             np.where(moved, best_l1, l1))
 
 
-def _code(y, lam, history, sweeps, residual):
-    return SparseCode(coefficients=y.copy(), lam=lam, objective=history[-1],
-                      objective_history=tuple(history), sweeps=sweeps,
-                      converged=bool(residual <= KKT_TOLERANCE),
-                      kkt_residual=float(residual))
-
-
-def _code_rows(kmat, k, q, lam, max_sweeps):
+def _code_rows(kmat, k, q, lam):
     """Feature-sign search on every row of (Q, n) query columns `k`, with
     (Q,) self values `q`: the list of their Q SparseCodes.
 
@@ -266,7 +257,7 @@ def _code_rows(kmat, k, q, lam, max_sweeps):
     gradient, violation, residual = _kkt(y, ky, k, lam)
     # a zero code that is already optimal takes one sweep and no step
     done = residual <= KKT_TOLERANCE
-    for sweeps in range(max_sweeps + 1):
+    for sweeps in range(MAX_SWEEPS + 1):
         if sweeps:
             moved, y, value, ky, l1 = _steps(kmat, k, q, lam, y, ky, l1,
                                              gradient, violation)
@@ -276,12 +267,15 @@ def _code_rows(kmat, k, q, lam, max_sweeps):
             for r, lowest in zip(query.tolist(), objective.tolist()):
                 histories[r].append(lowest)
             done = (~moved | (residual <= KKT_TOLERANCE)
-                    | (sweeps == max_sweeps))
+                    | (sweeps == MAX_SWEEPS))
         for r in done.nonzero()[0]:
             # pass 0 finishes the zero codes, each after one sweep
             history = histories[query[r]] or [float(objective[r])]
-            codes[query[r]] = _code(y[r], lam, history, max(sweeps, 1),
-                                    residual[r])
+            codes[query[r]] = SparseCode(
+                coefficients=y[r].copy(), objective=history[-1],
+                objective_history=tuple(history), sweeps=max(sweeps, 1),
+                converged=bool(residual[r] <= KKT_TOLERANCE),
+                kkt_residual=float(residual[r]))
         if done.any():
             left = ~done
             (query, k, q, y, objective, ky, l1, gradient, violation,
@@ -293,60 +287,48 @@ def _code_rows(kmat, k, q, lam, max_sweeps):
     return codes
 
 
-def kernel_sparse_code(dict_gram, query_column, query_self, lam,
-                       max_sweeps=MAX_SWEEPS, check_psd=True):
+def kernel_sparse_code(dict_gram, query_columns, query_selves, lam):
     """Code queries against a dictionary held as a Gram matrix.
 
-    `query_column[t]` is the kernel between the query and dictionary
-    atom t, and `query_self` the kernel of the query with itself; this
-    codes one query and returns its SparseCode.  A (Q, n) matrix of
-    query columns with a (Q,) vector of self values codes the Q queries
-    in lockstep and returns SparseCodes; each row's code equals coding
-    that query alone.  A sweep is one feature-sign step: choose the
-    active set and signs, solve on it and line-search to the solution.
-    The solve stops once the largest violation of the optimality
-    conditions (the KKT residual) is at most KKT_TOLERANCE, after
-    `max_sweeps` sweeps, or when a step cannot lower f (a singular or
-    indefinite active block) or computes f below zero beyond roundoff;
-    the result's `converged` and `kkt_residual` say which.  A code that
-    is zero from the start takes one sweep.
+    `query_columns[r, t]` is the kernel between query r and dictionary
+    atom t, and `query_selves[r]` the kernel of query r with itself; the
+    Q queries of the (Q, n) matrix and the (Q,) vector are coded in
+    lockstep and returned as SparseCodes, each row's code equal to
+    coding that query alone.  A sweep is one feature-sign step: choose
+    the active set and signs, solve on it and line-search to the
+    solution.  The solve stops once the largest violation of the
+    optimality conditions (the KKT residual) is at most KKT_TOLERANCE,
+    after MAX_SWEEPS sweeps, or when a step cannot lower f (a singular
+    or indefinite active block) or computes f below zero beyond
+    roundoff; the result's `converged` and `kkt_residual` say which.  A
+    code that is zero from the start takes one sweep.
 
     KKT_TOLERANCE is absolute, not scaled by the kernel values, so on a
     Gram with huge entries no code converges: with rbf:projection:beta=20
     on split seed 0 of the CLI's default data (entries up to 2.35e17)
     every code stops after 2 sweeps with KKT residuals of 1.5e16 to
-    9.7e16, though the codes still classify.  A lone query runs as a
-    one-row lockstep, which costs about as much per sweep as many rows,
-    so code queries in batches.
+    9.7e16, though the codes still classify.  A batch of one query costs
+    about as much per sweep as many rows, so code queries in batches.
 
     Dictionaries whose Gram matrix does not certify positive definite
-    raise NotPositiveSemidefinite; check_psd=False waives the check for
-    a dictionary that is not psd on purpose.
+    raise NotPositiveSemidefinite.
     """
-    kmat = dict_gram.values
-    n = kmat.shape[0]
-    k = np.asarray(query_column, dtype=np.float64)
-    q = np.asarray(query_self, dtype=np.float64)
-    if k.ndim not in (1, 2) or k.shape[-1] != n:
+    k = np.asarray(query_columns, dtype=np.float64)
+    q = np.asarray(query_selves, dtype=np.float64)
+    if k.ndim != 2 or k.shape[1] != dict_gram.n:
+        raise DimensionMismatch(f"query columns must form a "
+                                f"(Q, {dict_gram.n}) matrix, got {k.shape}")
+    if q.shape != k.shape[:1]:
         raise DimensionMismatch(
-            f"query columns must have {n} entries, got {k.shape}")
-    if q.shape != k.shape[:-1]:
-        raise DimensionMismatch(
-            f"need {k.shape[:-1] or 'one'} query self values, got "
-            f"{q.shape}")
+            f"need {len(k)} query self values, got {q.shape}")
     if not 0.0 < lam < np.inf:
         raise ValueError(f"penalty lam must be positive, got {lam}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if check_psd and not certify_pd(dict_gram, mode="pd").passed:
+    if not certify_pd(dict_gram, mode="pd").passed:
         raise NotPositiveSemidefinite(
             "dictionary Gram matrix has a negative eigenvalue beyond "
             "roundoff; the coding objective would be unbounded")
 
-    codes = _code_rows(kmat, np.atleast_2d(k), np.atleast_1d(q), float(lam),
-                       max_sweeps)
-    if k.ndim == 1:
-        return codes[0]
+    codes = _code_rows(dict_gram.values, k, q, float(lam))
     return SparseCodes(codes=tuple(codes),
                        sweeps=sum(code.sweeps for code in codes))
 

@@ -100,7 +100,7 @@ def _pair_key(a, b, n):
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
-def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
+def svm_train(gram_matrix, labels, c=1.0):
     """Train on a precomputed Gram matrix with labels in {-1, +1}.
 
     `labels` is one target vector, which trains one machine and returns
@@ -108,7 +108,7 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
     machines in lockstep and returns SvmModels; each row's model equals
     training that row alone.  Runs until every maximal KKT violation
     drops to KKT_TOLERANCE.  Raises ConvergenceFailure (carrying the
-    largest remaining gap) if the iteration budget runs out first,
+    largest remaining gap) if MAX_ITERATIONS iterations run out first,
     DegenerateLabels when a target holds a single class, and
     NumericalOverflow when a pair's curvature leaves the float range.
     """
@@ -129,13 +129,13 @@ def svm_train(gram_matrix, labels, c=1.0, max_iterations=MAX_ITERATIONS):
     # every pair's curvature K_ii + K_jj - 2 K_ij, floored, built once
     curvatures = np.maximum(numerics.gram_distances_sq(k), _TAU)
     if y.ndim == 1:
-        return _train_one(k, y, c, curvatures, max_iterations)
-    models = _train_lockstep(k, y, c, curvatures, max_iterations)
+        return _train_one(k, y, c, curvatures)
+    models = _train_lockstep(k, y, c, curvatures)
     return SvmModels(models=tuple(models),
                      iterations=sum(model.iterations for model in models))
 
 
-def _train_one(k, y, c, curvatures, max_iterations):
+def _train_one(k, y, c, curvatures):
     n = k.shape[0]
     alpha = np.zeros(n)
     score = y.copy()  # -y * gradient at alpha = 0
@@ -146,7 +146,7 @@ def _train_one(k, y, c, curvatures, max_iterations):
     raise_end = np.where(y > 0.0, c, 0.0)
     residual = np.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         signed = y * alpha
         up = np.where(signed < raise_end, score, -np.inf)
         top = int(np.argmax(up))
@@ -180,12 +180,12 @@ def _train_one(k, y, c, curvatures, max_iterations):
         score -= (k[i] * (y[i] * (alpha[i] - old_i))
                   + k[j] * (y[j] * (alpha[j] - old_j)))
     else:
-        _budget_spent(max_iterations, residual)
+        _budget_spent(residual)
 
     return _model(alpha, y, c, score, up, down, residual, iterations)
 
 
-def _train_lockstep(k, y, c, curvatures, max_iterations):
+def _train_lockstep(k, y, c, curvatures):
     """The loop of `_train_one` on every target row at once.
 
     Row r of each (m, n) array belongs to machine `machine[r]`; a machine
@@ -200,7 +200,7 @@ def _train_lockstep(k, y, c, curvatures, max_iterations):
     raise_end = np.where(y > 0.0, c, 0.0)
     residual = np.full(m, np.inf)
     starts = np.arange(0, alpha.size, n)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         signed = y * alpha
         up = np.where(signed < raise_end, score, -np.inf)
         top = up.argmax(axis=1)
@@ -252,15 +252,15 @@ def _train_lockstep(k, y, c, curvatures, max_iterations):
         score -= (k[i] * (y_i * (new_i - old_i))[:, None]
                   + k[j] * (y_j * (new_j - old_j))[:, None])
     else:
-        _budget_spent(max_iterations, residual.max())
+        _budget_spent(residual.max())
     return models
 
 
-def _budget_spent(max_iterations, residual):
+def _budget_spent(residual):
     raise ConvergenceFailure(
-        f"no convergence after {max_iterations} iterations, "
+        f"no convergence after {MAX_ITERATIONS} iterations, "
         f"remaining KKT gap {residual:.3e}",
-        iterations=max_iterations, gap=float(residual))
+        iterations=MAX_ITERATIONS, gap=float(residual))
 
 
 def _model(alpha, y, c, score, up, down, residual, iterations):

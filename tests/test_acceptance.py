@@ -137,7 +137,7 @@ def test_criterion_02_catalog_certification_sweep():
     projection_failures = [(manifold, spec.label())
                            for manifold, spec, _ in failures
                            if spec.embedding == "projection"]
-    det_failures = [f for f in failures if f[1].embedding == "binet_cauchy"]
+    det_failures = [f for f in failures if f[1].embedding == "bc"]
     # the most negative relative eigenvalue among the determinant-side
     # failures on each manifold; 0.0 when that manifold has none
     worst = dict.fromkeys((manifold for manifold, _, _ in results), 0.0)
@@ -313,16 +313,14 @@ def test_criterion_07_machines_on_planted_data():
     for seed in range(10):
         rng = np.random.default_rng([seed])
         train, test = stratified_split(data3.labels, 0.5, rng)
-        dictionary = gram3.take(train)
         atom_labels = data3.labels[train]
-        correct = 0
-        for query in test:
-            column = gram3.values[query, train]
-            code = kernel_sparse_code(dictionary, column,
-                                      gram3.values[query, query],
-                                      lam=0.01, check_psd=False)
-            predicted = sparse_code_classify(code, atom_labels, column)
-            correct += int(predicted == data3.labels[query])
+        columns = gram3.values[test[:, None], train]
+        codes = kernel_sparse_code(gram3.take(train), columns,
+                                   gram3.values[test, test], lam=0.01).codes
+        correct = sum(
+            int(sparse_code_classify(code, atom_labels, column) == label)
+            for code, column, label in zip(codes, columns,
+                                           data3.labels[test]))
         sparse_accuracies.append(correct / test.size)
     sparse_accuracy = float(np.mean(sparse_accuracies))
 
@@ -463,7 +461,8 @@ def test_criterion_09_solver_invariants():
         column = np.array([kernels.evaluate(spec, query, a) for a in atoms])
         self_sim = kernels.evaluate(spec, query, query)
         lam = float(rng.uniform(0.05, 0.6))
-        code = kernel_sparse_code(dictionary, column, self_sim, lam)
+        code = kernel_sparse_code(dictionary, column[None],
+                                  np.array([self_sim]), lam).codes[0]
         target = oracle(dictionary.values, column, self_sim, lam)
         sparse_instances += 1
         sparse_gap = max(sparse_gap, abs(code.objective - target))

@@ -1,7 +1,6 @@
 """Harness tests: datasets, configuration, reports, experiments, CLI."""
 
 import dataclasses
-import functools
 import hashlib
 import importlib.util
 import math
@@ -37,6 +36,7 @@ from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
 from grasskernels.machines import kkmeans as kkmeans_mod
 from grasskernels.machines.klsh import klsh_build, klsh_hash_gram
+from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.svm import svm_train
 
 # ------------------------------------------------------------- datasets
@@ -165,6 +165,25 @@ def test_parse_dataset_rejects_malformed_text():
     # comments and blank lines are fine
     assert parse_dataset("# header\n\n" + good).fingerprint \
         == parse_dataset(good).fingerprint
+
+
+def test_parse_dataset_reads_lines_as_config_files_do(tmp_path, capsys):
+    """Keys and values are stripped, as in config files, and an unknown
+    key is an input error: a misspelt `labels=` line once dropped the
+    labels silently, and `d = 8` read as a missing field `d`."""
+    path = tmp_path / "a.txt"
+    assert cli.main(["generate", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    good = path.read_text()
+    spaced = "".join(line.replace("=", " = ", 1)
+                     for line in good.splitlines(keepends=True))
+    assert "\nd = 8\n" in spaced
+    assert parse_dataset(spaced).fingerprint == parse_dataset(good).fingerprint
+    path.write_text(good.replace("\nlabels=", "\nlables="))
+    assert cli.main(["hash", "--dataset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 6: unknown key 'lables'\n"
 
 
 def test_generate_planted_geometry():
@@ -426,7 +445,7 @@ def test_gram_task_writes_csv(tmp_path):
     assert result.passed
     path = tmp_path / "gram_linear_bc.csv"
     text = path.read_text()
-    assert text.startswith("# format_version=1 embedding=binet_cauchy "
+    assert text.startswith("# format_version=1 embedding=bc "
                            "family=linear alpha= beta=")
     values = np.loadtxt(str(path), delimiter=",", skiprows=1)
     assert values.shape == (6, 6)
@@ -739,7 +758,7 @@ def test_bench_builds_each_gram_once(monkeypatch):
     catalog = [kernels.parse_kernel_token(token, 2).label()
                for token in default_catalog_tokens(2)]
     assert sorted(built) == sorted(catalog)
-    assert sorted(similarities) == ["binet_cauchy", "projection"]
+    assert sorted(similarities) == ["bc", "projection"]
 
 
 def test_tuning_builds_each_candidate_gram_once(monkeypatch):
@@ -979,8 +998,7 @@ def test_svm_out_of_iterations_exits_2(monkeypatch, tmp_path, capsys):
     """A spent SMO budget, in a split's fit or in a tuning fold, ends in one
     error line naming the kernel, the split seed and the remaining gap;
     it once escaped cli.main as a ConvergenceFailure traceback."""
-    monkeypatch.setattr(experiments, "svm_train",
-                        functools.partial(svm_train, max_iterations=1))
+    monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", 1)
     for tune in ([], ["--tune"]):
         out = tmp_path / "out.txt"
         assert cli.main(["svm", "--out", str(out)] + tune) == 2
@@ -1015,6 +1033,42 @@ def test_overflowing_kernel_values_exit_2(task, token, tmp_path, capsys):
     label = kernels.parse_kernel_token(token, 2).label()
     assert f" with kernel {label!r} on " in err[0]
     assert "seed 0: " in err[0] and " overflow a float; " in err[0]
+
+
+@pytest.mark.parametrize("task", ["gram", "pd-check", "svm", "cluster",
+                                  "hash", "sparse-code"])
+@pytest.mark.parametrize("token", [
+    "rbf:projection:beta=354.891356446692",
+    "binomial:projection:alpha=1.5:beta=2.0000000000000004"])
+def test_kernel_overflowing_past_smax_exits_2(task, token, tmp_path,
+                                              capsys):
+    """A kernel finite at s = smax whose Gram is not, because roundoff
+    puts self-similarities of the default data up to 8.9e-16 past smax
+    (for the binomial, onto or past its pole at beta), ends in one error
+    line naming the kernel and no warning line; it once ended in a
+    ValueError traceback from GramMatrix."""
+    out = tmp_path / "out"
+    assert cli.main([task, "--kernels", token, "--seeds", "0",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {task}: ")
+    assert f"values of kernel {token!r} overflow a float" in err[0]
+
+
+def test_polynomial_overflowing_at_smax_exits_2(capsys):
+    """The power overflows at s = smax although its log, computed as
+    alpha * log(beta + smax), rounds to the log of the largest float; a
+    guard on that log once accepted the kernel, and the run ended in a
+    traceback."""
+    assert cli.main(["svm", "--d", "8", "--p", "3", "--seeds", "0",
+                     "--kernels", "polynomial:projection:alpha=221:"
+                     "beta=21.820911007616182"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ") and "overflows" in err[0]
 
 
 # the section of each task that first meets the kernel's values; bench

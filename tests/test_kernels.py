@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from grasskernels import grassmann
-from grasskernels.exceptions import DimensionMismatch, InvalidKernelParameter
+from grasskernels.exceptions import (DimensionMismatch, InvalidKernelParameter,
+                                     NumericalOverflow)
 from grasskernels.grassmann import Subspace, subspace_pair_with_angles
+from grasskernels.harness.datasets import generate_planted
 from grasskernels.harness.experiments import (default_catalog_tokens,
                                               gram_csv_text)
 from grasskernels.kernels import (GramMatrix, KernelSpec, certify_pd,
@@ -54,7 +56,7 @@ def random_points(n, d, p, key):
 def pair_similarity(embedding, x, y):
     """Reference similarity of one pair, from its own p x p product."""
     m = x.basis.T @ y.basis
-    if embedding == "binet_cauchy":
+    if embedding == "bc":
         return abs(float(np.linalg.det(m)))
     return float(np.sum(m ** 2))
 
@@ -63,7 +65,7 @@ def pair_value(spec, s):
     """Reference kernel value at similarity s, with scalar math maps."""
     family, smax = spec.family, spec.similarity_max
     if family == "baseline":
-        return s * s if spec.embedding == "binet_cauchy" else s
+        return s * s if spec.embedding == "bc" else s
     if family == "linear":
         return s
     if family == "polynomial":
@@ -97,10 +99,15 @@ SHAPES = ((8, 2, 40), (100, 2, 100), (10, 3, 30), (5, 1, 20))
 
 
 def test_embedding_aliases():
-    assert KernelSpec("bc", "linear", 2).embedding == "binet_cauchy"
-    assert KernelSpec("binet-cauchy", "linear", 2).embedding == "binet_cauchy"
-    assert KernelSpec("proj", "linear", 2).embedding == "projection"
+    """Each embedding has one spelling, the one labels and tokens use;
+    the short and long aliases once accepted are unknown names."""
+    assert KernelSpec("bc", "linear", 2).embedding == "bc"
     assert KernelSpec("projection", "linear", 2).embedding == "projection"
+    for alias in ("proj", "binet_" + "cauchy", "binet-" + "cauchy"):
+        with pytest.raises(InvalidKernelParameter, match="unknown embedding"):
+            KernelSpec(alias, "linear", 2)
+        with pytest.raises(InvalidKernelParameter, match="unknown embedding"):
+            parse_kernel_token(f"linear:{alias}", 2)
 
 
 def test_unknown_names_rejected():
@@ -126,7 +133,7 @@ def test_parameter_presence():
     with pytest.raises(InvalidKernelParameter):
         KernelSpec("bc", "linear", 2, beta=1.0)
     with pytest.raises(InvalidKernelParameter):
-        KernelSpec("proj", "baseline", 2, alpha=2.0)
+        KernelSpec("projection", "baseline", 2, alpha=2.0)
 
 
 def test_parameter_ranges():
@@ -139,7 +146,7 @@ def test_parameter_ranges():
     with pytest.raises(InvalidKernelParameter):
         KernelSpec("bc", "rbf", 2, beta=0.0)
     with pytest.raises(InvalidKernelParameter):
-        KernelSpec("proj", "laplace", 2, beta=-0.5)
+        KernelSpec("projection", "laplace", 2, beta=-0.5)
     with pytest.raises(InvalidKernelParameter):
         KernelSpec("bc", "binomial", 2, alpha=0.0, beta=2.0)
     with pytest.raises(InvalidKernelParameter):
@@ -154,19 +161,25 @@ def test_binomial_scale_floor_tracks_embedding():
         KernelSpec("bc", "binomial", 2, alpha=1.0, beta=1.0)
     assert KernelSpec("bc", "binomial", 2, alpha=1.0, beta=1.5).beta == 1.5
     with pytest.raises(InvalidKernelParameter):
-        KernelSpec("proj", "binomial", 2, alpha=1.0, beta=2.0)
-    assert KernelSpec("proj", "binomial", 2, alpha=1.0, beta=2.5).beta == 2.5
+        KernelSpec("projection", "binomial", 2, alpha=1.0, beta=2.0)
+    assert KernelSpec("projection", "binomial", 2, alpha=1.0,
+                      beta=2.5).beta == 2.5
 
 
 def test_overflowing_parameters_rejected():
-    # the log of the largest value is beta*smax (rbf), alpha*log(beta+smax)
-    # (polynomial) or -alpha*log(beta-smax) (binomial); past about 709.78
-    # the value overflows a float
+    # the largest value, at s = smax, overflows a float: the log of it,
+    # beta*smax (rbf), alpha*log(beta+smax) (polynomial) or
+    # -alpha*log(beta-smax) (binomial), is past about 709.78
     for token in ("rbf:projection:beta=1000",
                   "polynomial:projection:alpha=400:beta=5",
                   "binomial:bc:alpha=400:beta=1.0001"):
         with pytest.raises(InvalidKernelParameter, match="overflows"):
             parse_kernel_token(token, 2)
+    # 221 * log(24.82...) computes to the log of the largest float, but
+    # the power itself overflows
+    with pytest.raises(InvalidKernelParameter, match="overflows"):
+        parse_kernel_token(
+            "polynomial:projection:alpha=221:beta=21.820911007616182", 3)
     # just under the bound (logs 708, 703.1 and 643.8) the largest value,
     # reached at x == y, is finite
     x = random_points(1, 4, 2, 3)[0]
@@ -177,18 +190,37 @@ def test_overflowing_parameters_rejected():
         assert math.isfinite(value) and value > 1e270
 
 
+def test_gram_overflow_past_smax_raises():
+    """A kernel finite at s = smax can still overflow where roundoff puts
+    a similarity past smax: 14 of the 40 subspaces of the CLI's default
+    data have projection self-similarities above 2, by up to 8.9e-16.
+    No float warning escapes (the suite makes them errors)."""
+    data = generate_planted(8, 2, 2, 20, 0.1, seed=0).subspaces
+    # the binomial's pole at s = beta lies within roundoff of smax, so
+    # some values divide by zero or take a power of a negative number
+    for token in ("rbf:projection:beta=354.891356446692",
+                  "binomial:projection:alpha=1.5:beta=2.0000000000000004"):
+        spec = parse_kernel_token(token, 2)
+        assert math.isfinite(evaluate(spec, data[0], data[0]))
+        with pytest.raises(NumericalOverflow, match=spec.label()):
+            gram(spec, data)
+        with pytest.raises(NumericalOverflow):
+            cross_gram(spec, data, data)
+
+
 def test_similarity_max_and_mode():
     assert KernelSpec("bc", "linear", 3).similarity_max == 1.0
-    assert KernelSpec("proj", "linear", 3).similarity_max == 3.0
+    assert KernelSpec("projection", "linear", 3).similarity_max == 3.0
     assert KernelSpec("bc", "logarithm", 2).certification_mode == "cpd"
-    assert KernelSpec("proj", "rbf", 2, beta=1.0).certification_mode == "pd"
+    assert KernelSpec("projection", "rbf", 2,
+                      beta=1.0).certification_mode == "pd"
 
 
 def test_label_round_trip():
     for token in CATALOG:
         spec = parse_kernel_token(token, 2)
         assert parse_kernel_token(spec.label(), 2) == spec
-    assert KernelSpec("proj", "rbf", 2, beta=0.5).label() == \
+    assert KernelSpec("projection", "rbf", 2, beta=0.5).label() == \
         "rbf:projection:beta=0.5"
     assert KernelSpec("bc", "linear", 2).label() == "linear:bc"
     assert KernelSpec("bc", "polynomial", 2, alpha=2, beta=0.5).label() == \
@@ -205,7 +237,7 @@ def test_parse_token_errors():
 
 def test_kv_round_trip():
     """A Gram CSV header names the kernel's fields, empty when unset."""
-    spec = KernelSpec("proj", "rbf", 2, beta=0.5)
+    spec = KernelSpec("projection", "rbf", 2, beta=0.5)
     text = gram_csv_text(spec, GramMatrix(np.eye(2)), "f")
     assert text.splitlines()[0] == ("# format_version=1 embedding=projection "
                                     "family=rbf alpha= beta=0.5 fingerprint=f")
@@ -344,7 +376,7 @@ def test_similarity_matches_pair_products():
                                   for y in pts] for x in queries])
             got = grassmann.similarity(embedding, queries, pts)
             assert np.array_equal(got, expected), (d, p, n, embedding)
-            inner = {"binet_cauchy": grassmann.bc_inner,
+            inner = {"bc": grassmann.bc_inner,
                      "projection": grassmann.proj_inner}[embedding]
             assert inner(queries[-1], pts[1]) == expected[-1, 1]
     with pytest.raises(ValueError):
@@ -392,7 +424,7 @@ def test_grams_share_one_similarity_per_embedding(monkeypatch):
     monkeypatch.setattr(grassmann, "similarity", counting)
     # duplicates collapse, first-seen order is kept
     got = grams(catalog + catalog[::-1], pts)
-    assert sorted(embeddings) == ["binet_cauchy", "projection"]
+    assert sorted(embeddings) == ["bc", "projection"]
     assert list(got) == catalog
     upper = np.triu(np.ones((40, 40), dtype=bool))
     for spec in catalog:

@@ -25,6 +25,7 @@ from grasskernels.harness.datasets import generate_planted, stratified_split
 from grasskernels.kernels import (GramMatrix, evaluate, gram, grams,
                                  parse_kernel_token)
 from grasskernels.machines import kkmeans as kkmeans_mod
+from grasskernels.machines import sparse as sparse_mod
 from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.kkmeans import kkmeans
 from grasskernels.machines.klsh import (EIGENVALUE_FLOOR, klsh_build,
@@ -156,11 +157,12 @@ def test_svm_error_paths():
             svm_train(g, [1.0, -1.0], c=c)
 
 
-def test_svm_budget_exhaustion_reports_gap():
+def test_svm_budget_exhaustion_reports_gap(monkeypatch):
     data, y = planted_binary()
     g = gram(RBF_PROJ, data.subspaces)
+    monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceFailure) as info:
-        svm_train(g, y, c=10.0, max_iterations=1)
+        svm_train(g, y, c=10.0)
     assert info.value.iterations == 1
     assert info.value.gap > 1e-6
 
@@ -246,7 +248,7 @@ def test_svm_iteration_count_on_tasks_sized_problem():
 
 
 @pytest.mark.parametrize("opposite", [False, True])
-def test_svm_duplicated_point_gives_finite_duals(opposite):
+def test_svm_duplicated_point_gives_finite_duals(opposite, monkeypatch):
     """A duplicated training point has curvature a = 0 against its copy,
     floored at _TAU, so no gain or step divides by zero.  With opposite
     labels that pair's gain gap^2 / _TAU wins the first selection and its
@@ -266,8 +268,9 @@ def test_svm_duplicated_point_gives_finite_duals(opposite):
     assert np.all((alpha >= 0.0) & (alpha <= 10.0))
     if opposite:
         assert 10.0 in alpha[[0, -1]]
+    monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceFailure) as info:
-        svm_train(g, labels, c=10.0, max_iterations=2)
+        svm_train(g, labels, c=10.0)
     assert np.isfinite(info.value.gap) and info.value.gap > 1e-6
 
 
@@ -438,12 +441,12 @@ def test_svm_lockstep_cross_validation_folds(monkeypatch):
     and final fits alike, matches its machines trained one by one."""
     calls = []
 
-    def checked(gram_matrix, labels, c=1.0, **kwargs):
+    def checked(gram_matrix, labels, c=1.0):
         labels = np.asarray(labels)
         if labels.ndim == 2:
             _assert_trained_alone(gram_matrix, labels, c)
             calls.append(gram_matrix.n)
-        return svm_train(gram_matrix, labels, c=c, **kwargs)
+        return svm_train(gram_matrix, labels, c=c)
 
     monkeypatch.setattr(experiments, "svm_train", checked)
     experiments.run_experiment(build_config("svm", overrides={
@@ -455,21 +458,22 @@ def test_svm_lockstep_cross_validation_folds(monkeypatch):
     assert sorted(calls) == [8] * 4 + [12] * 8 + [16] * 2
 
 
-def test_svm_lockstep_budget_reports_largest_remaining_gap():
+def test_svm_lockstep_budget_reports_largest_remaining_gap(monkeypatch):
     """Rows that need more than the budget fail; the error carries the
     largest of the gaps they report when trained alone."""
     g, rows, c = next(_lockstep_problems())
     counts = sorted(svm_train(g, row, c=c).iterations for row in rows)
     budget = counts[len(counts) // 2]
+    monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", budget)
     gaps = []
     for row in rows:
         try:
-            svm_train(g, row, c=c, max_iterations=budget)
+            svm_train(g, row, c=c)
         except ConvergenceFailure as failure:
             gaps.append(failure.gap)
     assert 0 < len(gaps) < len(rows)
     with pytest.raises(ConvergenceFailure) as info:
-        svm_train(g, rows, c=c, max_iterations=budget)
+        svm_train(g, rows, c=c)
     assert info.value.iterations == budget
     assert info.value.gap == max(gaps)
 
@@ -812,17 +816,31 @@ def test_matching_total_matches_linear_sum_assignment():
 # -------------------------------------------------------------- sparse
 
 
+def _code_one(dictionary, column, self_value, lam):
+    """The SparseCode of one query, coded as a batch of one."""
+    return kernel_sparse_code(dictionary, np.asarray(column)[None],
+                              np.array([self_value]), lam).codes[0]
+
+
+def _code_rows(dictionary, columns, self_values, lam):
+    """The codes of the query rows from the loop kernel_sparse_code runs
+    after its checks, for dictionaries that do not certify."""
+    return sparse_mod._code_rows(dictionary.values,
+                                 np.asarray(columns, dtype=np.float64),
+                                 np.asarray(self_values, dtype=np.float64),
+                                 lam)
+
+
 def test_sparse_single_atom_soft_threshold():
     """One unit atom: the code is the soft-thresholded similarity."""
     g = GramMatrix(np.array([[1.0]]))
-    code = kernel_sparse_code(g, [0.9], 1.0, lam=0.2)
+    code = _code_one(g, [0.9], 1.0, lam=0.2)
     np.testing.assert_allclose(code.coefficients, [0.8], rtol=1e-12)
     # objective: 0.64 - 1.44 + 1 + 0.2 * 0.8
     np.testing.assert_allclose(code.objective, 0.36, rtol=1e-12)
     assert code.sweeps <= 3
-    assert code.lam == 0.2
     # a penalty past twice the similarity zeroes the coefficient
-    zero = kernel_sparse_code(g, [0.9], 1.0, lam=2.0)
+    zero = _code_one(g, [0.9], 1.0, lam=2.0)
     assert np.array_equal(zero.coefficients, [0.0])
 
 
@@ -868,7 +886,7 @@ def test_sparse_matches_enumeration_oracle():
         column = np.array([evaluate(spec, query, a) for a in atoms])
         self_sim = evaluate(spec, query, query)
         for lam in (0.1, 0.5):
-            code = kernel_sparse_code(dictionary, column, self_sim, lam)
+            code = _code_one(dictionary, column, self_sim, lam)
             target, coefficients = _lasso_oracle(dictionary.values, column,
                                                  self_sim, lam)
             assert target is not None
@@ -880,29 +898,29 @@ def test_sparse_matches_enumeration_oracle():
             assert code.objective == history[-1]
 
 
-def test_sparse_error_paths():
+def test_sparse_error_paths(monkeypatch):
     pts = [grassmann.random_subspace(5, 2, np.random.default_rng([4, i]))
            for i in range(4)]
     g = gram(RBF_PROJ, pts)
     column = g.values[0]
     for lam in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="must be positive"):
-            kernel_sparse_code(g, column, 1.0, lam=lam)
+            _code_one(g, column, 1.0, lam=lam)
     with pytest.raises(DimensionMismatch):
-        kernel_sparse_code(g, column[:2], 1.0, lam=0.1)
+        _code_one(g, column[:2], 1.0, lam=0.1)
     lines = [line(k * math.pi / 4.0) for k in range(4)]
     indefinite = gram(parse_kernel_token("linear:bc", 1), lines)
     with pytest.raises(NotPositiveSemidefinite):
-        kernel_sparse_code(indefinite, indefinite.values[0], 1.0, lam=0.1)
-    # with the check waived the solver still returns within its budget
-    waived = kernel_sparse_code(indefinite, indefinite.values[0], 1.0,
-                                lam=0.1, check_psd=False, max_sweeps=5)
+        _code_one(indefinite, indefinite.values[0], 1.0, lam=0.1)
+    # past the check the solver still returns within its budget
+    monkeypatch.setattr(sparse_mod, "MAX_SWEEPS", 5)
+    [waived] = _code_rows(indefinite, indefinite.values[:1], [1.0], 0.1)
     assert 1 <= waived.sweeps <= 5
 
 
 def test_sparse_classify():
     def fitted(coefficients):
-        return SparseCode(coefficients=np.array(coefficients), lam=0.1,
+        return SparseCode(coefficients=np.array(coefficients),
                           objective=0.0, objective_history=(0.0,), sweeps=1,
                           converged=True, kkt_residual=0.0)
 
@@ -939,8 +957,7 @@ def test_sparse_zero_code_from_large_penalty():
     g = gram(RBF_PROJ, data.subspaces)
     dictionary = g.take(np.arange(1, g.n))
     column = g.values[0, 1:]
-    code = kernel_sparse_code(dictionary, column, g.values[0, 0],
-                              lam=100.0)
+    code = _code_one(dictionary, column, g.values[0, 0], lam=100.0)
     assert not np.any(code.coefficients)
     assert code.converged and code.sweeps == 1
     assert code.objective_history == (code.objective,)
@@ -973,11 +990,10 @@ def _bench_dictionary():
 
 def test_sparse_converges_on_bench_dictionary():
     g, train, test = _bench_dictionary()
-    dictionary = g.take(train)
-    for query in test:
-        column = g.values[query, train]
-        code = kernel_sparse_code(dictionary, column, g.values[query, query],
-                                  lam=1e-3)
+    dictionary, columns, self_values = _split_problem(g, train, test)
+    codes = kernel_sparse_code(dictionary, columns, self_values,
+                               lam=1e-3).codes
+    for column, code in zip(columns, codes):
         residual = _kkt_residual(dictionary.values, column, 1e-3,
                                  code.coefficients)
         assert code.converged
@@ -985,28 +1001,27 @@ def test_sparse_converges_on_bench_dictionary():
         assert np.all(np.diff(code.objective_history) <= 0.0)
 
 
-def test_sparse_budget_exhaustion_is_reported():
+def test_sparse_budget_exhaustion_is_reported(monkeypatch):
     g, train, test = _bench_dictionary()
     dictionary = g.take(train)
     column = g.values[test[0], train]
-    full = kernel_sparse_code(dictionary, column, g.values[test[0], test[0]],
-                              lam=1e-3)
+    full = _code_one(dictionary, column, g.values[test[0], test[0]],
+                     lam=1e-3)
     assert full.converged and full.sweeps > 1
-    cut = kernel_sparse_code(dictionary, column, g.values[test[0], test[0]],
-                             lam=1e-3, max_sweeps=1)
+    monkeypatch.setattr(sparse_mod, "MAX_SWEEPS", 1)
+    cut = _code_one(dictionary, column, g.values[test[0], test[0]],
+                    lam=1e-3)
     assert cut.sweeps == 1 and not cut.converged
     assert cut.kkt_residual > 1e-8
     assert cut.kkt_residual == _kkt_residual(dictionary.values, column, 1e-3,
                                              cut.coefficients)
     assert cut.objective == cut.objective_history[-1] > full.objective
-    with pytest.raises(ValueError):
-        kernel_sparse_code(dictionary, column, 1.0, lam=1e-3, max_sweeps=0)
 
 
 def _degenerate_problems():
     """(dictionary, column, self value, converges) of repeated-atom and
-    indefinite dictionaries, each coded with check_psd=False; columns of
-    one dictionary share its object."""
+    indefinite dictionaries, each coded through `_code_rows`, which skips
+    the certification; columns of one dictionary share its object."""
     data = generate_planted(d=8, p=2, classes=2, per_class=4,
                             noise_angle=0.1, seed=3)
     g = gram(RBF_PROJ, data.subspaces)
@@ -1036,8 +1051,7 @@ def _degenerate_problems():
 def test_sparse_degenerate_dictionaries_return():
     """A singular or indefinite active block stops the solve, never raises."""
     for dictionary, column, self_value, converges in _degenerate_problems():
-        code = kernel_sparse_code(dictionary, column, self_value, 1e-3,
-                                  check_psd=False)
+        [code] = _code_rows(dictionary, [column], [self_value], 1e-3)
         history = np.array(code.objective_history)
         assert 1 <= code.sweeps == history.size
         assert np.all(np.diff(history) <= 0.0)
@@ -1121,11 +1135,12 @@ def _feature_sign_reference(kmat, k, q, lam, max_sweeps=10_000):
     return y, tuple(history), sweeps, residual, residual <= tolerance
 
 
-def _assert_is_reference_code(code, dictionary, column, self_value, lam,
-                              **kwargs):
+def _assert_is_reference_code(code, dictionary, column, self_value, lam):
+    """The code `_feature_sign_reference` gives the query alone, at the
+    current MAX_SWEEPS."""
     y, history, sweeps, residual, converged = _feature_sign_reference(
         dictionary.values, np.asarray(column, dtype=np.float64), self_value,
-        lam, **kwargs)
+        lam, max_sweeps=sparse_mod.MAX_SWEEPS)
     assert code.coefficients.tobytes() == y.tobytes()
     assert code.objective_history == history
     assert code.objective == history[-1]
@@ -1134,16 +1149,13 @@ def _assert_is_reference_code(code, dictionary, column, self_value, lam,
     assert code.converged == converged
 
 
-def _assert_coded_as_reference(dictionary, column, self_value, lam,
-                               **kwargs):
-    code = kernel_sparse_code(dictionary, column, self_value, lam,
-                              check_psd=False, **kwargs)
-    _assert_is_reference_code(code, dictionary, column, self_value, lam,
-                              **kwargs)
+def _assert_coded_as_reference(dictionary, column, self_value, lam):
+    [code] = _code_rows(dictionary, [column], [self_value], lam)
+    _assert_is_reference_code(code, dictionary, column, self_value, lam)
     return code
 
 
-def test_sparse_sweeps_match_the_reference_loop():
+def test_sparse_sweeps_match_the_reference_loop(monkeypatch):
     """Keeping K y and the violations between sweeps, and accepting a step
     by its change in f, leave every iterate bit-identical on dictionaries
     where no decrease is lost to roundoff: the bench split, one
@@ -1153,9 +1165,10 @@ def test_sparse_sweeps_match_the_reference_loop():
     bench = g.take(train)
     for query in test:
         for max_sweeps in (10_000, 1, 3):
-            _assert_coded_as_reference(bench, g.values[query, train],
-                                       g.values[query, query], 1e-3,
-                                       max_sweeps=max_sweeps)
+            with monkeypatch.context() as patch:
+                patch.setattr(sparse_mod, "MAX_SWEEPS", max_sweeps)
+                _assert_coded_as_reference(bench, g.values[query, train],
+                                           g.values[query, query], 1e-3)
     zero = _assert_coded_as_reference(bench, g.values[test[0], train],
                                       g.values[test[0], test[0]], 100.0)
     assert zero.sweeps == 1 and not np.any(zero.coefficients)
@@ -1190,8 +1203,7 @@ def test_sparse_converges_where_absolute_objectives_tie():
     assert query in test
     dictionary = g.take(train)
     column = g.values[query, train]
-    code = kernel_sparse_code(dictionary, column, g.values[query, query],
-                              1e-3, check_psd=False)
+    code = _code_one(dictionary, column, g.values[query, query], 1e-3)
     assert code.converged and code.kkt_residual <= 1e-8
     assert code.kkt_residual == _kkt_residual(dictionary.values, column,
                                               1e-3, code.coefficients)
@@ -1205,18 +1217,21 @@ def test_sparse_converges_where_absolute_objectives_tie():
 
 
 def _assert_rows_coded_as_reference(dictionary, columns, self_values, lam,
-                                    **kwargs):
+                                    certified=True):
     """One lockstep call on the rows of `columns` gives each row the code
-    `_feature_sign_reference` gives it alone."""
-    coded = kernel_sparse_code(dictionary, columns, self_values, lam,
-                               check_psd=False, **kwargs)
-    assert isinstance(coded, SparseCodes)
-    assert len(coded.codes) == len(columns)
-    for code, column, self_value in zip(coded.codes, columns, self_values):
-        _assert_is_reference_code(code, dictionary, column, self_value, lam,
-                                  **kwargs)
-    assert coded.sweeps == sum(code.sweeps for code in coded.codes)
-    return coded
+    `_feature_sign_reference` gives it alone; a dictionary that is not
+    `certified` is coded through `_code_rows`.  Returns the codes."""
+    if certified:
+        coded = kernel_sparse_code(dictionary, columns, self_values, lam)
+        assert isinstance(coded, SparseCodes)
+        assert coded.sweeps == sum(code.sweeps for code in coded.codes)
+        codes = coded.codes
+    else:
+        codes = _code_rows(dictionary, columns, self_values, lam)
+    assert len(codes) == len(columns)
+    for code, column, self_value in zip(codes, columns, self_values):
+        _assert_is_reference_code(code, dictionary, column, self_value, lam)
+    return codes
 
 
 def _split_problem(g, train, test):
@@ -1225,22 +1240,27 @@ def _split_problem(g, train, test):
             g.values[test, test])
 
 
-def test_sparse_lockstep_rows_code_as_alone():
+def test_sparse_lockstep_rows_code_as_alone(monkeypatch):
     """A split's queries coded in one call: the bench split at full and
-    cut budgets, the 50-query n=100 split, and the degenerate problems
-    with their singular and regular columns side by side."""
+    cut budgets, the 50-query n=100 split, the degenerate problems with
+    their singular and regular columns side by side, and no queries."""
     g, train, test = _bench_dictionary()
+    dictionary, columns, self_values = _split_problem(g, train, test)
     for max_sweeps in (10_000, 1, 3):
-        _assert_rows_coded_as_reference(*_split_problem(g, train, test),
-                                        1e-3, max_sweeps=max_sweeps)
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse_mod, "MAX_SWEEPS", max_sweeps)
+            _assert_rows_coded_as_reference(dictionary, columns, self_values,
+                                            1e-3)
+    empty = kernel_sparse_code(dictionary, columns[:0], self_values[:0], 1e-3)
+    assert empty.codes == () and empty.sweeps == 0
     data = generate_planted(d=100, p=2, classes=10, per_class=10,
                             noise_angle=0.1, seed=24)
     g = gram(RBF_PROJ, data.subspaces)
     train, test = stratified_split(data.labels, 0.5,
                                    np.random.default_rng([0]))
-    coded = _assert_rows_coded_as_reference(*_split_problem(g, train, test),
+    codes = _assert_rows_coded_as_reference(*_split_problem(g, train, test),
                                             1e-3)
-    assert len(coded.codes) == 50 and coded.sweeps > 2 * 50
+    assert len(codes) == 50 and sum(code.sweeps for code in codes) > 2 * 50
     by_dictionary = {}
     for dictionary, column, self_value, converges in _degenerate_problems():
         by_dictionary.setdefault(id(dictionary), (dictionary, []))[1].append(
@@ -1249,30 +1269,10 @@ def test_sparse_lockstep_rows_code_as_alone():
                for _, rows in by_dictionary.values())
     for dictionary, rows in by_dictionary.values():
         columns, self_values, converges = zip(*rows)
-        coded = _assert_rows_coded_as_reference(
-            dictionary, np.array(columns), np.array(self_values), 1e-3)
-        assert [code.converged for code in coded.codes] == list(converges)
-
-
-def test_sparse_one_row_matrix_codes_as_a_vector():
-    g, train, test = _bench_dictionary()
-    dictionary, columns, self_values = _split_problem(g, train, test)
-    for row in (0, 7):
-        alone = kernel_sparse_code(dictionary, columns[row], self_values[row],
-                                   1e-3)
-        coded = kernel_sparse_code(dictionary, columns[row:row + 1],
-                                   self_values[row:row + 1], 1e-3)
-        assert isinstance(alone, SparseCode)
-        assert isinstance(coded, SparseCodes) and len(coded.codes) == 1
-        [code] = coded.codes
-        assert code.coefficients.tobytes() == alone.coefficients.tobytes()
-        assert (code.objective_history, code.sweeps, code.kkt_residual,
-                code.converged, code.lam) == (
-                    alone.objective_history, alone.sweeps,
-                    alone.kkt_residual, alone.converged, alone.lam)
-        assert coded.sweeps == alone.sweeps
-    empty = kernel_sparse_code(dictionary, columns[:0], self_values[:0], 1e-3)
-    assert empty.codes == () and empty.sweeps == 0
+        codes = _assert_rows_coded_as_reference(
+            dictionary, np.array(columns), np.array(self_values), 1e-3,
+            certified=False)
+        assert [code.converged for code in codes] == list(converges)
 
 
 def test_sparse_lockstep_rejects_mismatched_queries():
@@ -1280,7 +1280,8 @@ def test_sparse_lockstep_rejects_mismatched_queries():
     dictionary, columns, self_values = _split_problem(g, train, test)
     bad = [(columns[:, :-1], self_values), (columns, self_values[:-1]),
            (columns, self_values[:, None]), (columns, 1.0),
-           (columns[0], self_values[:1]), (columns[None], self_values)]
+           (columns[0], self_values[:1]), (columns[None], self_values),
+           (columns[0], self_values[0])]
     for column, self_value in bad:
         with pytest.raises(DimensionMismatch):
             kernel_sparse_code(dictionary, column, self_value, 1e-3)

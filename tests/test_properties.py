@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from grasskernels import kernels
+from grasskernels import grassmann, kernels
 from grasskernels.exceptions import InputError, InvalidKernelParameter
 from grasskernels.grassmann import (Subspace, plucker_embed,
                                     principal_angles, random_subspace,
@@ -89,7 +89,7 @@ def test_pair_with_angles_takes_any_order_and_rejects_out_of_range(
 def kernel_specs(draw):
     p = draw(st.integers(min_value=1, max_value=6))
     family = draw(st.sampled_from(kernels.FAMILIES))
-    embedding = draw(st.sampled_from(kernels.EMBEDDINGS))
+    embedding = draw(st.sampled_from(grassmann.EMBEDDINGS))
     alpha = beta = None
     if family == "polynomial":
         alpha = float(draw(st.integers(min_value=1, max_value=400)))
@@ -98,7 +98,7 @@ def kernel_specs(draw):
     if family in ("polynomial", "rbf", "laplace"):
         beta = draw(scales)
     elif family == "binomial":
-        smax = 1.0 if embedding == "binet_cauchy" else float(p)
+        smax = 1.0 if embedding == "bc" else float(p)
         beta = smax + draw(scales)
     try:
         return kernels.KernelSpec(embedding, family, p, alpha=alpha,
