@@ -2,16 +2,16 @@
 
 
 class GrassError(Exception):
-    """Base class of the library's own errors; misuse, such as a wrong
-    argument type or value, raises TypeError or ValueError instead."""
+    """Base class of the failures a caller tells apart by type.
 
-
-class DimensionMismatch(GrassError):
-    """Operands do not have the shapes the operation requires."""
-
-
-class RankDeficient(GrassError):
-    """Input matrix does not have full column rank."""
+    A bad argument value or shape raises ValueError and a wrong type
+    TypeError.  A subclass exists only where a caller catches it by name:
+    the command line reports InputError and InvalidKernelParameter as
+    bad input (exit 2), tuning skips an InvalidKernelParameter grid value,
+    and the task runners report ConvergenceFailure, NumericalOverflow and
+    NotPositiveSemidefinite as a kernel's values breaking a step
+    (experiments._kernel_failures).
+    """
 
 
 class ConvergenceFailure(GrassError):
@@ -31,24 +31,8 @@ class ConvergenceFailure(GrassError):
         self.gap = gap
 
 
-class EmbeddingTooLarge(GrassError):
-    """Explicit embedding would exceed the configured coordinate cap."""
-
-
-class DegenerateRatio(GrassError):
-    """Distance ratio is undefined for identical subspaces."""
-
-
 class InvalidKernelParameter(GrassError):
     """Kernel parameters violate the validity constraints of the family."""
-
-
-class DegenerateLabels(GrassError):
-    """Training labels contain fewer than two classes."""
-
-
-class InsufficientData(GrassError):
-    """Not enough data points for the requested construction."""
 
 
 class NotPositiveSemidefinite(GrassError):

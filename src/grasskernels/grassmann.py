@@ -11,8 +11,6 @@ import math
 import numpy as np
 
 from . import numerics
-from .exceptions import (DegenerateRatio, DimensionMismatch,
-                         EmbeddingTooLarge)
 
 EMBEDDING_CAP = 10_000
 EMBEDDINGS = ("bc", "projection")  # Binet-Cauchy and projection similarity
@@ -40,7 +38,7 @@ class Subspace:
         basis = numerics.as_matrix(basis).copy()
         d, p = basis.shape
         if not 0 < p < d:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"subspace dimensions need 0 < p < d, got d={d}, p={p}")
         gram = basis.T @ basis
         defect = np.max(np.abs(gram - np.eye(p)))
@@ -81,7 +79,7 @@ def _check_pair(x, y):
     if not isinstance(x, Subspace) or not isinstance(y, Subspace):
         raise TypeError("expected Subspace operands")
     if x.basis.shape != y.basis.shape:
-        raise DimensionMismatch(
+        raise ValueError(
             f"subspaces live on different manifolds: "
             f"(d={x.d}, p={x.p}) vs (d={y.d}, p={y.p})")
 
@@ -94,7 +92,7 @@ def _row_products(xs, ys):
     """
     xs, ys = list(xs), list(ys)
     if not xs or not ys:
-        raise DimensionMismatch("need at least one subspace on each side")
+        raise ValueError("need at least one subspace on each side")
     for z in xs + ys:
         _check_pair(xs[0], z)
     stack = np.stack([y.basis for y in ys])
@@ -160,7 +158,7 @@ def plucker_embed(x):
 
     The result has choose(d, p) coordinates and unit norm; for a 4 x 2
     basis the six entries use rows (0,1), (0,2), (0,3), (1,2), (1,3),
-    (2,3).  Raises EmbeddingTooLarge when the coordinate count exceeds
+    (2,3).  Raises ValueError when the coordinate count exceeds
     EMBEDDING_CAP, which keeps accidental use on large manifolds from
     allocating astronomically long vectors.
     """
@@ -180,18 +178,18 @@ def compound_matrix(m, q):
     Entry (i, j) is the minor of m taken from the i-th q-subset of rows
     and the j-th q-subset of columns.  Satisfies the product identity
     compound(a @ b, q) = compound(a, q) @ compound(b, q).  Raises
-    EmbeddingTooLarge when it would have more than EMBEDDING_CAP entries.
+    ValueError when it would have more than EMBEDDING_CAP entries.
     """
     m = numerics.as_matrix(m)
     r, c = m.shape
     if not 1 <= q <= min(r, c):
-        raise DimensionMismatch(
+        raise ValueError(
             f"minor order q={q} out of range for shape {m.shape}")
     n_rows = math.comb(r, q)
     n_cols = math.comb(c, q)
     if n_rows * n_cols > EMBEDDING_CAP:
-        raise EmbeddingTooLarge(f"compound matrix has {n_rows} x {n_cols} "
-                                f"entries, cap is {EMBEDDING_CAP}")
+        raise ValueError(f"compound matrix has {n_rows} x {n_cols} "
+                         f"entries, cap is {EMBEDDING_CAP}")
     rows = np.array(list(itertools.combinations(range(r), q)))
     cols = np.array(list(itertools.combinations(range(c), q)))
     minors = m[rows[:, None, :, None], cols[None, :, None, :]]
@@ -210,7 +208,7 @@ def curve_length_ratio(x, y):
     _check_pair(x, y)
     geo = geodesic_distance(x, y)
     if x == y or geo == 0.0:
-        raise DegenerateRatio(
+        raise ValueError(
             "curve length ratio is undefined for identical subspaces")
     overlap = bc_inner(x, y)
     return (2.0 - 2.0 * overlap * overlap) / (geo * geo)
@@ -219,7 +217,7 @@ def curve_length_ratio(x, y):
 def random_subspace(d, p, rng):
     """A uniformly distributed subspace, from an orthonormalized Gaussian."""
     if not 0 < p < d:
-        raise DimensionMismatch(
+        raise ValueError(
             f"subspace dimensions need 0 < p < d, got d={d}, p={p}")
     return Subspace(numerics.orthonormalize(rng.standard_normal((d, p))))
 
@@ -234,10 +232,10 @@ def subspace_pair_with_angles(d, p, angles, rng):
     """
     a = np.asarray(angles, dtype=np.float64)
     if a.shape != (p,):
-        raise DimensionMismatch(f"need {p} angles, got shape {a.shape}")
+        raise ValueError(f"need {p} angles, got shape {a.shape}")
     if 2 * p > d:
-        raise DimensionMismatch(f"need d >= 2p to realize all angles "
-                                f"(d={d}, p={p})")
+        raise ValueError(f"need d >= 2p to realize all angles "
+                         f"(d={d}, p={p})")
     if np.any(a < 0.0) or np.any(a > np.pi / 2 + 1e-12):
         raise ValueError("principal angles must lie in [0, pi/2]")
     frame = numerics.orthonormalize(rng.standard_normal((d, 2 * p)))
@@ -259,7 +257,7 @@ def tilt_subspace(x, angles, rng):
         raise TypeError("expected a Subspace")
     a = np.asarray(angles, dtype=np.float64)
     if a.ndim != 1 or a.size != x.p:
-        raise DimensionMismatch(f"need {x.p} angles, got {a!r}")
+        raise ValueError(f"need {x.p} angles, got {a!r}")
     k = min(x.p, x.d - x.p)
     raw = rng.standard_normal((x.d, k))
     raw -= x.basis @ (x.basis.T @ raw)

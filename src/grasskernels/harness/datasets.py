@@ -29,8 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import numerics
-from ..exceptions import (DimensionMismatch, InputError, InsufficientData,
-                          RankDeficient)
+from ..exceptions import InputError
 from ..grassmann import Subspace, random_subspace, tilt_subspace
 from .reports import write_text
 
@@ -49,17 +48,17 @@ class Dataset:
     def __post_init__(self):
         subspaces = tuple(self.subspaces)
         if not subspaces:
-            raise DimensionMismatch("a dataset needs at least one subspace")
+            raise ValueError("a dataset needs at least one subspace")
         shape = subspaces[0].basis.shape
         for x in subspaces:
             if x.basis.shape != shape:
-                raise DimensionMismatch(
+                raise ValueError(
                     "all subspaces in a dataset must share (d, p)")
         object.__setattr__(self, "subspaces", subspaces)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (len(subspaces),):
-                raise DimensionMismatch(
+                raise ValueError(
                     f"need {len(subspaces)} labels, got {labels.shape}")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
@@ -189,11 +188,8 @@ def parse_dataset(text):
                 f"line {lineno}: expected {d * p} values, got {len(parts)}")
         try:
             flat = np.array(list(map(float, parts)))
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-        try:
             subspaces.append(Subspace(flat.reshape((d, p), order="F")))
-        except (ValueError, DimensionMismatch) as exc:
+        except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
 
     labels = None
@@ -208,7 +204,7 @@ def parse_dataset(text):
     try:
         return Dataset(subspaces=tuple(subspaces), labels=labels,
                        name=fields.get("name", "unnamed"))
-    except (ValueError, DimensionMismatch) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -218,11 +214,14 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
+    """parse_dataset of the file at `path`, its errors naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_dataset(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset {path!r}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def generate_planted(d, p, classes, per_class, noise_angle, seed=0,
@@ -237,9 +236,9 @@ def generate_planted(d, p, classes, per_class, noise_angle, seed=0,
     the others kept: on G(2, 3) one angle to the prototype stays 0.
     """
     if not 0 < p < d:
-        raise DimensionMismatch(f"need 0 < p < d, got d={d}, p={p}")
+        raise ValueError(f"need 0 < p < d, got d={d}, p={p}")
     if classes < 1 or per_class < 1:
-        raise InsufficientData("need at least one class and one member")
+        raise ValueError("need at least one class and one member")
     if not 0.0 <= noise_angle < math.pi / 2:
         raise ValueError(
             f"noise_angle must lie in [0, pi/2), got {noise_angle}")
@@ -276,18 +275,18 @@ def subspace_from_samples(samples, p):
     """Best-fit p-dimensional subspace for a matrix of sample columns.
 
     Takes the span of the top p left singular vectors.  Raises
-    RankDeficient when the samples do not support p directions.
+    ValueError when the samples do not support p directions.
     """
     m = numerics.as_matrix(samples)
     if p < 1 or p >= m.shape[0]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"need 0 < p < {m.shape[0]}, got p={p}")
     if m.shape[1] < p:
-        raise RankDeficient(
+        raise ValueError(
             f"{m.shape[1]} samples cannot span {p} directions")
     u, s, _ = numerics.svd(m)
     if s[0] == 0.0 or s[p - 1] < numerics.RANK_TOLERANCE * s[0]:
-        raise RankDeficient(
+        raise ValueError(
             f"samples have numerical rank below {p}")
     return Subspace(u[:, :p])
 
@@ -316,7 +315,7 @@ def stratified_split(labels, train_fraction, rng):
     """
     y = np.asarray(labels)
     if y.ndim != 1 or y.size == 0:
-        raise DimensionMismatch("labels must form a nonempty vector")
+        raise ValueError("labels must form a nonempty vector")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(
             f"train_fraction must lie in (0, 1), got {train_fraction}")

@@ -170,8 +170,8 @@ def _kernel_failures(where):
         # the SMO's KKT tolerance is absolute, so a large penalty can
         # leave duals too large to meet it
         ConvergenceFailure: "a smaller svm_c may converge",
-        NumericalOverflow: "kernel values this large need a smaller "
-                           "parameter",
+        NumericalOverflow: "pick parameters that give smaller kernel "
+                           "values; for binomial, a beta further above smax",
         NotPositiveSemidefinite: "sparse coding needs a pd kernel"}
     try:
         yield

@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from . import grassmann, numerics
-from .exceptions import DimensionMismatch, InvalidKernelParameter
+from .exceptions import InvalidKernelParameter
 
 FAMILIES = ("baseline", "linear", "polynomial", "rbf", "laplace",
             "binomial", "logarithm")
@@ -232,7 +232,7 @@ def cross_gram(spec, queries, refs):
 
     One similarity matrix on the spec's embedding (grassmann.similarity)
     mapped elementwise by the family, so an entry depends only on its own
-    pair.  Raises DimensionMismatch unless both sides are nonempty and
+    pair.  Raises ValueError unless both sides are nonempty and
     share one manifold with the spec's p, and NumericalOverflow when a
     value overflows a float.
     """
@@ -244,7 +244,7 @@ def cross_gram(spec, queries, refs):
 
 def _check_p(spec, p):
     if p != spec.p:
-        raise DimensionMismatch(
+        raise ValueError(
             f"kernel was configured for p={spec.p}, data has p={p}")
 
 
@@ -291,7 +291,7 @@ class GramMatrix:
     def __post_init__(self):
         v = numerics.as_matrix(self.values)
         if v.shape[0] != v.shape[1]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"a Gram matrix must be square, got {v.shape}")
         if np.max(np.abs(v - v.T)) > 0.0:
             raise ValueError("Gram matrix entries must be exactly symmetric")
@@ -307,7 +307,7 @@ class GramMatrix:
         """Principal submatrix over the given point indices, order kept."""
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1 or idx.size == 0:
-            raise DimensionMismatch("indices must form a nonempty vector")
+            raise ValueError("indices must form a nonempty vector")
         return GramMatrix(self.values[np.ix_(idx, idx)])
 
 

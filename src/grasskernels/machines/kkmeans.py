@@ -24,7 +24,6 @@ from typing import Tuple
 import numpy as np
 
 from .. import numerics
-from ..exceptions import InsufficientData
 
 MAX_ITERATIONS = 300
 
@@ -123,7 +122,7 @@ def kkmeans(gram_matrix, n_clusters, seed=0, restarts=1):
     k = gram_matrix.values
     n = k.shape[0]
     if not 1 <= n_clusters <= n:
-        raise InsufficientData(
+        raise ValueError(
             f"cannot form {n_clusters} clusters from {n} points")
     if restarts < 1:
         raise ValueError("need at least one restart")

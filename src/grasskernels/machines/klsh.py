@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import InsufficientData
-
 # eigenvalues below this are treated as zero when inverting
 EIGENVALUE_FLOOR = 1e-10
 
@@ -75,7 +73,7 @@ def klsh_build(gram_matrix, bits, anchors, seed=0):
     if bits < 1:
         raise ValueError(f"need at least one bit, got {bits}")
     if anchors < 2 or anchors > n:
-        raise InsufficientData(
+        raise ValueError(
             f"cannot draw {anchors} anchors from {n} points")
 
     rng = np.random.default_rng(seed)

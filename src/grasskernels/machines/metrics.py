@@ -2,14 +2,12 @@
 
 import numpy as np
 
-from ..exceptions import DimensionMismatch
-
 
 def _contingency(predicted, truth):
     a = np.asarray(predicted).ravel()
     b = np.asarray(truth).ravel()
     if a.size != b.size or a.size == 0:
-        raise DimensionMismatch(
+        raise ValueError(
             f"label vectors must have equal nonzero length, "
             f"got {a.size} and {b.size}")
     _, ai = np.unique(a, return_inverse=True)

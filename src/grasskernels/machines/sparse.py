@@ -61,7 +61,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..exceptions import DimensionMismatch, NotPositiveSemidefinite
+from ..exceptions import NotPositiveSemidefinite
 from ..kernels import certify_pd
 
 MAX_SWEEPS = 10_000
@@ -316,10 +316,10 @@ def kernel_sparse_code(dict_gram, query_columns, query_selves, lam):
     k = np.asarray(query_columns, dtype=np.float64)
     q = np.asarray(query_selves, dtype=np.float64)
     if k.ndim != 2 or k.shape[1] != dict_gram.n:
-        raise DimensionMismatch(f"query columns must form a "
-                                f"(Q, {dict_gram.n}) matrix, got {k.shape}")
+        raise ValueError(f"query columns must form a "
+                         f"(Q, {dict_gram.n}) matrix, got {k.shape}")
     if q.shape != k.shape[:1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"need {len(k)} query self values, got {q.shape}")
     if not 0.0 < lam < np.inf:
         raise ValueError(f"penalty lam must be positive, got {lam}")
@@ -345,7 +345,7 @@ def sparse_code_classify(code, atom_labels, column):
     column = np.asarray(column)
     weight = np.abs(code.coefficients)
     if labels.shape != weight.shape or column.shape != weight.shape:
-        raise DimensionMismatch(
+        raise ValueError(
             f"need {weight.size} atom labels and column entries, got "
             f"shapes {labels.shape} and {column.shape}")
     if not np.any(weight > 0.0):

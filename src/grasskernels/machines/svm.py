@@ -36,8 +36,7 @@ from typing import Tuple
 import numpy as np
 
 from .. import numerics
-from ..exceptions import (ConvergenceFailure, DegenerateLabels,
-                          DimensionMismatch)
+from ..exceptions import ConvergenceFailure
 
 KKT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 1_000_000
@@ -109,20 +108,20 @@ def svm_train(gram_matrix, labels, c=1.0):
     training that row alone.  Runs until every maximal KKT violation
     drops to KKT_TOLERANCE.  Raises ConvergenceFailure (carrying the
     largest remaining gap) if MAX_ITERATIONS iterations run out first,
-    DegenerateLabels when a target holds a single class, and
+    ValueError when a target holds a single class, and
     NumericalOverflow when a pair's curvature leaves the float range.
     """
     y = np.asarray(labels, dtype=np.float64)
     k = gram_matrix.values
     n = k.shape[0]
     if y.ndim not in (1, 2) or y.shape[-1] != n or y.size == 0:
-        raise DimensionMismatch(
+        raise ValueError(
             f"need {n} labels per target for a {n} x {n} Gram matrix, "
             f"got {y.shape}")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
     if np.any(np.all(y == y[..., :1], axis=-1)):
-        raise DegenerateLabels("training labels contain a single class")
+        raise ValueError("training labels contain a single class")
     if not 0.0 < c < np.inf:
         raise ValueError(f"penalty c must be positive, got {c}")
 

@@ -10,8 +10,7 @@ eigendecomposition in `machines.klsh` and the active-set solves in
 
 import numpy as np
 
-from .exceptions import (ConvergenceFailure, DimensionMismatch,
-                         NumericalOverflow, RankDeficient)
+from .exceptions import ConvergenceFailure, NumericalOverflow
 
 RANK_TOLERANCE = 1e-10
 
@@ -20,9 +19,9 @@ def as_matrix(values):
     """Coerce input to a 2-D float64 array with finite entries."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
+        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
     if m.size == 0:
-        raise DimensionMismatch("matrix must have at least one entry")
+        raise ValueError("matrix must have at least one entry")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -51,7 +50,7 @@ def gram_distances_sq(k):
 
 def _require_square(m, what):
     if m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"{what} needs a square matrix, got {m.shape}")
+        raise ValueError(f"{what} needs a square matrix, got {m.shape}")
 
 
 def svd(m):
@@ -74,16 +73,16 @@ def orthonormalize(m):
 
     Uses QR with the diagonal of R forced positive, so an input that is
     already orthonormal (or diagonal with positive entries) comes back
-    without sign flips.  Raises RankDeficient when the smallest singular
+    without sign flips.  Raises ValueError when the smallest singular
     value falls below RANK_TOLERANCE times the largest.
     """
     m = as_matrix(m)
     d, p = m.shape
     if d < p:
-        raise RankDeficient(f"cannot orthonormalize {p} columns in R^{d}")
+        raise ValueError(f"cannot orthonormalize {p} columns in R^{d}")
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
-        raise RankDeficient(
+        raise ValueError(
             f"column rank below {p}: singular value ratio "
             f"{s[-1]:.3e} / {s[0]:.3e}")
     q, r = np.linalg.qr(m)

@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from grasskernels import numerics
-from grasskernels.exceptions import (DegenerateRatio, DimensionMismatch,
-                                     EmbeddingTooLarge)
 from grasskernels.grassmann import (Subspace, bc_inner, compound_matrix,
                                     curve_length_ratio, geodesic_distance,
                                     plucker_embed, principal_angles,
@@ -53,15 +51,15 @@ class TestSubspace:
             x.basis[0, 0] = 5.0
 
     def test_dimension_bounds(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="subspace dimensions need"):
             Subspace(np.eye(3))  # p == d
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="subspace dimensions need"):
             Subspace(np.eye(3, 4))  # p > d
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not orthonormal"):
             Subspace([[1.0], [1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not orthonormal"):
             Subspace([[2.0], [0.0]])
 
     def test_equality_is_span_equality(self):
@@ -113,7 +111,7 @@ class TestPrincipalAngles:
 
     def test_manifold_mismatch_raises(self):
         rng = np.random.default_rng(9)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="different manifolds"):
             principal_angles(random_subspace(5, 2, rng),
                              random_subspace(6, 2, rng))
         with pytest.raises(TypeError):
@@ -200,7 +198,7 @@ class TestPluckerEmbedding:
     def test_cap_enforced(self):
         rng = np.random.default_rng(28)
         x = random_subspace(20, 10, rng)  # C(20,10) = 184756 coordinates
-        with pytest.raises(EmbeddingTooLarge):
+        with pytest.raises(ValueError, match="cap is"):
             plucker_embed(x)
         with pytest.raises(TypeError):
             plucker_embed(np.eye(3)[:, :1])
@@ -236,11 +234,11 @@ class TestCompoundMatrix:
                                    atol=1e-12)
 
     def test_bad_order_raises(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="minor order"):
             compound_matrix(np.eye(3), 0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="minor order"):
             compound_matrix(np.eye(3), 4)
-        with pytest.raises(EmbeddingTooLarge):
+        with pytest.raises(ValueError, match="cap is"):
             compound_matrix(np.eye(30), 15)
 
 
@@ -265,7 +263,7 @@ class TestCurveLengthRatio:
     def test_identical_subspaces_raise(self):
         rng = np.random.default_rng(45)
         x = random_subspace(5, 2, rng)
-        with pytest.raises(DegenerateRatio):
+        with pytest.raises(ValueError, match="undefined for identical"):
             curve_length_ratio(x, x)
 
 
@@ -274,14 +272,14 @@ class TestConstructions:
         a = random_subspace(6, 2, np.random.default_rng(50))
         b = random_subspace(6, 2, np.random.default_rng(50))
         assert np.array_equal(a.basis, b.basis)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="subspace dimensions need"):
             random_subspace(3, 3, np.random.default_rng(0))
 
     def test_pair_construction_guards(self):
         rng = np.random.default_rng(51)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="need d >= 2p"):
             subspace_pair_with_angles(3, 2, np.array([0.1, 0.2]), rng)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="need 2 angles"):
             subspace_pair_with_angles(6, 2, np.array([0.1]), rng)
 
     def test_tilt_realizes_angles(self):
@@ -303,7 +301,7 @@ class TestConstructions:
     def test_tilt_guards(self):
         rng = np.random.default_rng(54)
         x = random_subspace(5, 2, rng)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="need 2 angles"):
             tilt_subspace(x, np.array([0.1]), rng)
         with pytest.raises(TypeError):
             tilt_subspace(np.eye(3)[:, :1], np.array([0.1]), rng)

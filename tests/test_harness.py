@@ -17,9 +17,7 @@ import pytest
 import grasskernels
 from grasskernels import grassmann, kernels
 from grasskernels.harness import datasets as ds_mod
-from grasskernels.exceptions import (DimensionMismatch, InputError,
-                                     InsufficientData, RankDeficient)
-from grasskernels.grassmann import Subspace
+from grasskernels.exceptions import InputError
 from grasskernels.harness import cli, experiments
 from grasskernels.harness.config import (TASK_DESCRIPTIONS, TASKS,
                                          ExperimentConfig, build_config,
@@ -108,17 +106,17 @@ def test_dataset_fingerprint_is_order_sensitive():
 def test_dataset_validation():
     x = grassmann.random_subspace(4, 2, np.random.default_rng(0))
     y = grassmann.random_subspace(5, 2, np.random.default_rng(1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="at least one subspace"):
         Dataset(subspaces=())
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="must share"):
         Dataset(subspaces=(x, y))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="need 1 labels"):
         Dataset(subspaces=(x,), labels=np.array([0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dataset names must"):
         Dataset(subspaces=(x,), name="bad=name")
     # each of these names would read back differently from its file
     for name in ("two\nlines", "two\rlines", "abc ", " abc", "\tabc"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dataset names must"):
             Dataset(subspaces=(x,), name=name)
     plain = Dataset(subspaces=(x,))
     assert plain.class_count == 0
@@ -183,7 +181,16 @@ def test_parse_dataset_reads_lines_as_config_files_do(tmp_path, capsys):
     assert cli.main(["hash", "--dataset", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 6: unknown key 'lables'\n"
+    assert captured.err == f"error: {path}: line 6: unknown key 'lables'\n"
+    # next to a config file, the error names the dataset file, not the
+    # config
+    config = tmp_path / "c.cfg"
+    config.write_text("seeds = 0\nbits = 20\n")
+    assert cli.main(["hash", "--config", str(config),
+                     "--dataset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 6: unknown key 'lables'\n"
 
 
 def test_generate_planted_geometry():
@@ -205,13 +212,13 @@ def test_generate_planted_geometry():
 
 
 def test_generate_planted_guards_and_warning():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="need 0 < p < d"):
         generate_planted(d=4, p=4, classes=2, per_class=2, noise_angle=0.1)
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match="at least one class and one member"):
         generate_planted(d=4, p=2, classes=0, per_class=2, noise_angle=0.1)
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match="at least one class and one member"):
         generate_planted(d=4, p=2, classes=2, per_class=0, noise_angle=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="noise_angle must lie"):
         generate_planted(d=4, p=2, classes=2, per_class=2,
                          noise_angle=math.pi / 2)
     with pytest.warns(UserWarning):
@@ -228,11 +235,11 @@ def test_subspace_from_samples():
     np.testing.assert_allclose(recovered.basis @ recovered.basis.T,
                                basis @ basis.T, rtol=0, atol=1e-10)
     single = np.outer(basis[:, 0], np.ones(5))
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match="numerical rank below"):
         subspace_from_samples(single, 2)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match="cannot span"):
         subspace_from_samples(basis[:, :1], 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="need 0 < p < 5"):
         subspace_from_samples(samples, 5)
 
 
@@ -255,9 +262,9 @@ def test_stratified_split_properties():
         np.array([0, 0, 1]), 0.5, np.random.default_rng(0))
     assert np.array_equal(np.sort(np.array([0, 0, 1])[lone_train]), [0, 1])
     assert lone_test.size == 1
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="nonempty vector"):
         stratified_split(np.array([]), 0.5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train_fraction must lie"):
         stratified_split(labels, 1.0, np.random.default_rng(0))
 
 
@@ -1046,7 +1053,8 @@ def test_kernel_overflowing_past_smax_exits_2(task, token, tmp_path,
     puts self-similarities of the default data up to 8.9e-16 past smax
     (for the binomial, onto or past its pole at beta), ends in one error
     line naming the kernel and no warning line; it once ended in a
-    ValueError traceback from GramMatrix."""
+    ValueError traceback from GramMatrix.  The hint points the binomial
+    to a beta further above smax; it once asked for a smaller parameter."""
     out = tmp_path / "out"
     assert cli.main([task, "--kernels", token, "--seeds", "0",
                      "--out", str(out)]) == 2
@@ -1054,7 +1062,9 @@ def test_kernel_overflowing_past_smax_exits_2(task, token, tmp_path,
     assert captured.out == "" and not out.exists()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {task}: ")
-    assert f"values of kernel {token!r} overflow a float" in err[0]
+    assert err[0].endswith(
+        f"values of kernel {token!r} overflow a float; pick parameters that "
+        "give smaller kernel values; for binomial, a beta further above smax")
 
 
 def test_polynomial_overflowing_at_smax_exits_2(capsys):
@@ -1107,8 +1117,8 @@ def test_no_dataset_task_crashes_on_overflowing_kernel_values(task, tmp_path,
     assert err[0].startswith(
         "error: " + _FIRST_FAILURE[task].format(label=label))
     assert err[0].endswith(
-        " overflow a float; kernel values this large need a smaller "
-        "parameter")
+        " overflow a float; pick parameters that give smaller kernel "
+        "values; for binomial, a beta further above smax")
 
 
 def test_cli_options_match_config_fields(capsys):

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from grasskernels import numerics
-from grasskernels.exceptions import (ConvergenceFailure, DimensionMismatch,
-                                     NumericalOverflow, RankDeficient)
+from grasskernels.exceptions import ConvergenceFailure, NumericalOverflow
 
 
 def leibniz_det(m):
@@ -36,19 +35,19 @@ class TestAsMatrix:
         assert m.shape == (2, 2)
 
     def test_rejects_wrong_rank(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="expected a 2-D array"):
             numerics.as_matrix([1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="expected a 2-D array"):
             numerics.as_matrix(np.zeros((2, 2, 2)))
 
     def test_rejects_empty(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="at least one entry"):
             numerics.as_matrix(np.zeros((0, 3)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             numerics.as_matrix([[1.0, np.nan]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             numerics.as_matrix([[np.inf, 1.0]])
 
 
@@ -110,15 +109,15 @@ class TestOrthonormalize:
 
     def test_rank_deficient_raises(self):
         col = np.arange(1.0, 5.0).reshape(4, 1)
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValueError, match="column rank below"):
             numerics.orthonormalize(np.hstack([col, 2.0 * col]))
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValueError, match="column rank below"):
             numerics.orthonormalize(np.zeros((4, 2)))
 
     def test_more_columns_than_rows_raises(self):
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValueError, match="cannot orthonormalize"):
             numerics.orthonormalize(np.ones((2, 3)))
 
 
@@ -148,7 +147,7 @@ class TestDeterminant:
                                        rtol=1e-9, atol=1e-12)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="needs a square matrix"):
             numerics.determinant(np.ones((2, 3)))
 
 
@@ -176,7 +175,7 @@ class TestSymmetricEigenvalues:
                                    np.linalg.eigvalsh(sym), atol=1e-13)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="needs a square matrix"):
             numerics.symmetric_eigenvalues(np.ones((2, 3)))
 
     def test_halving_first_keeps_finite_results(self):

@@ -81,7 +81,7 @@ def test_pair_with_angles_takes_any_order_and_rejects_out_of_range(
                                rtol=0.0, atol=ANGLE_TOL)
     angles[data.draw(st.integers(min_value=0, max_value=p - 1))] = \
         data.draw(bad_angle)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="principal angles must lie"):
         subspace_pair_with_angles(d, p, angles, np.random.default_rng(seed))
 
 

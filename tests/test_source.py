@@ -1,0 +1,73 @@
+"""Checks on the source tree itself: the error rule and unused imports."""
+
+import ast
+import inspect
+import pathlib
+
+import pytest
+
+from grasskernels import exceptions
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "grasskernels"
+MODULES = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _names_used(tree, skip=()):
+    """Every name the module loads, outside nodes of the `skip` types."""
+    used = set()
+
+    def visit(node):
+        if isinstance(node, skip):
+            return
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return used
+
+
+def test_every_library_error_type_is_caught_by_name():
+    """A bad argument raises ValueError or TypeError; a GrassError
+    subclass exists only where a caller tells it apart, so each one is
+    named outside `exceptions.py` other than where it is raised or
+    imported: in an except clause, the task runners' failure table or
+    the CLI's except tuple."""
+    types = {name for name, value in vars(exceptions).items()
+             if inspect.isclass(value) and issubclass(value, Exception)
+             and value.__module__ == exceptions.__name__}
+    assert "GrassError" in types
+    caught = set()
+    for path in SRC.rglob("*.py"):
+        if path.name != "exceptions.py":
+            caught |= _names_used(ast.parse(path.read_text()),
+                                  skip=(ast.Raise, ast.ImportFrom))
+    assert sorted(types - {"GrassError"} - caught) == []
+
+
+def _unused_imports(tree):
+    """(line, name) of each name the module imports and never loads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = _names_used(tree)
+    return [(line, name) for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_no_unused_imports(path):
+    """No module under src/ or tests/ imports a name it never uses."""
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_check_sees_an_unused_name():
+    tree = ast.parse("import os\nimport numpy as np\nfrom a import b, c\n"
+                     "np.zeros(c)\n")
+    assert _unused_imports(tree) == [(1, "os"), (3, "b")]
