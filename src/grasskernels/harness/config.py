@@ -148,14 +148,13 @@ def _parse_typed(key, value, kind):
         if lowered in ("false", "0", "no"):
             return False
         raise InputError(f"{key} must be true or false, got {value!r}")
+    if kind not in (int, float):
+        return value
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
+        return kind(value)
     except ValueError as exc:
-        raise InputError(f"{key} must be a {kind.__name__}: {exc}") from exc
-    return value
+        raise InputError(f"{key} must be {'an' if kind is int else 'a'} "
+                         f"{kind.__name__}: {exc}") from exc
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -196,6 +195,8 @@ def load_config_file(path):
             raise InputError(
                 f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value.strip()

@@ -272,29 +272,27 @@ def _run_counterexample(report):
 def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     """Train on the given split and predict labels on the test side.
 
-    Two classes use a single machine; more classes fall back to
-    one-vs-rest, its machines trained together, with the largest decision
-    value winning, ties to the lowest class id.  Returns the predicted
-    labels, the SMO iterations of all machines and the largest final KKT
-    residual among them.
+    Two classes use a single machine, the second class against the
+    first; more classes fall back to one-vs-rest, its machines trained
+    together, with the largest decision value winning, ties to the lowest
+    class id.  Returns the predicted labels, the SMO iterations of all
+    machines and the largest final KKT residual among them.
     """
     train_labels = labels[train_idx]
-    k_train = gram_matrix.take(train_idx)
-    rows = gram_matrix.values[np.ix_(test_idx, train_idx)]
     classes = np.unique(train_labels)
+    positive = classes[1:] if classes.size == 2 else classes
+    trained = svm_train(
+        gram_matrix.take(train_idx),
+        np.where(train_labels == positive[:, None], 1.0, -1.0), c=c)
+    rows = gram_matrix.values[np.ix_(test_idx, train_idx)]
+    decisions = np.column_stack([svm_decision_from_rows(model, rows)
+                                 for model in trained.models])
     if classes.size == 2:
-        targets = np.where(train_labels == classes[0], -1.0, 1.0)
-        models = [svm_train(k_train, targets, c=c)]
-        decisions = svm_decision_from_rows(models[0], rows)
-        predicted = np.where(decisions >= 0.0, classes[1], classes[0])
+        predicted = np.where(decisions[:, 0] >= 0.0, classes[1], classes[0])
     else:
-        targets = np.where(train_labels == classes[:, None], 1.0, -1.0)
-        models = svm_train(k_train, targets, c=c).models
-        decisions = np.column_stack([svm_decision_from_rows(model, rows)
-                                     for model in models])
         predicted = classes[np.argmax(decisions, axis=1)]
-    return (predicted, sum(model.iterations for model in models),
-            max(model.kkt_residual for model in models))
+    return (predicted, trained.iterations,
+            max(model.kkt_residual for model in trained.models))
 
 
 def _candidate_specs(spec, config):
@@ -323,10 +321,11 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     """Pick grid parameters by stratified cross-validation on the train side.
 
     `grams` holds the Gram of `spec` and of each of its candidates over
-    the whole dataset; each is validated on take(train_idx), the train
-    points' own Gram bit for bit.  Returns the winning spec and Gram, or
-    spec and its own Gram for a parameterless spec.  Raises InputError
-    when no fold can be fit, since no candidate could then be scored.
+    the whole dataset; each fold is fit and scored on its train points'
+    entries of it, which equal take(train_idx)'s bit for bit.  Returns
+    the winning spec and Gram, or spec and its own Gram for a
+    parameterless spec.  Raises InputError when no fold can be fit, since
+    no candidate could then be scored.
     """
     if spec.alpha is None and spec.beta is None:
         return spec, grams[spec]
@@ -348,11 +347,11 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     best = None
     for candidate in _candidate_specs(spec, config):
         candidate_gram = grams[candidate]
-        train_gram = candidate_gram.take(train_idx)
         scores = []
         for fit, held in splits:
-            predicted, _, _ = _fit_predict(train_gram, labels, fit, held,
-                                           config.svm_c)
+            predicted, _, _ = _fit_predict(
+                candidate_gram, dataset.labels, train_idx[fit],
+                train_idx[held], config.svm_c)
             scores.append(float(np.mean(predicted == labels[held])))
         score = float(np.mean(scores))
         if best is None or score > best[0]:

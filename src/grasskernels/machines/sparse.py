@@ -42,9 +42,9 @@ The queries of one call, such as the test queries of a split, are coded
 in lockstep: each sweep runs one query's statements on the rows of
 (Q, n) arrays, one row per unfinished query, and a query leaves the
 arrays when it converges, when it has no step, or when its budget runs
-out.  Active sets differ in size from row to row, so each sweep solves
-the rows in groups of one size, one stacked `np.linalg.solve` per group;
-the zero crossings of the line searches are ragged, so their points are
+out.  Active sets differ in size from row to row, so each sweep takes
+the rows of each size with one mask and solves them in one stacked
+`np.linalg.solve`; the ragged zero crossings of the line searches are
 evaluated in one stack and compared row by row.
 
 Every query is coded on the iterates it takes alone, bit for bit,
@@ -164,29 +164,17 @@ def _targets(kmat, k, lam, signs):
     """Each row's solution of its sign-constrained problem,
     K[A, A] y_A = k_A - (lam / 2) theta_A on the atoms A of nonzero sign,
     written into a row of zeros; NaN on A when the block is singular.
-
-    Rows are solved in groups of one active-set size, one stacked solve
-    per group.
+    The rows of each active-set size are solved in one stacked solve.
     """
     active = signs != 0.0
     sizes = active.sum(axis=1)
-    order = np.argsort(sizes, kind="stable")
-    # the active entries of the rows in order of size, each row's in
-    # order of atom
-    at, cols = active[order].nonzero()
-    rows = order[at]
-    rhs = k[rows, cols] - 0.5 * lam * signs[rows, cols]
-    counts = np.bincount(sizes)
-    solutions = []
-    start = 0
-    for size in counts.nonzero()[0].tolist():
-        stop = start + size * int(counts[size])
-        group = cols[start:stop].reshape(-1, size)
-        solutions.append(_solve(kmat[group[:, :, None], group[:, None, :]],
-                                rhs[start:stop].reshape(-1, size)))
-        start = stop
     target = np.zeros(signs.shape)
-    target[rows, cols] = np.concatenate(solutions, axis=None)
+    for size in np.unique(sizes).tolist():
+        mask = sizes == size
+        rows = mask.nonzero()[0][:, None]
+        cols = active[mask].nonzero()[1].reshape(-1, size)
+        rhs = k[rows, cols] - 0.5 * lam * signs[rows, cols]
+        target[rows, cols] = _solve(kmat[cols[:, :, None], cols[:, None]], rhs)
     return target
 
 

@@ -25,9 +25,9 @@ multi-class split, train in lockstep: each iteration runs the one-machine
 loop's statements on the rows of (m, n) arrays, one row per unfinished
 machine, so each machine ends with the same model as when trained alone.
 A machine leaves the arrays at the iteration its gap reaches the tolerance.
-One machine keeps its own loop: as a one-row lockstep it took about 2.2
-times as long per iteration, on the 20-point machine of the default `bench`
-and on a 50-point one.
+One target row runs the one-machine loop instead: as a one-row lockstep it
+took about 2.2 times as long per iteration, on the 20-point machine of the
+default `bench` and on a 50-point one.
 """
 
 from dataclasses import dataclass
@@ -100,36 +100,35 @@ def _pair_key(a, b, n):
 
 
 def svm_train(gram_matrix, labels, c=1.0):
-    """Train on a precomputed Gram matrix with labels in {-1, +1}.
+    """Train one machine per row of an (m, n) matrix of target rows,
+    labels in {-1, +1}, on a precomputed Gram matrix; return SvmModels.
 
-    `labels` is one target vector, which trains one machine and returns
-    its SvmModel, or an (m, n) matrix of target rows, which trains the m
-    machines in lockstep and returns SvmModels; each row's model equals
-    training that row alone.  Runs until every maximal KKT violation
-    drops to KKT_TOLERANCE.  Raises ConvergenceFailure (carrying the
-    largest remaining gap) if MAX_ITERATIONS iterations run out first,
-    ValueError when a target holds a single class, and
-    NumericalOverflow when a pair's curvature leaves the float range.
+    One row runs the one-machine loop; more rows train in lockstep, each
+    row's model equal to training that row alone.  Runs until every
+    maximal KKT violation drops to KKT_TOLERANCE.  Raises
+    ConvergenceFailure (carrying the largest remaining gap) if
+    MAX_ITERATIONS iterations run out first, ValueError when a target
+    holds a single class, and NumericalOverflow when a pair's curvature
+    leaves the float range.
     """
     y = np.asarray(labels, dtype=np.float64)
     k = gram_matrix.values
     n = k.shape[0]
-    if y.ndim not in (1, 2) or y.shape[-1] != n or y.size == 0:
+    if y.ndim != 2 or y.shape[1] != n or y.size == 0:
         raise ValueError(
-            f"need {n} labels per target for a {n} x {n} Gram matrix, "
-            f"got {y.shape}")
+            f"need an (m, {n}) matrix of target rows, {n} labels per "
+            f"target for a {n} x {n} Gram matrix, got shape {y.shape}")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    if np.any(np.all(y == y[..., :1], axis=-1)):
+    if np.any(np.all(y == y[:, :1], axis=1)):
         raise ValueError("training labels contain a single class")
     if not 0.0 < c < np.inf:
         raise ValueError(f"penalty c must be positive, got {c}")
 
     # every pair's curvature K_ii + K_jj - 2 K_ij, floored, built once
     curvatures = np.maximum(numerics.gram_distances_sq(k), _TAU)
-    if y.ndim == 1:
-        return _train_one(k, y, c, curvatures)
-    models = _train_lockstep(k, y, c, curvatures)
+    models = ([_train_one(k, y[0], c, curvatures)] if len(y) == 1
+              else _train_lockstep(k, y, c, curvatures))
     return SvmModels(models=tuple(models),
                      iterations=sum(model.iterations for model in models))
 

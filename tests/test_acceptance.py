@@ -289,7 +289,8 @@ def test_criterion_07_machines_on_planted_data():
     for seed in range(10):
         rng = np.random.default_rng([seed])
         train, test = stratified_split(data2.labels, 0.5, rng)
-        model = svm_train(gram2.take(train), targets[train], c=10.0)
+        model = svm_train(gram2.take(train), targets[None, train],
+                          c=10.0).models[0]
         rows = gram2.values[np.ix_(test, train)]
         predicted = np.where(svm_decision_from_rows(model, rows) >= 0.0,
                              1.0, -1.0)
@@ -367,11 +368,11 @@ def test_criterion_08_shifted_gram_leaves_predictions_alone():
     for token in ("logarithm:bc", "logarithm:projection"):
         spec = kernels.parse_kernel_token(token, 2)
         g = kernels.gram(spec, data.subspaces)
-        base = svm_train(g, targets, c=10.0)
+        base = svm_train(g, targets[None], c=10.0).models[0]
         reference = np.sign(svm_decision_from_rows(base, g.values))
         for shift in (1.0, 10.0):
             lifted = kernels.GramMatrix(g.values + shift)
-            model = svm_train(lifted, targets, c=10.0)
+            model = svm_train(lifted, targets[None], c=10.0).models[0]
             signs = np.sign(svm_decision_from_rows(model, lifted.values))
             stable &= bool(np.array_equal(signs, reference))
             checked += 1
@@ -392,7 +393,7 @@ def test_criterion_09_solver_invariants():
     g = kernels.gram(spec, data.subspaces)
     targets = np.where(data.labels == 0, -1.0, 1.0)
     c = 10.0
-    model = svm_train(g, targets, c=c)
+    model = svm_train(g, targets[None], c=c).models[0]
     alpha = np.zeros(g.n)
     alpha[model.support_indices] = model.dual_coefficients \
         * targets[model.support_indices]

@@ -331,10 +331,12 @@ def test_coerce_value():
     assert coerce_value("d", 8) == 8  # already typed values pass through
     with pytest.raises(InputError):
         coerce_value("tune", "maybe")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^lam must be a float: "):
         coerce_value("lam", "abc")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^seeds must be an int: "):
         coerce_value("seeds", "0 x")
+    with pytest.raises(InputError, match="^seeds must be an int: "):
+        coerce_value("seeds", "1.5")
     with pytest.raises(InputError):
         coerce_value("bogus_key", "1")
 
@@ -372,6 +374,12 @@ def test_load_config_file(tmp_path):
     noeq.write_text("just words\n")
     with pytest.raises(InputError):
         load_config_file(str(noeq))
+    # an unknown key is named with its file and line, as a duplicate is
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("d=8\nsedes=0\n")
+    with pytest.raises(InputError) as info:
+        load_config_file(str(unknown))
+    assert str(info.value) == f"{unknown}:2: unknown config key 'sedes'"
     with pytest.raises(InputError):
         load_config_file(str(tmp_path / "missing.cfg"))
 
@@ -506,8 +514,9 @@ def test_svm_report_lists_solver_counters(tune):
         k_train = kernels.gram(kernels.parse_kernel_token(token, 2),
                                data.subspaces).take(train)
         models = [svm_train(k_train,
-                            np.where(data.labels[train] == value, 1.0, -1.0),
-                            c=config.svm_c)
+                            np.where(data.labels[None, train] == value,
+                                     1.0, -1.0),
+                            c=config.svm_c).models[0]
                   for value in np.unique(data.labels[train])]
         iterations.append(str(sum(m.iterations for m in models)))
         residuals.append(format_float(max(m.kkt_residual for m in models)))

@@ -68,7 +68,7 @@ def test_svm_two_point_closed_form():
     g = gram(spec, pts)
     np.testing.assert_allclose(g.values, [[math.e, 1.0], [1.0, math.e]],
                                rtol=1e-12)
-    model = svm_train(g, [1.0, -1.0], c=10.0)
+    model = svm_train(g, [[1.0, -1.0]], c=10.0).models[0]
     alpha = 1.0 / (math.e - 1.0)
     assert np.array_equal(model.support_indices, [0, 1])
     np.testing.assert_allclose(model.dual_coefficients, [alpha, -alpha],
@@ -90,7 +90,7 @@ def test_svm_kkt_residual_recomputed_independently():
     data, y = planted_binary()
     g = gram(RBF_PROJ, data.subspaces)
     c = 10.0
-    model = svm_train(g, y, c=c)
+    model = svm_train(g, y[None], c=c).models[0]
     alpha = np.zeros(g.n)
     alpha[model.support_indices] = model.dual_coefficients \
         * y[model.support_indices]
@@ -111,8 +111,8 @@ def test_svm_kkt_residual_recomputed_independently():
 def test_svm_label_flip_antisymmetry():
     data, y = planted_binary()
     g = gram(RBF_PROJ, data.subspaces)
-    straight = svm_train(g, y, c=10.0)
-    flipped = svm_train(g, -y, c=10.0)
+    straight = svm_train(g, y[None], c=10.0).models[0]
+    flipped = svm_train(g, -y[None], c=10.0).models[0]
     d0 = svm_decision_from_rows(straight, g.values)
     d1 = svm_decision_from_rows(flipped, g.values)
     np.testing.assert_allclose(d1, -d0, rtol=0, atol=1e-12)
@@ -129,11 +129,11 @@ def test_svm_constant_shift_leaves_decisions_alone():
     for token in ("logarithm:projection", "logarithm:bc"):
         spec = parse_kernel_token(token, 2)
         g = gram(spec, data.subspaces)
-        base = svm_train(g, y, c=10.0)
+        base = svm_train(g, y[None], c=10.0).models[0]
         reference = svm_decision_from_rows(base, g.values)
         for shift in (1.0, 10.0):
             lifted = GramMatrix(g.values + shift)
-            model = svm_train(lifted, y, c=10.0)
+            model = svm_train(lifted, y[None], c=10.0).models[0]
             decisions = svm_decision_from_rows(model, lifted.values)
             assert np.array_equal(model.support_indices,
                                   base.support_indices)
@@ -146,14 +146,39 @@ def test_svm_error_paths():
     pts = [line(0.0), line(1.0)]
     g = gram(parse_kernel_token("rbf:projection:beta=1.0", 1), pts)
     with pytest.raises(ValueError, match="single class"):
-        svm_train(g, [1.0, 1.0])
+        svm_train(g, [[1.0, 1.0]])
     with pytest.raises(ValueError, match="must be -1 or"):
-        svm_train(g, [0.0, 1.0])
+        svm_train(g, [[0.0, 1.0]])
     with pytest.raises(ValueError, match="labels per target"):
-        svm_train(g, [1.0, -1.0, 1.0])
+        svm_train(g, [[1.0, -1.0, 1.0]])
+    # a target vector is refused, naming the shape of a target matrix
+    with pytest.raises(ValueError,
+                       match=r"need an \(m, 2\) matrix of target rows"):
+        svm_train(g, [1.0, -1.0])
     for c in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="must be positive"):
-            svm_train(g, [1.0, -1.0], c=c)
+            svm_train(g, [[1.0, -1.0]], c=c)
+
+
+def test_svm_one_target_row_trains_without_the_lockstep(monkeypatch):
+    """A (1, n) target runs the one-machine loop, not a one-row lockstep,
+    and its model is the reference loop's."""
+    data, y = planted_binary()
+    g = gram(RBF_PROJ, data.subspaces)
+
+    def refuse(*args):
+        raise AssertionError("one target row reached the lockstep")
+
+    monkeypatch.setattr(svm_mod, "_train_lockstep", refuse)
+    trained = svm_train(g, y[None], c=10.0)
+    [model] = trained.models
+    alpha, bias, iterations = _per_pair_curvature_smo(g.values, y, 10.0)
+    support = np.flatnonzero(alpha > 0.0)
+    assert trained.iterations == model.iterations == iterations
+    assert np.array_equal(model.support_indices, support)
+    assert np.array_equal(model.dual_coefficients,
+                          alpha[support] * y[support])
+    assert model.bias == bias
 
 
 def test_svm_budget_exhaustion_reports_gap(monkeypatch):
@@ -161,7 +186,7 @@ def test_svm_budget_exhaustion_reports_gap(monkeypatch):
     g = gram(RBF_PROJ, data.subspaces)
     monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceFailure) as info:
-        svm_train(g, y, c=10.0)
+        svm_train(g, y[None], c=10.0)
     assert info.value.iterations == 1
     assert info.value.gap > 1e-6
 
@@ -182,7 +207,7 @@ def test_svm_bias_without_free_vectors_is_the_kkt_midpoint():
     y = binary_labels(data.labels)
     g = gram(RBF_PROJ, data.subspaces)
     c = 1e-3
-    model = svm_train(g, y, c=c)
+    model = svm_train(g, y[None], c=c).models[0]
     alpha = _duals(model, y, y.size)
     assert np.all(alpha == c)
     # -y * gradient of the dual; at alpha = c only negatives can rise
@@ -206,7 +231,7 @@ def test_svm_matches_independent_qp_solver(token, c):
                             noise_angle=0.6, seed=1)
     y = binary_labels(data.labels)
     g = gram(parse_kernel_token(token, 2), data.subspaces)
-    alpha = _duals(svm_train(g, y, c=c), y, g.n)
+    alpha = _duals(svm_train(g, y[None], c=c).models[0], y, g.n)
     q = np.outer(y, y) * g.values
 
     def objective(a):
@@ -240,7 +265,7 @@ def test_svm_iteration_count_on_tasks_sized_problem():
     total = 0
     for value in np.unique(data.labels[train]):
         targets = np.where(data.labels[train] == value, 1.0, -1.0)
-        model = svm_train(k_train, targets, c=10.0)
+        model = svm_train(k_train, targets[None], c=10.0).models[0]
         assert model.kkt_residual <= 1e-6
         total += model.iterations
     assert total < 3000
@@ -259,7 +284,7 @@ def test_svm_duplicated_point_gives_finite_duals(opposite, monkeypatch):
     assert g.values[0, 0] + g.values[-1, -1] - 2.0 * g.values[0, -1] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by a zero curvature
-        model = svm_train(g, labels, c=10.0)
+        model = svm_train(g, labels[None], c=10.0).models[0]
     assert np.all(np.isfinite(model.dual_coefficients))
     assert np.isfinite(model.bias)
     assert model.kkt_residual <= 1e-6
@@ -269,7 +294,7 @@ def test_svm_duplicated_point_gives_finite_duals(opposite, monkeypatch):
         assert 10.0 in alpha[[0, -1]]
     monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceFailure) as info:
-        svm_train(g, labels, c=10.0)
+        svm_train(g, labels[None], c=10.0)
     assert np.isfinite(info.value.gap) and info.value.gap > 1e-6
 
 
@@ -359,7 +384,7 @@ def test_svm_curvature_table_keeps_iterates():
     """The once-built curvature table gives the iterates of recomputing
     each curvature where it is used, bit for bit."""
     for g, y, c in _curvature_table_problems():
-        model = svm_train(g, y, c=c)
+        model = svm_train(g, y[None], c=c).models[0]
         alpha, bias, iterations = _per_pair_curvature_smo(g.values, y, c)
         support = np.flatnonzero(alpha > 0.0)
         assert model.iterations == iterations
@@ -403,7 +428,7 @@ def _integer_problems():
 def _assert_trained_alone(g, rows, c):
     """Each row of a lockstep call equals svm_train on that row alone."""
     together = svm_train(g, rows, c=c)
-    alone = [svm_train(g, row, c=c) for row in rows]
+    alone = [svm_train(g, row[None], c=c).models[0] for row in rows]
     assert len(together.models) == len(alone)
     for model, single in zip(together.models, alone):
         assert np.array_equal(model.support_indices, single.support_indices)
@@ -441,10 +466,8 @@ def test_svm_lockstep_cross_validation_folds(monkeypatch):
     calls = []
 
     def checked(gram_matrix, labels, c=1.0):
-        labels = np.asarray(labels)
-        if labels.ndim == 2:
-            _assert_trained_alone(gram_matrix, labels, c)
-            calls.append(gram_matrix.n)
+        _assert_trained_alone(gram_matrix, np.asarray(labels), c)
+        calls.append(gram_matrix.n)
         return svm_train(gram_matrix, labels, c=c)
 
     monkeypatch.setattr(experiments, "svm_train", checked)
@@ -461,13 +484,13 @@ def test_svm_lockstep_budget_reports_largest_remaining_gap(monkeypatch):
     """Rows that need more than the budget fail; the error carries the
     largest of the gaps they report when trained alone."""
     g, rows, c = next(_lockstep_problems())
-    counts = sorted(svm_train(g, row, c=c).iterations for row in rows)
+    counts = sorted(svm_train(g, row[None], c=c).iterations for row in rows)
     budget = counts[len(counts) // 2]
     monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", budget)
     gaps = []
     for row in rows:
         try:
-            svm_train(g, row, c=c)
+            svm_train(g, row[None], c=c)
         except ConvergenceFailure as failure:
             gaps.append(failure.gap)
     assert 0 < len(gaps) < len(rows)
@@ -1000,6 +1023,25 @@ def test_sparse_converges_on_bench_dictionary():
         assert np.all(np.diff(code.objective_history) <= 0.0)
 
 
+def test_sparse_large_beta_claim_in_docstring():
+    """`kernel_sparse_code`'s docstring: with rbf:projection:beta=20 on
+    split seed 0 of the CLI's default data the Gram entries reach
+    2.35e17, and every code stops unconverged after 2 sweeps with KKT
+    residuals of 1.5e16 to 9.7e16."""
+    config = build_config("sparse-code")
+    data = experiments._resolve_dataset(config)
+    train, test = experiments._split(data, config, 0)
+    g = gram(parse_kernel_token("rbf:projection:beta=20", 2),
+             data.subspaces)
+    assert f"{g.values.max():.2e}" == "2.35e+17"
+    codes = kernel_sparse_code(*_split_problem(g, train, test),
+                               lam=config.lam).codes
+    assert len(codes) == 20
+    assert all(code.sweeps == 2 and not code.converged for code in codes)
+    residuals = [code.kkt_residual for code in codes]
+    assert f"{min(residuals):.1e} {max(residuals):.1e}" == "1.5e+16 9.7e+16"
+
+
 def test_sparse_budget_exhaustion_is_reported(monkeypatch):
     g, train, test = _bench_dictionary()
     dictionary = g.take(train)
@@ -1527,7 +1569,7 @@ def test_split_then_train_workflow():
     for seed in range(5):
         rng = np.random.default_rng([seed])
         train, test = stratified_split(data.labels, 0.5, rng)
-        model = svm_train(g.take(train), y[train], c=10.0)
+        model = svm_train(g.take(train), y[None, train], c=10.0).models[0]
         rows = g.values[np.ix_(test, train)]
         predictions = np.where(
             svm_decision_from_rows(model, rows) >= 0.0, 1.0, -1.0)

@@ -1,8 +1,10 @@
-"""Checks on the source tree itself: the error rule and unused imports."""
+"""Checks on the source tree itself: the error rule, unused imports and
+the tests that docstrings cite."""
 
 import ast
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -71,3 +73,24 @@ def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nimport numpy as np\nfrom a import b, c\n"
                      "np.zeros(c)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "b")]
+
+
+def _docstrings(tree):
+    """The module, class and function docstrings of a parsed module."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return [ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, kinds)]
+
+
+def test_docstrings_cite_only_defined_tests():
+    """Every `test_*` name a docstring under src/ cites, such as the
+    indefiniteness witnesses in the kernels module, is a test function
+    under tests/, so renaming a test cannot leave a citation dangling."""
+    cited = {name for path in SRC.rglob("*.py")
+             for text in _docstrings(ast.parse(path.read_text()))
+             for name in re.findall(r"\btest_\w+", text)}
+    defined = {node.name for path in (ROOT / "tests").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "test_four_lines_spectrum" in cited
+    assert sorted(cited - defined) == []
