@@ -12,6 +12,7 @@ from typing import Tuple, get_args, get_origin, get_type_hints
 
 from ..exceptions import InputError
 from .datasets import NAME_RULE, name_round_trips
+from .reports import key_value_lines, read_input
 
 # each task with its description in `grasskernels --help`
 TASK_DESCRIPTIONS = {
@@ -165,12 +166,10 @@ LIST_KEYS = tuple(key for key, kind in _FIELD_TYPES.items()
 
 
 def coerce_value(key, value):
-    """Coerce one raw string (or already-typed value) to its field type."""
+    """Coerce one raw string to its field type."""
     if key not in _FIELD_TYPES:
         raise InputError(f"unknown config key {key!r}")
     kind = _FIELD_TYPES[key]
-    if not isinstance(value, str):
-        return value
     if key in LIST_KEYS:
         element = get_args(kind)[0]
         return tuple(_parse_typed(key, part, element)
@@ -179,44 +178,29 @@ def coerce_value(key, value):
 
 
 def load_config_file(path):
-    """Read a config file into a raw {key: string} mapping."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read config {path!r}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise InputError(
-                f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
-            raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
-    return values
+    """Read a config file into a {key: typed value} mapping."""
+    def parse(text):
+        values = {}
+        for lineno, key, value in key_value_lines(text, _FIELD_TYPES):
+            try:
+                values[key] = coerce_value(key, value)
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from exc
+        return values
+    return read_input(path, parse)
 
 
 def build_config(task, file_values=None, overrides=None):
     """Merge file values and overrides into an ExperimentConfig.
 
-    `file_values` are raw strings from load_config_file; `overrides`
-    (typically CLI flags) may be raw strings or typed values and win on
+    `file_values` are typed values from load_config_file; `overrides`
+    (typically CLI flags) are raw strings, or None for unset, and win on
     conflict.  A task given in the file is ignored in favor of the
     explicit `task` argument.
     """
-    merged = {}
-    for source in (file_values or {}), (overrides or {}):
-        for key, value in source.items():
-            if key == "task":
-                continue
-            if value is None:
-                continue
+    merged = dict(file_values or {})
+    for key, value in (overrides or {}).items():
+        if value is not None:
             merged[key] = coerce_value(key, value)
+    merged.pop("task", None)
     return ExperimentConfig(task=task, **merged)

@@ -31,7 +31,7 @@ import numpy as np
 from .. import numerics
 from ..exceptions import InputError
 from ..grassmann import Subspace, random_subspace, tilt_subspace
-from .reports import write_text
+from .reports import key_value_lines, read_input, write_text
 
 FORMAT_VERSION = 1
 _KEYS = ("format_version", "name", "d", "p", "n", "labels", "subspace")
@@ -142,40 +142,29 @@ def serialize_dataset(dataset):
 
 
 def parse_dataset(text):
-    """Parse the canonical text form back into a Dataset, reading lines
-    as config files are read: keys and values stripped, an unknown key
-    rejected."""
-    fields = {}
-    subspace_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise InputError(f"line {lineno}: expected key=value, "
-                             f"got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key not in _KEYS:
-            raise InputError(f"line {lineno}: unknown key {key!r}")
+    """Parse the canonical text form back into a Dataset.  Lines are read
+    by `key_value_lines`, as config files are; a bad line is named."""
+    fields, lines, subspace_lines = {}, {}, []
+    for lineno, key, value in key_value_lines(text, _KEYS, ("subspace",)):
         if key == "subspace":
             subspace_lines.append((lineno, value))
-        elif key in fields:
-            raise InputError(f"line {lineno}: duplicate key {key!r}")
         else:
-            fields[key] = value
+            fields[key], lines[key] = value, lineno
 
-    version = fields.get("format_version")
-    if version != str(FORMAT_VERSION):
-        raise InputError(f"unsupported format_version {version!r}")
-    try:
-        d = int(fields["d"])
-        p = int(fields["p"])
-        n = int(fields["n"])
-    except KeyError as exc:
-        raise InputError(f"missing required field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise InputError(f"dimension fields must be integers: {exc}") from exc
+    def field(key, convert, problem):
+        try:
+            return convert(fields[key])
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"line {lines[key]}: {problem}: {exc}") from exc
+
+    for key in ("format_version", "d", "p", "n"):
+        if key not in fields:
+            raise InputError(f"missing required field {key!r}")
+    if fields["format_version"] != str(FORMAT_VERSION):
+        raise InputError(f"line {lines['format_version']}: unsupported "
+                         f"format_version {fields['format_version']!r}")
+    d, p, n = (field(key, int, "dimension fields must be integers")
+               for key in ("d", "p", "n"))
     if len(subspace_lines) != n:
         raise InputError(f"expected {n} subspace lines, "
                          f"found {len(subspace_lines)}")
@@ -194,11 +183,9 @@ def parse_dataset(text):
 
     labels = None
     if "labels" in fields:
-        try:
-            labels = np.array([int(s) for s in fields["labels"].split()],
-                              dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise InputError(f"labels must be int64 values: {exc}") from exc
+        labels = field("labels", lambda v: np.array(
+            [int(s) for s in v.split()], dtype=np.int64),
+            "labels must be int64 values")
         if labels.size != n:
             raise InputError(f"expected {n} labels, got {labels.size}")
     try:
@@ -215,13 +202,7 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """parse_dataset of the file at `path`, its errors naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_dataset(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read dataset {path!r}: {exc}") from exc
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return read_input(path, parse_dataset)
 
 
 def generate_planted(d, p, classes, per_class, noise_angle, seed=0,

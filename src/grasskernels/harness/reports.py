@@ -1,13 +1,16 @@
-"""Deterministic plain-text reports.
+"""The project's `key=value` text: writing reports, reading input files.
 
 Reports are key=value oriented with bracketed section headers and carry
 no timestamps or machine identifiers.  Result floats are rendered with 17
 significant digits and `[config]` values with repr, both of which
 round-trip exactly, so rerunning an experiment with the same resolved
-configuration reproduces the report byte for byte.
+configuration reproduces the report byte for byte.  Config and dataset
+files are read by `key_value_lines` and `read_input`.
 """
 
 import os
+
+from ..exceptions import InputError
 
 FORMAT_VERSION = 1
 
@@ -63,3 +66,36 @@ def write_text(path, text):
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+
+
+def key_value_lines(text, keys, repeatable=()):
+    """(lineno, key, value) of each `key=value` line, both stripped, past
+    blank and `#` lines.  A line without '=', an unknown key and a second
+    line of a key not in `repeatable` raise InputError("line N: ...")."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise InputError(f"line {lineno}: expected key=value, "
+                             f"got {raw!r}")
+        if key not in keys:
+            raise InputError(f"line {lineno}: unknown key {key!r}")
+        if key in seen and key not in repeatable:
+            raise InputError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+        yield lineno, key, value.strip()
+
+
+def read_input(path, parse):
+    """parse(text) of the UTF-8 file at `path`; its errors name the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc

@@ -103,6 +103,16 @@ class TestPrincipalAngles:
         np.testing.assert_allclose(principal_angles(x, x), 0.0,
                                    atol=1e-7)
 
+    def test_self_angles_show_arccos_roundoff(self):
+        """The sample the `principal_angles` docstring cites: roundoff in
+        the cosines of a subspace against itself becomes angles of order
+        1e-8 under arccos."""
+        rng = np.random.default_rng(0)
+        largest = np.array([principal_angles(x, x).max() for x in
+                            (random_subspace(10, 3, rng) for _ in range(200))])
+        assert np.count_nonzero(largest) == 151
+        assert f"{largest.max():.2g}" == "4.2e-08"
+
     def test_orthogonal_lines(self):
         x = Subspace([[1.0], [0.0], [0.0]])
         y = Subspace([[0.0], [1.0], [0.0]])

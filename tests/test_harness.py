@@ -132,12 +132,14 @@ def test_parse_dataset_rejects_malformed_text():
     def withfirst(replacement):
         return "\n".join([replacement] + lines[1:]) + "\n"
 
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="^line 1: unsupported format_version '2'$"):
         parse_dataset(withfirst("format_version=2"))
     with pytest.raises(InputError):
         parse_dataset("\n".join(l for l in lines if not l.startswith("d="))
                       + "\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="^line 3: dimension fields must be integers: "):
         parse_dataset(good.replace("d=4", "d=4.5"))
     with pytest.raises(InputError):
         parse_dataset(good.replace("n=4", "n=5"))
@@ -145,7 +147,8 @@ def test_parse_dataset_rejects_malformed_text():
         parse_dataset(good + "not a key value line\n")
     with pytest.raises(InputError):
         parse_dataset(good + "name=duplicate\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="^line 6: labels must be int64 values: "):
         parse_dataset(good.replace("labels=0 0 1 1", "labels=0 0 one 1"))
     with pytest.raises(InputError):
         parse_dataset(good.replace("labels=0 0 1 1", "labels=0 0 1"))
@@ -328,7 +331,6 @@ def test_coerce_value():
     assert coerce_value("tune", "true") is True
     assert coerce_value("tune", "no") is False
     assert coerce_value("lam", "0.01") == 0.01
-    assert coerce_value("d", 8) == 8  # already typed values pass through
     with pytest.raises(InputError):
         coerce_value("tune", "maybe")
     with pytest.raises(InputError, match="^lam must be a float: "):
@@ -342,7 +344,7 @@ def test_coerce_value():
 
 
 def test_build_config_merging():
-    file_values = {"task": "cluster", "d": "12", "lam": "0.5"}
+    file_values = {"task": "cluster", "d": 12, "lam": 0.5}
     overrides = {"d": "6", "tune": None}
     config = build_config("svm", file_values, overrides)
     assert config.task == "svm"  # explicit task wins over the file
@@ -365,7 +367,7 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\nd=8\n  p = 2 \nkernels=linear:bc\n")
     values = load_config_file(str(path))
-    assert values == {"d": "8", "p": "2", "kernels": "linear:bc"}
+    assert values == {"d": 8, "p": 2, "kernels": ("linear:bc",)}
     bad = tmp_path / "dup.cfg"
     bad.write_text("d=8\nd=9\n")
     with pytest.raises(InputError):
@@ -374,12 +376,22 @@ def test_load_config_file(tmp_path):
     noeq.write_text("just words\n")
     with pytest.raises(InputError):
         load_config_file(str(noeq))
-    # an unknown key is named with its file and line, as a duplicate is
+    # an unknown key and a value of the wrong type are named with their
+    # file and line, as a duplicate is
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("d=8\nsedes=0\n")
     with pytest.raises(InputError) as info:
         load_config_file(str(unknown))
-    assert str(info.value) == f"{unknown}:2: unknown config key 'sedes'"
+    assert str(info.value) == f"{unknown}: line 2: unknown key 'sedes'"
+    with pytest.raises(InputError) as info:
+        load_config_file(str(bad))
+    assert str(info.value) == f"{bad}: line 2: duplicate key 'd'"
+    mistyped = tmp_path / "mistyped.cfg"
+    mistyped.write_text("# seeds\nseeds=0 a\n")
+    with pytest.raises(InputError) as info:
+        load_config_file(str(mistyped))
+    assert str(info.value) == (f"{mistyped}: line 2: seeds must be an int: "
+                               "invalid literal for int() with base 10: 'a'")
     with pytest.raises(InputError):
         load_config_file(str(tmp_path / "missing.cfg"))
 
@@ -895,8 +907,12 @@ def test_pd_check_default_catalog_verdict(tmp_path, capsys):
     assert len(rows) == 14
     failing = {label for label, items in rows.items()
                if items["passed"] == "false"}
-    assert failing and all(rows[label]["theory"] in ("indefinite", "unproven")
-                           for label in failing)
+    # exactly the `bc` witnesses the `kernels` docstring cites for this
+    # command; laplace:bc, unproven, passes
+    assert failing == {"linear:bc", "polynomial:bc:alpha=2.0:beta=0.5",
+                       "rbf:bc:beta=0.5", "binomial:bc:alpha=1.0:beta=2.0",
+                       "logarithm:bc"}
+    assert all(rows[label]["theory"] == "indefinite" for label in failing)
     capsys.readouterr()
 
 
@@ -1201,6 +1217,25 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
     assert "restarts=2" in text
     assert "mean_nmi=" in text
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["svm", "--seeds", "0,1", "--kernels", "linear:bc,rbf:projection:beta=0.5",
+     "--tune"],
+    ["hash", "--seeds", "0", "--bits", "20,30"],
+    ["pd-check"],
+], ids=" ".join)
+def test_report_config_section_reruns_the_experiment(argv, tmp_path, capsys):
+    """A report's `[config]` section, saved as a config file and given to
+    the same task with nothing else, reproduces the report byte for
+    byte."""
+    first = cli.main(argv)
+    report = capsys.readouterr().out
+    section = report.split("\n[config]\n", 1)[1].split("\n\n", 1)[0]
+    config = tmp_path / "rerun.cfg"
+    config.write_text(section + "\n")
+    assert cli.main([argv[0], "--config", str(config)]) == first
+    assert capsys.readouterr().out == report
 
 
 def test_traced_benchmark_names_resolve():

@@ -7,6 +7,7 @@ Every draw is derandomized so the suite stays reproducible.
 
 import math
 from dataclasses import fields
+from typing import get_origin
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from grasskernels.exceptions import InputError, InvalidKernelParameter
 from grasskernels.grassmann import (Subspace, plucker_embed,
                                     principal_angles, random_subspace,
                                     subspace_pair_with_angles)
-from grasskernels.harness.config import ExperimentConfig, build_config
+from grasskernels.harness.config import (ExperimentConfig, build_config,
+                                         load_config_file)
 from grasskernels.harness.datasets import (Dataset, name_round_trips,
                                            parse_dataset, serialize_dataset)
 
@@ -148,6 +150,54 @@ config_values = st.one_of(
 def test_build_config_returns_config_or_raises_input_error(overrides):
     try:
         config = build_config("svm", overrides=overrides)
+    except InputError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+# characters a UTF-8 file can hold
+file_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+@st.composite
+def config_texts(draw):
+    """Config file text: key=value lines of known and unknown keys, with
+    comment, blank and other lines between them."""
+    keys = st.sampled_from([f.name for f in fields(ExperimentConfig)]
+                           + ["sedes", ""])
+    line = st.one_of(st.builds("{}={}".format, keys, config_values),
+                     st.builds(" {} = {} ".format, keys, config_values),
+                     st.sampled_from(["", "# note", "seeds"]), file_text)
+    return "\n".join(draw(st.lists(line, max_size=5)))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cfg") / "c.cfg"
+
+
+@settings(SETTINGS, max_examples=500)
+@given(config_texts())
+def test_config_file_text_loads_or_raises_input_error(config_path, text):
+    """Loading a config file raises only InputErrors that start with its
+    path and the number of a line that is not blank or a comment, or
+    gives values of their fields' types, which build an ExperimentConfig
+    or fail a check of the resolved values."""
+    config_path.write_bytes(text.encode("utf-8"))
+    try:
+        values = load_config_file(str(config_path))
+    except InputError as exc:
+        head, lineno, _ = str(exc).split(": ", 2)
+        assert head == str(config_path) and lineno.startswith("line ")
+        line = text.splitlines()[int(lineno[5:]) - 1].strip()
+        assert line and not line.startswith("#")
+        return
+    for spec in fields(ExperimentConfig):
+        if spec.name in values:
+            assert isinstance(values[spec.name],
+                              get_origin(spec.type) or spec.type)
+    try:
+        config = build_config("svm", values)
     except InputError:
         return
     assert isinstance(config, ExperimentConfig)
