@@ -8,27 +8,11 @@ class GrassError(Exception):
     TypeError.  A subclass exists only where a caller catches it by name:
     the command line reports InputError and InvalidKernelParameter as
     bad input (exit 2), tuning skips an InvalidKernelParameter grid value,
-    and the task runners report ConvergenceFailure, NumericalOverflow and
+    and the task runners report NumericalOverflow and
     NotPositiveSemidefinite as a kernel's values breaking a step
-    (experiments._kernel_failures).
+    (experiments._kernel_failures).  An iterative solver that spends its
+    budget raises nothing: it returns its result flagged unconverged.
     """
-
-
-class ConvergenceFailure(GrassError):
-    """An iterative solver exhausted its iteration budget.
-
-    Attributes
-    ----------
-    iterations : int or None
-        Iteration budget that was exhausted.
-    gap : float or None
-        Remaining optimality gap, when the solver can report one.
-    """
-
-    def __init__(self, message, iterations=None, gap=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.gap = gap
 
 
 class InvalidKernelParameter(GrassError):

@@ -61,7 +61,7 @@ def main(argv=None):
             result = run_experiment(config)
         sys.stdout.write(result.text)
         return 0 if result.passed else 1
-    except (InputError, InvalidKernelParameter, OSError) as exc:
+    except (InputError, InvalidKernelParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

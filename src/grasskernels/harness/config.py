@@ -95,20 +95,8 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise InputError(f"unknown task {self.task!r}; "
                              f"expected one of {sorted(TASKS)}")
-        for key in ("seeds", "bits"):
-            value = getattr(self, key)
-            if not value or len(set(value)) < len(value):
-                raise InputError(f"{key} must be nonempty and distinct, "
-                                 f"got {_render(value)!r}")
         for spec in fields(self):
-            if not spec.metadata.get("check"):
-                continue
-            requirement, holds = spec.metadata["check"]
-            value = getattr(self, spec.name)
-            for element in value if isinstance(value, tuple) else (value,):
-                if not holds(element):
-                    raise InputError(
-                        f"{spec.name} must {requirement}, got {element!r}")
+            _check_field(spec, getattr(self, spec.name))
         if self.p >= self.d:
             raise InputError(
                 f"p must be less than d, got d={self.d}, p={self.p}")
@@ -129,6 +117,22 @@ class ExperimentConfig:
                 continue
             items.append((spec.name, _render(getattr(self, spec.name))))
         return items
+
+
+def _check_field(spec, value):
+    """InputError unless `value` meets the range of the field `spec`, each
+    element of a list value on its own; seeds and bits must also be
+    nonempty and distinct."""
+    if spec.name in ("seeds", "bits") and (
+            not value or len(set(value)) < len(value)):
+        raise InputError(f"{spec.name} must be nonempty and distinct, "
+                         f"got {_render(value)!r}")
+    if spec.metadata.get("check"):
+        requirement, holds = spec.metadata["check"]
+        for element in value if isinstance(value, tuple) else (value,):
+            if not holds(element):
+                raise InputError(
+                    f"{spec.name} must {requirement}, got {element!r}")
 
 
 def _render(value):
@@ -159,6 +163,7 @@ def _parse_typed(key, value, kind):
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+_FIELDS = {spec.name: spec for spec in fields(ExperimentConfig)}
 
 # keys whose values are lists, written space or comma separated
 LIST_KEYS = tuple(key for key, kind in _FIELD_TYPES.items()
@@ -178,12 +183,14 @@ def coerce_value(key, value):
 
 
 def load_config_file(path):
-    """Read a config file into a {key: typed value} mapping."""
+    """Read a config file into a {key: typed value} mapping, each value
+    checked against its field's range; errors name the file and line."""
     def parse(text):
         values = {}
         for lineno, key, value in key_value_lines(text, _FIELD_TYPES):
             try:
                 values[key] = coerce_value(key, value)
+                _check_field(_FIELDS[key], values[key])
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from exc
         return values

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import __version__, kernels
-from ..exceptions import (ConvergenceFailure, InputError,
-                          InvalidKernelParameter, NotPositiveSemidefinite,
-                          NumericalOverflow)
+from ..exceptions import (InputError, InvalidKernelParameter,
+                          NotPositiveSemidefinite, NumericalOverflow)
 from ..machines.kkmeans import kkmeans
 from ..machines.klsh import klsh_build, klsh_hash_gram
 from ..machines.metrics import (clustering_accuracy,
@@ -165,11 +164,10 @@ def _dataset_items(dataset):
 @contextlib.contextmanager
 def _kernel_failures(where):
     """Report a library step that a kernel's values broke as one InputError
-    naming `where` (the task, the kernel and any seed) and what to try."""
+    naming `where` (the task, the kernel and any seed) and what to try.
+    A solver that spends its budget breaks nothing: the report counts it
+    as unconverged."""
     hints = {
-        # the SMO's KKT tolerance is absolute, so a large penalty can
-        # leave duals too large to meet it
-        ConvergenceFailure: "a smaller svm_c may converge",
         NumericalOverflow: "pick parameters that give smaller kernel "
                            "values; for binomial, a beta further above smax",
         NotPositiveSemidefinite: "sparse coding needs a pd kernel"}
@@ -275,8 +273,7 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     Two classes use a single machine, the second class against the
     first; more classes fall back to one-vs-rest, its machines trained
     together, with the largest decision value winning, ties to the lowest
-    class id.  Returns the predicted labels, the SMO iterations of all
-    machines and the largest final KKT residual among them.
+    class id.  Returns the predicted labels and the trained SvmModels.
     """
     train_labels = labels[train_idx]
     classes = np.unique(train_labels)
@@ -291,8 +288,7 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
         predicted = np.where(decisions[:, 0] >= 0.0, classes[1], classes[0])
     else:
         predicted = classes[np.argmax(decisions, axis=1)]
-    return (predicted, trained.iterations,
-            max(model.kkt_residual for model in trained.models))
+    return predicted, trained
 
 
 def _candidate_specs(spec, config):
@@ -324,11 +320,12 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     the whole dataset; each fold is fit and scored on its train points'
     entries of it, which equal take(train_idx)'s bit for bit.  Returns
     the winning spec and Gram, or spec and its own Gram for a
-    parameterless spec.  Raises InputError when no fold can be fit, since
-    no candidate could then be scored.
+    parameterless spec, with the number of fold machines that stopped
+    unconverged.  Raises InputError when no fold can be fit, since no
+    candidate could then be scored.
     """
     if spec.alpha is None and spec.beta is None:
-        return spec, grams[spec]
+        return spec, grams[spec], 0
     labels = dataset.labels[train_idx]
     rng = np.random.default_rng([seed, 101])
     # stratified folds: each class dealt round-robin in shuffled order
@@ -345,44 +342,53 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
             f"cross-validation fold of its {train_idx.size} training points "
             "leaves two classes to fit on")
     best = None
+    unconverged = 0
     for candidate in _candidate_specs(spec, config):
         candidate_gram = grams[candidate]
         scores = []
         for fit, held in splits:
-            predicted, _, _ = _fit_predict(
+            predicted, trained = _fit_predict(
                 candidate_gram, dataset.labels, train_idx[fit],
                 train_idx[held], config.svm_c)
             scores.append(float(np.mean(predicted == labels[held])))
+            unconverged += _unconverged(trained)
         score = float(np.mean(scores))
         if best is None or score > best[0]:
             best = (score, candidate, candidate_gram)
-    return best[1], best[2]
+    return best[1], best[2], unconverged
+
+
+def _unconverged(trained):
+    return sum(not model.converged for model in trained.models)
 
 
 def _run_svm(config, dataset, specs, grams, report):
     rows = []
     for spec in specs:
         accuracies, iterations, residuals, tuned = [], [], [], []
-        train_items = []
+        unconverged, train_items = [], []
         for seed in config.seeds:
             train_idx, test_idx = _split(dataset, config, seed)
-            used, gram_matrix = spec, grams[spec]
+            used, gram_matrix, tuning_unconverged = spec, grams[spec], 0
             with _kernel_failures(f"svm with kernel {spec.label()!r} on "
                                   f"split seed {seed}"):
                 if config.tune:
-                    used, gram_matrix = _tune_spec(spec, grams, dataset,
-                                                   train_idx, config, seed)
-                predicted, count, residual = _fit_predict(
+                    used, gram_matrix, tuning_unconverged = _tune_spec(
+                        spec, grams, dataset, train_idx, config, seed)
+                predicted, trained = _fit_predict(
                     gram_matrix, dataset.labels, train_idx, test_idx,
                     config.svm_c)
             accuracies.append(
                 float(np.mean(predicted == dataset.labels[test_idx])))
-            iterations.append(count)
-            residuals.append(format_float(residual))
+            iterations.append(trained.iterations)
+            residuals.append(format_float(
+                max(model.kkt_residual for model in trained.models)))
+            unconverged.append(tuning_unconverged + _unconverged(trained))
             tuned.append(used.label())
             train_items.append((f"train_indices_{seed}", _joined(train_idx)))
         extra = [("smo_iterations", _joined(iterations)),
-                 ("max_kkt_residual", " ".join(residuals))]
+                 ("max_kkt_residual", " ".join(residuals)),
+                 ("unconverged_machines", _joined(unconverged))]
         if config.tune:
             extra.append(("tuned", " | ".join(tuned)))
         [(mean, std)] = _seeded_result(

@@ -5,7 +5,8 @@ no timestamps or machine identifiers.  Result floats are rendered with 17
 significant digits and `[config]` values with repr, both of which
 round-trip exactly, so rerunning an experiment with the same resolved
 configuration reproduces the report byte for byte.  Config and dataset
-files are read by `key_value_lines` and `read_input`.
+files are read by `key_value_lines` and `read_input`, and every file is
+written by `write_text`.
 """
 
 import os
@@ -60,12 +61,16 @@ class ReportBuilder:
 
 
 def write_text(path, text):
-    """Write text with unix newlines, creating parent directories."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    """Write text with unix newlines, creating parent directories; a
+    failure raises InputError naming the path."""
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def key_value_lines(text, keys, repeatable=()):

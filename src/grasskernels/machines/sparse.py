@@ -51,9 +51,9 @@ Every query is coded on the iterates it takes alone, bit for bit,
 because each product is one BLAS call per row, as it is for one query:
 `np.matmul(K, Y[:, :, None])` runs one gemv per row of Y, the stacked
 `(Q, 1, n) @ (Q, n, 1)` one dot per row, and a stacked solve one LAPACK
-gesv per block.  One gemm `Y @ K` sums in another order and moves the
-products by up to 2.3e-13 on a 250 x 250 dictionary, which can change a
-line search's choice and so a code.
+gesv per block.  One gemm `Y @ K` sums in another order, so its products
+can differ in the last bits, which can change a line search's choice and
+so a code.
 """
 
 from dataclasses import dataclass

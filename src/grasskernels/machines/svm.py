@@ -10,7 +10,9 @@ KKT violation and a = K_ii + K_jj - 2 K_ij is floored at a small positive
 constant.  The candidate with the larger gain is updated.  Taking both
 one-sided choices keeps the iterates symmetric under a label flip, which
 swaps the roles of i and j.  Training stops when the maximal-violating-pair
-gap falls to the tolerance.
+gap falls to the tolerance or the iteration budget is spent, whichever
+comes first; as in LIBSVM, a machine at the budget returns the model of
+its current duals, and its `converged` flag is False.
 
 Each update direction changes alpha_i by +y_i * step and alpha_j by
 -y_j * step, so the label-weighted coefficient sum stays zero throughout.
@@ -24,10 +26,10 @@ Several machines on one Gram matrix, such as the one-vs-rest machines of a
 multi-class split, train in lockstep: each iteration runs the one-machine
 loop's statements on the rows of (m, n) arrays, one row per unfinished
 machine, so each machine ends with the same model as when trained alone.
-A machine leaves the arrays at the iteration its gap reaches the tolerance.
-One target row runs the one-machine loop instead: as a one-row lockstep it
-took about 2.2 times as long per iteration, on the 20-point machine of the
-default `bench` and on a 50-point one.
+A machine leaves the arrays at the iteration its gap reaches the tolerance,
+and every machine left leaves at the last iteration of the budget.  One
+target row runs the one-machine loop instead, which takes less time per
+iteration than a one-row lockstep (ROADMAP, "Measured and not pursued").
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,6 @@ from typing import Tuple
 import numpy as np
 
 from .. import numerics
-from ..exceptions import ConvergenceFailure
 
 KKT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 1_000_000
@@ -50,7 +51,9 @@ class SvmModel:
     """A trained classifier.
 
     `dual_coefficients[t]` is alpha * y for the support vector whose
-    training index is `support_indices[t]`.
+    training index is `support_indices[t]`.  `converged` is True when
+    the final KKT residual is within KKT_TOLERANCE, and False when the
+    machine stopped after MAX_ITERATIONS iterations short of it.
     """
 
     support_indices: np.ndarray
@@ -58,6 +61,7 @@ class SvmModel:
     bias: float
     kkt_residual: float
     iterations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,11 @@ def svm_train(gram_matrix, labels, c=1.0):
     labels in {-1, +1}, on a precomputed Gram matrix; return SvmModels.
 
     One row runs the one-machine loop; more rows train in lockstep, each
-    row's model equal to training that row alone.  Runs until every
-    maximal KKT violation drops to KKT_TOLERANCE.  Raises
-    ConvergenceFailure (carrying the largest remaining gap) if
-    MAX_ITERATIONS iterations run out first, ValueError when a target
-    holds a single class, and NumericalOverflow when a pair's curvature
-    leaves the float range.
+    row's model equal to training that row alone.  Each machine runs
+    until its maximal KKT violation drops to KKT_TOLERANCE or for
+    MAX_ITERATIONS iterations, and its model's `converged` says which.
+    Raises ValueError when a target holds a single class, and
+    NumericalOverflow when a pair's curvature leaves the float range.
     """
     y = np.asarray(labels, dtype=np.float64)
     k = gram_matrix.values
@@ -142,8 +145,6 @@ def _train_one(k, y, c, curvatures):
     # alpha can still move along +y while y * alpha < raise_end, and
     # along -y while y * alpha > raise_end - c.
     raise_end = np.where(y > 0.0, c, 0.0)
-    residual = np.inf
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         signed = y * alpha
         up = np.where(signed < raise_end, score, -np.inf)
@@ -151,7 +152,7 @@ def _train_one(k, y, c, curvatures):
         down = np.where(signed > raise_end - c, score, np.inf)
         bottom = int(np.argmin(down))
         residual = up[top] - down[bottom]
-        if residual <= KKT_TOLERANCE:
+        if residual <= KKT_TOLERANCE or iterations == MAX_ITERATIONS:
             break
 
         # one-sided second-order choices: the best partner j of the
@@ -177,9 +178,6 @@ def _train_one(k, y, c, curvatures):
         alpha[j] = end_j if step == limit_j else old_j - y[j] * step
         score -= (k[i] * (y[i] * (alpha[i] - old_i))
                   + k[j] * (y[j] * (alpha[j] - old_j)))
-    else:
-        _budget_spent(residual)
-
     return _model(alpha, y, c, score, up, down, residual, iterations)
 
 
@@ -187,8 +185,9 @@ def _train_lockstep(k, y, c, curvatures):
     """The loop of `_train_one` on every target row at once.
 
     Row r of each (m, n) array belongs to machine `machine[r]`; a machine
-    that converges is finished and its row dropped.  Single entries are
-    read and written through flat indices, row start plus column.
+    that converges, or reaches the last iteration of the budget, is
+    finished and its row dropped.  Single entries are read and written
+    through flat indices, row start plus column.
     """
     m, n = y.shape
     models = [None] * m
@@ -196,7 +195,6 @@ def _train_lockstep(k, y, c, curvatures):
     alpha = np.zeros((m, n))
     score = y.copy()
     raise_end = np.where(y > 0.0, c, 0.0)
-    residual = np.full(m, np.inf)
     starts = np.arange(0, alpha.size, n)
     for iteration in range(1, MAX_ITERATIONS + 1):
         signed = y * alpha
@@ -208,6 +206,8 @@ def _train_lockstep(k, y, c, curvatures):
         down_bottom = down.ravel()[starts + bottom]
         residual = up_top - down_bottom
         done = residual <= KKT_TOLERANCE
+        if iteration == MAX_ITERATIONS:
+            done[:] = True
         if done.any():
             for r in done.nonzero()[0]:
                 models[machine[r]] = _model(alpha[r], y[r], c, score[r],
@@ -217,10 +217,10 @@ def _train_lockstep(k, y, c, curvatures):
             if not left.any():
                 break
             (machine, y, alpha, score, raise_end, up, down, top, bottom,
-             up_top, down_bottom, residual) = (
+             up_top, down_bottom) = (
                  array[left] for array in (
                      machine, y, alpha, score, raise_end, up, down, top,
-                     bottom, up_top, down_bottom, residual))
+                     bottom, up_top, down_bottom))
             starts = np.arange(0, alpha.size, n)
 
         j, gain_j = _best_partners(up_top[:, None] - down, curvatures[top],
@@ -249,20 +249,11 @@ def _train_lockstep(k, y, c, curvatures):
         duals[flat_j] = new_j
         score -= (k[i] * (y_i * (new_i - old_i))[:, None]
                   + k[j] * (y_j * (new_j - old_j))[:, None])
-    else:
-        _budget_spent(residual.max())
     return models
 
 
-def _budget_spent(residual):
-    raise ConvergenceFailure(
-        f"no convergence after {MAX_ITERATIONS} iterations, "
-        f"remaining KKT gap {residual:.3e}",
-        iterations=MAX_ITERATIONS, gap=float(residual))
-
-
 def _model(alpha, y, c, score, up, down, residual, iterations):
-    """The SvmModel of converged duals.
+    """The SvmModel of the duals at a machine's final selection.
 
     `score` is -y * gradient, and `up` and `down` are the scores of the
     duals that can still move along +y and along -y, the others set to
@@ -281,6 +272,7 @@ def _model(alpha, y, c, score, up, down, residual, iterations):
         bias=bias,
         kkt_residual=float(max(residual, 0.0)),
         iterations=iterations,
+        converged=bool(residual <= KKT_TOLERANCE),
     )
 
 

@@ -1,16 +1,16 @@
 """Dense float64 matrix primitives backed by LAPACK through numpy.
 
-Validation, SVD failure reporting, the rank tolerance and the overflow
-check on a Gram's squared feature distances live here.  Gram
-assembly and certification take their determinants and eigenvalues from
-these helpers; the principal-angle SVD in `grassmann`, the
-eigendecomposition in `machines.klsh` and the active-set solves in
-`machines.sparse` still call numpy directly.
+Validation, the rank tolerance and the overflow check on a Gram's
+squared feature distances live here.  Gram assembly and certification
+take their determinants and eigenvalues from these helpers; the
+principal-angle SVD in `grassmann`, the eigendecomposition in
+`machines.klsh` and the active-set solves in `machines.sparse` still
+call numpy directly.
 """
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, NumericalOverflow
+from .exceptions import NumericalOverflow
 
 RANK_TOLERANCE = 1e-10
 
@@ -56,15 +56,11 @@ def _require_square(m, what):
 def svd(m):
     """Thin singular value decomposition m = u @ diag(s) @ v.T.
 
-    Returns (u, s, v) with s nonnegative and sorted descending.  Raises
-    ConvergenceFailure when LAPACK's divide-and-conquer driver does not
-    converge.
+    Returns (u, s, v) with s nonnegative and sorted descending.  When
+    LAPACK does not converge, numpy's LinAlgError passes through.
     """
     m = as_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     return u, s, vt.T
 
 

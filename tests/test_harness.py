@@ -33,6 +33,7 @@ from grasskernels.harness.experiments import (DEFAULT_KERNEL,
 from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
 from grasskernels.machines import kkmeans as kkmeans_mod
+from grasskernels.machines import sparse as sparse_mod
 from grasskernels.machines.klsh import klsh_build, klsh_hash_gram
 from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.svm import svm_train
@@ -396,6 +397,26 @@ def test_load_config_file(tmp_path):
         load_config_file(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("svm_c=0", "svm_c must be positive and finite, got 0.0"),
+    ("seeds=1 1", "seeds must be nonempty and distinct, got '1 1'"),
+    ("bits=", "bits must be nonempty and distinct, got ''"),
+    ("seeds=0 -1", "seeds must be at least 0, got -1"),
+], ids=["svm_c", "seeds-repeated", "bits-empty", "seeds-negative"])
+def test_config_file_value_out_of_range_names_its_line(line, message,
+                                                       tmp_path, capsys):
+    """A config file value outside its field's range is named with its
+    file and line, so it reads apart from the same value given as a
+    flag."""
+    path = tmp_path / "b.cfg"
+    path.write_text(f"# run\n{line}\n")
+    with pytest.raises(InputError) as info:
+        load_config_file(str(path))
+    assert str(info.value) == f"{path}: line 2: {message}"
+    assert cli.main(["svm", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: {message}\n"
+
+
 # -------------------------------------------------------------- reports
 
 
@@ -509,7 +530,9 @@ def test_svm_report_written_and_stable(tmp_path):
 def test_svm_report_lists_solver_counters(tune):
     """Per seed, smo_iterations is the total and max_kkt_residual the
     largest final residual over the one-vs-rest machines of the final fit
-    (with the tuned spec when tuning), recomputed here from svm_train."""
+    (with the tuned spec when tuning), and unconverged_machines counts
+    those that stopped at the budget, recomputed here from svm_train;
+    with tuning it also counts the cross-validation fits' machines."""
     config = build_config("svm", overrides={
         "d": "6", "p": "2", "classes": "3", "per_class": "6",
         "seeds": "0 1", "tune": tune, "beta_grid": "0.1 1.0",
@@ -519,7 +542,7 @@ def test_svm_report_lists_solver_counters(tune):
                  if "=" in line)
     data = experiments._resolve_dataset(config)
     used = items["tuned"].split(" | ") if config.tune else [DEFAULT_KERNEL] * 2
-    iterations, residuals = [], []
+    iterations, residuals, unconverged = [], [], []
     for seed, token in zip(config.seeds, used):
         train, _ = stratified_split(data.labels, config.train_fraction,
                                     np.random.default_rng([seed]))
@@ -532,9 +555,11 @@ def test_svm_report_lists_solver_counters(tune):
                   for value in np.unique(data.labels[train])]
         iterations.append(str(sum(m.iterations for m in models)))
         residuals.append(format_float(max(m.kkt_residual for m in models)))
+        unconverged.append(str(sum(not m.converged for m in models)))
     assert items["smo_iterations"] == " ".join(iterations)
     assert items["max_kkt_residual"] == " ".join(residuals)
     assert all(float(r) <= 1e-6 for r in residuals)
+    assert items["unconverged_machines"] == " ".join(unconverged) == "0 0"
 
 
 def test_svm_tuning_path():
@@ -1007,6 +1032,33 @@ def test_cli_rejects_bad_input_with_exit_2(argv, tmp_path, tmp_path_factory,
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("task,out,written", [
+    # a report path under a file; the parent cannot be made
+    ("counterexample", "file/x.txt", "file/x.txt"),
+    # a dataset path that is a directory
+    ("generate", "dir", "dir"),
+    # a gram directory that is a file
+    ("gram", "file", "file/gram_rbf_projection_beta_0.5.csv"),
+])
+def test_cli_write_failure_names_the_path(task, out, written, tmp_path,
+                                          capsys):
+    """A file that cannot be written ends in one `cannot write` error
+    line naming it, as a file that cannot be read does, and exit 2; it
+    once printed only the OS error."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    argv = [task, "--out", str(tmp_path / out)]
+    if task == "gram":
+        argv += ["--kernels", DEFAULT_KERNEL]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write "
+                             f"{str(tmp_path / written)!r}: [Errno ")
+
+
 def test_cli_prints_a_library_warning_as_one_line(tmp_path, capsys):
     """A library warning reaches stderr as one `warning:` line, without
     the source location and source line that Python's default format
@@ -1026,20 +1078,34 @@ def test_cli_prints_a_library_warning_as_one_line(tmp_path, capsys):
     assert quiet.err == "" and warned.out == quiet.out != ""
 
 
-def test_svm_out_of_iterations_exits_2(monkeypatch, tmp_path, capsys):
-    """A spent SMO budget, in a split's fit or in a tuning fold, ends in one
-    error line naming the kernel, the split seed and the remaining gap;
-    it once escaped cli.main as a ConvergenceFailure traceback."""
-    monkeypatch.setattr(svm_mod, "MAX_ITERATIONS", 1)
-    for tune in ([], ["--tune"]):
-        out = tmp_path / "out.txt"
-        assert cli.main(["svm", "--out", str(out)] + tune) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert f"{DEFAULT_KERNEL!r} on split seed 0" in err[0]
-        assert "remaining KKT gap" in err[0]
+@pytest.mark.parametrize("argv,module,budget,key,counts", [
+    # one machine per two-class split, each stopped after one selection;
+    # with tuning, 7 beta candidates times 3 folds add 21 fold machines
+    (["svm"], svm_mod, ("MAX_ITERATIONS", 1), "unconverged_machines",
+     ["1"] * 10),
+    (["svm", "--tune"], svm_mod, ("MAX_ITERATIONS", 1),
+     "unconverged_machines", ["22"] * 10),
+    (["sparse-code"], sparse_mod, ("MAX_SWEEPS", 1), "unconverged_codes",
+     ["20"] * 10),
+    # two classes in three clusters leave some k-means++ seedings unstable
+    (["cluster", "--clusters", "3"], kkmeans_mod, ("MAX_ITERATIONS", 0),
+     "unconverged_restarts", None),
+], ids=["svm", "svm-tune", "sparse-code", "cluster"])
+def test_every_solver_at_its_budget_exits_0_and_reports_it(
+        argv, module, budget, key, counts, monkeypatch, tmp_path, capsys):
+    """One stop policy: an SMO, feature-sign or Lloyd solve that spends
+    its budget returns what it has, and the task exits 0 with the report
+    counting it per seed.  The svm case once exited 2, and before that
+    escaped cli.main as a traceback."""
+    monkeypatch.setattr(module, *budget)
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and out.read_text() == captured.out
+    found = _items(captured.out)[key].split()
+    assert len(found) == 10 and any(value != "0" for value in found)
+    if counts is not None:
+        assert found == counts
 
 
 @pytest.mark.parametrize("task", ["cluster", "bench"])

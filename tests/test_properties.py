@@ -181,8 +181,9 @@ def config_path(tmp_path_factory):
 def test_config_file_text_loads_or_raises_input_error(config_path, text):
     """Loading a config file raises only InputErrors that start with its
     path and the number of a line that is not blank or a comment, or
-    gives values of their fields' types, which build an ExperimentConfig
-    or fail a check of the resolved values."""
+    gives values of their fields' types and ranges, which build an
+    ExperimentConfig or fail the one rule across fields that an svm run
+    has: p below d."""
     config_path.write_bytes(text.encode("utf-8"))
     try:
         values = load_config_file(str(config_path))
@@ -198,7 +199,8 @@ def test_config_file_text_loads_or_raises_input_error(config_path, text):
                               get_origin(spec.type) or spec.type)
     try:
         config = build_config("svm", values)
-    except InputError:
+    except InputError as exc:
+        assert str(exc).startswith("p must be less than d, got ")
         return
     assert isinstance(config, ExperimentConfig)
 

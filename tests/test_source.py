@@ -1,5 +1,5 @@
-"""Checks on the source tree itself: the error rule, unused imports and
-the tests that docstrings cite."""
+"""Checks on the source tree itself: the error rule, unused imports,
+the tests that docstrings cite and the one module of file I/O."""
 
 import ast
 import inspect
@@ -94,3 +94,35 @@ def test_docstrings_cite_only_defined_tests():
                if isinstance(node, ast.FunctionDef)}
     assert "test_four_lines_spectrum" in cited
     assert sorted(cited - defined) == []
+
+
+def _file_io_calls(tree):
+    """(line, name) of each call of `open` or `os.makedirs`."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append((node.lineno, "open"))
+        elif (isinstance(func, ast.Attribute) and func.attr == "makedirs"
+              and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            calls.append((node.lineno, "os.makedirs"))
+    return calls
+
+
+def test_files_are_opened_only_in_reports():
+    """Every file is read through `reports.read_input` and written
+    through `reports.write_text`, so each read or write error names its
+    path the same way."""
+    found = {path.relative_to(SRC).as_posix(): _file_io_calls(
+                 ast.parse(path.read_text()))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert len(found.pop("harness/reports.py")) == 3
+    assert {path: calls for path, calls in found.items() if calls} == {}
+
+
+def test_file_io_check_sees_each_call():
+    tree = ast.parse("import os\nopen(p)\nos.makedirs(d)\nf.open()\n"
+                     "makedirs(d)\n")
+    assert _file_io_calls(tree) == [(2, "open"), (3, "os.makedirs")]
