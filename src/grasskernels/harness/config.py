@@ -28,6 +28,10 @@ TASK_DESCRIPTIONS = {
 }
 TASKS = tuple(TASK_DESCRIPTIONS)
 
+# the options only generating a dataset reads
+_GENERATION_KEYS = ("name", "seed", "d", "p", "classes", "per_class",
+                   "noise_angle")
+
 
 def _option(default, help, check=None):
     """A config field with its flag's help text and, when its values have
@@ -105,18 +109,18 @@ class ExperimentConfig:
                              "drop the dataset option")
 
     def resolved_items(self):
-        """Ordered (key, rendered value) pairs for report embedding.
+        """Ordered (key, rendered value) pairs of the options the run
+        reads, for report embedding.
 
-        The thread count is left out: the option is accepted, checked to
-        be at least 1 and has no effect, so it is not part of the
-        experiment.
+        The thread count is left out, since the option is accepted,
+        checked to be at least 1 and has no effect, and so are the
+        generation options when the run loads a dataset file.
         """
-        items = []
-        for spec in fields(self):
-            if spec.name == "threads":
-                continue
-            items.append((spec.name, _render(getattr(self, spec.name))))
-        return items
+        unread = {"threads"}
+        if self.dataset:
+            unread.update(_GENERATION_KEYS)
+        return [(spec.name, _render(getattr(self, spec.name)))
+                for spec in fields(self) if spec.name not in unread]
 
 
 def _check_field(spec, value):

@@ -47,31 +47,6 @@ class ExperimentResult:
     passed: bool
 
 
-def default_catalog_tokens(p):
-    """Compact tokens for the full kernel catalog at a given p.
-
-    Parameters follow common defaults: quadratic polynomial with
-    beta = 0.5, rbf beta = 0.5, laplace beta = 1, first-order binomial
-    with beta one past its lower bound.
-    """
-    return (
-        "baseline:bc",
-        "baseline:projection",
-        "linear:bc",
-        "linear:projection",
-        "polynomial:bc:alpha=2:beta=0.5",
-        "polynomial:projection:alpha=2:beta=0.5",
-        "rbf:bc:beta=0.5",
-        "rbf:projection:beta=0.5",
-        "laplace:bc:beta=1",
-        "laplace:projection:beta=1",
-        "binomial:bc:alpha=1:beta=2",
-        f"binomial:projection:alpha=1:beta={p + 1}",
-        "logarithm:bc",
-        "logarithm:projection",
-    )
-
-
 def _resolve_dataset(config):
     if config.dataset:
         return ds_mod.load_dataset(config.dataset)
@@ -79,20 +54,6 @@ def _resolve_dataset(config):
         d=config.d, p=config.p, classes=config.classes,
         per_class=config.per_class, noise_angle=config.noise_angle,
         seed=config.seed, name=config.name or None)
-
-
-def _resolve_kernels(tokens, p):
-    """Parse kernel tokens, 'catalog' expanding; a repeat is an error."""
-    specs = []
-    for token in tokens:
-        if token == "catalog":
-            specs += _resolve_kernels(default_catalog_tokens(p), p)
-        else:
-            specs.append(kernels.parse_kernel_token(token, p))
-    for index, spec in enumerate(specs):
-        if spec in specs[:index]:
-            raise InputError(f"kernel {spec.label()!r} is given twice")
-    return specs
 
 
 # tasks that train on a seeded stratified split of a labeled dataset
@@ -440,29 +401,33 @@ def _run_sparse(config, dataset, specs, grams, report):
     rows = []
     for spec in specs:
         gram_matrix = grams[spec]
-        accuracies, fallbacks, unconverged, train_items = [], [], [], []
+        accuracies, sweeps, residuals, fallbacks = [], [], [], []
+        unconverged, train_items = [], []
         for seed in config.seeds:
             train_idx, test_idx = _split(dataset, config, seed)
-            atom_labels = dataset.labels[train_idx]
             columns = gram_matrix.values[test_idx[:, None], train_idx]
             with _kernel_failures(f"sparse-code with kernel "
                                   f"{spec.label()!r} on split seed {seed}"):
-                codes = kernel_sparse_code(
+                coded = kernel_sparse_code(
                     gram_matrix.take(train_idx), columns,
-                    gram_matrix.values[test_idx, test_idx], config.lam).codes
-            predicted = [sparse_code_classify(code, atom_labels, column)
-                         for column, code in zip(columns, codes)]
+                    gram_matrix.values[test_idx, test_idx], config.lam)
+            predicted, fell_back = sparse_code_classify(
+                coded.codes, dataset.labels[train_idx], columns)
             accuracies.append(np.mean(dataset.labels[test_idx] == predicted))
-            # the codes classified by their most similar atom instead
-            fallbacks.append(sum(not np.any(np.abs(code.coefficients) > 0.0)
-                                 for code in codes))
-            unconverged.append(sum(not code.converged for code in codes))
+            sweeps.append(coded.sweeps)
+            residuals.append(format_float(
+                max(code.kkt_residual for code in coded.codes)))
+            fallbacks.append(np.count_nonzero(fell_back))
+            unconverged.append(sum(not code.converged
+                                   for code in coded.codes))
             train_items.append((f"train_indices_{seed}", _joined(train_idx)))
         [(mean, std)] = _seeded_result(
             report, f"sparse-code {spec.label()}",
             [("kernel", spec.label()), ("lam", config.lam)], config.seeds,
             [("accuracy", "accuracies", accuracies)],
-            [("zero_code_fallbacks", _joined(fallbacks)),
+            [("feature_sign_sweeps", _joined(sweeps)),
+             ("max_kkt_residual", " ".join(residuals)),
+             ("zero_code_fallbacks", _joined(fallbacks)),
              ("unconverged_codes", _joined(unconverged))] + train_items)
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
     report.add_table("sparse coding accuracy", ("kernel", "mean", "std"),
@@ -548,8 +513,7 @@ def _run_bench(config, dataset, specs, grams, report):
     what theory guarantees of it (`KernelSpec.theory`).
     """
     passed = _run_counterexample(report)
-    catalog = _resolve_kernels(("catalog",), dataset.p)
-    _run_pd_check(config, dataset, catalog, grams, report)
+    _run_pd_check(config, dataset, kernels.catalog(dataset.p), grams, report)
     for runner in (_run_svm, _run_cluster, _run_sparse):
         runner(config, dataset, specs, grams, report)
     # small benchmark datasets cannot support the full anchor and
@@ -589,10 +553,11 @@ def run_experiment(config):
         _check_inputs(config, dataset)
         report.add_section("dataset", _dataset_items(dataset))
         default = "catalog" if config.task == "pd-check" else DEFAULT_KERNEL
-        specs = _resolve_kernels(config.kernels or (default,), dataset.p)
+        specs = kernels.parse_kernel_tokens(config.kernels or (default,),
+                                            dataset.p)
         needed = specs
         if config.task == "bench":
-            needed = _resolve_kernels(("catalog",), dataset.p) + specs
+            needed = kernels.catalog(dataset.p) + specs
         if config.tune and config.task in ("svm", "bench"):
             # each candidate's Gram is built once for all kernels and seeds
             needed = needed + [candidate for spec in specs

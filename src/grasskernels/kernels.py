@@ -74,6 +74,11 @@ PD_TOLERANCE = 1e-8
 _NEEDS_BETA = ("polynomial", "rbf", "laplace", "binomial")
 _NEEDS_ALPHA = ("polynomial", "binomial")
 
+# the catalog's (alpha, beta) of each family that takes parameters; the
+# binomial beta is set one past smax, its lower bound, by catalog()
+_CATALOG_PARAMETERS = {"polynomial": (2, 0.5), "rbf": (None, 0.5),
+                       "laplace": (None, 1), "binomial": (1, None)}
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -162,7 +167,7 @@ class KernelSpec:
     @property
     def similarity_max(self):
         """Largest value the underlying similarity can take."""
-        return 1.0 if self.embedding == "bc" else float(self.p)
+        return _similarity_max(self.embedding, self.p)
 
     @property
     def certification_mode(self):
@@ -193,6 +198,43 @@ class KernelSpec:
         if self.beta is not None:
             parts.append(f"beta={self.beta!r}")
         return ":".join(parts)
+
+
+def _similarity_max(embedding, p):
+    return 1.0 if embedding == "bc" else float(p)
+
+
+def catalog(p):
+    """Every family of FAMILIES on each embedding of grassmann.EMBEDDINGS,
+    in that order, at subspace dimension p, with _CATALOG_PARAMETERS: the
+    14 KernelSpecs that the token 'catalog' names.  A new family or
+    embedding joins them, and so the pd-check rows that the benchmark
+    reference pins: re-record it, or leave the newcomer out explicitly.
+    """
+    specs = []
+    for family in FAMILIES:
+        for embedding in grassmann.EMBEDDINGS:
+            alpha, beta = _CATALOG_PARAMETERS.get(family, (None, None))
+            if family == "binomial":
+                beta = _similarity_max(embedding, p) + 1.0
+            specs.append(KernelSpec(embedding=embedding, family=family, p=p,
+                                    alpha=alpha, beta=beta))
+    return specs
+
+
+def parse_kernel_tokens(tokens, p):
+    """KernelSpecs of a sequence of tokens, in order, the token 'catalog'
+    standing for catalog(p).  A kernel given twice, also through
+    'catalog', raises InvalidKernelParameter."""
+    specs = []
+    for token in tokens:
+        specs += (catalog(p) if token == "catalog"
+                  else [parse_kernel_token(token, p)])
+    for index, spec in enumerate(specs):
+        if spec in specs[:index]:
+            raise InvalidKernelParameter(
+                f"kernel {spec.label()!r} is given twice")
+    return specs
 
 
 def parse_kernel_token(token, p):

@@ -321,21 +321,23 @@ def kernel_sparse_code(dict_gram, query_columns, query_selves, lam):
                        sweeps=sum(code.sweeps for code in codes))
 
 
-def sparse_code_classify(code, atom_labels, column):
-    """Label of the atom with the largest absolute coefficient.
+def sparse_code_classify(codes, atom_labels, columns):
+    """Labels of the codes of one kernel_sparse_code call, coded from the
+    (Q, n) kernel `columns`, and the (Q,) mask of those that fell back.
 
-    Ties go to the lowest atom index.  A code with no nonzero
-    coefficient, which a penalty too large for the query gives, takes
-    the label of the atom most similar to the query instead: the largest
-    entry of its kernel `column`, ties again to the lowest index.
+    A code takes the label of the atom with the largest absolute
+    coefficient, ties to the lowest atom index.  A code with no nonzero
+    coefficient, which a penalty too large for its query gives, falls
+    back to the atom most similar to the query: the largest entry of its
+    column, ties again to the lowest index.
     """
     labels = np.asarray(atom_labels)
-    column = np.asarray(column)
-    weight = np.abs(code.coefficients)
-    if labels.shape != weight.shape or column.shape != weight.shape:
-        raise ValueError(
-            f"need {weight.size} atom labels and column entries, got "
-            f"shapes {labels.shape} and {column.shape}")
-    if not np.any(weight > 0.0):
-        weight = column
-    return labels[int(np.argmax(weight))]
+    columns = np.asarray(columns)
+    weights = np.abs(np.stack([code.coefficients for code in codes]))
+    if labels.shape != weights.shape[1:] or columns.shape != weights.shape:
+        raise ValueError(f"need {weights.shape[1]} atom labels and column "
+                         f"entries per code, got shapes {labels.shape} "
+                         f"and {columns.shape} for {len(weights)} codes")
+    fell_back = ~np.any(weights > 0.0, axis=1)
+    weights[fell_back] = columns[fell_back]
+    return labels[np.argmax(weights, axis=1)], fell_back

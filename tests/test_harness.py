@@ -27,9 +27,8 @@ from grasskernels.harness.datasets import (Dataset, generate_planted,
                                            save_dataset, serialize_dataset,
                                            stratified_split,
                                            subspace_from_samples)
-from grasskernels.harness.experiments import (DEFAULT_KERNEL,
-                                              default_catalog_tokens,
-                                              gram_csv_text, run_experiment)
+from grasskernels.harness.experiments import (DEFAULT_KERNEL, gram_csv_text,
+                                              run_experiment)
 from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
 from grasskernels.machines import kkmeans as kkmeans_mod
@@ -465,17 +464,6 @@ def test_write_text_creates_parents(tmp_path):
 # ---------------------------------------------------------- experiments
 
 
-def test_default_catalog_tokens_parse():
-    for p in (2, 3):
-        tokens = default_catalog_tokens(p)
-        assert len(tokens) == 14
-        specs = [kernels.parse_kernel_token(t, p) for t in tokens]
-        assert len({s.label() for s in specs}) == 14
-        binomial_proj = [s for s in specs if s.family == "binomial"
-                         and s.embedding == "projection"]
-        assert binomial_proj[0].beta == p + 1
-
-
 def test_counterexample_experiment_passes():
     config = build_config("counterexample")
     result = run_experiment(config)
@@ -808,8 +796,7 @@ def test_bench_builds_each_gram_once(monkeypatch):
     # the default focus kernel is one of the catalog's, so the run
     # builds the catalog's 14 Grams and no more, from one similarity
     # matrix per embedding
-    catalog = [kernels.parse_kernel_token(token, 2).label()
-               for token in default_catalog_tokens(2)]
+    catalog = [spec.label() for spec in kernels.catalog(2)]
     assert sorted(built) == sorted(catalog)
     assert sorted(similarities) == ["bc", "projection"]
 
@@ -1290,11 +1277,18 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
      "--tune"],
     ["hash", "--seeds", "0", "--bits", "20,30"],
     ["pd-check"],
+    ["hash", "--seeds", "0", "--bits", "20", "--dataset", "hard.txt",
+     "--d", "8"],
 ], ids=" ".join)
-def test_report_config_section_reruns_the_experiment(argv, tmp_path, capsys):
+def test_report_config_section_reruns_the_experiment(argv, tmp_path, capsys,
+                                                     monkeypatch):
     """A report's `[config]` section, saved as a config file and given to
     the same task with nothing else, reproduces the report byte for
     byte."""
+    monkeypatch.chdir(tmp_path)
+    if "hard.txt" in argv:
+        save_dataset(generate_planted(d=6, p=2, classes=3, per_class=10,
+                                      noise_angle=0.9, seed=3), "hard.txt")
     first = cli.main(argv)
     report = capsys.readouterr().out
     section = report.split("\n[config]\n", 1)[1].split("\n\n", 1)[0]
@@ -1302,6 +1296,52 @@ def test_report_config_section_reruns_the_experiment(argv, tmp_path, capsys):
     config.write_text(section + "\n")
     assert cli.main([argv[0], "--config", str(config)]) == first
     assert capsys.readouterr().out == report
+
+
+def test_hash_on_a_dataset_file_reports_no_generation_keys(tmp_path,
+                                                            capsys):
+    """`[config]` of a `--dataset` run holds no generation option, so it
+    cannot contradict `[dataset]`; it once printed the default d=8 next
+    to a d=6 file."""
+    path = tmp_path / "hard.txt"
+    save_dataset(generate_planted(d=6, p=2, classes=3, per_class=10,
+                                  noise_angle=0.9, seed=3), str(path))
+    assert cli.main(["hash", "--dataset", str(path), "--seeds", "0",
+                     "--bits", "20"]) == 0
+    report = capsys.readouterr().out
+    config = report.split("\n[config]\n", 1)[1].split("\n\n", 1)[0]
+    keys = {line.split("=", 1)[0] for line in config.splitlines()}
+    assert {"dataset", "seeds", "bits", "lam"} <= keys
+    assert not {"name", "seed", "d", "p", "classes", "per_class",
+                "noise_angle", "threads"} & keys
+    assert "\nd=6\n" in report.split("\n[dataset]\n", 1)[1]
+
+
+def test_cli_names_a_kernel_given_twice_through_the_catalog(capsys):
+    """The catalog holds linear:bc, so naming it again is an input error
+    that names the kernel."""
+    assert cli.main(["svm", "--kernels", "catalog,linear:bc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel 'linear:bc' is given twice\n"
+
+
+def test_sparse_code_reports_solver_counters():
+    """Each seed's feature-sign sweeps and largest KKT residual sit in the
+    result, before the fallback count, as the svm counters do; with
+    beta=20 the Gram entries reach 2.35e17 and no code converges."""
+    config = build_config("sparse-code", overrides={
+        "kernels": "rbf:projection:beta=20", "seeds": "0 1"})
+    text = run_experiment(config).text
+    keys = [line.split("=", 1)[0] for line in text.splitlines()]
+    assert keys.index("feature_sign_sweeps") + 1 \
+        == keys.index("max_kkt_residual") \
+        == keys.index("zero_code_fallbacks") - 1
+    items = _items(text)
+    assert items["feature_sign_sweeps"] == "40 40"
+    assert items["max_kkt_residual"] == \
+        "97053712279598432 1.2070628840166464e+17"
+    assert items["unconverged_codes"] == "20 20"
 
 
 def test_traced_benchmark_names_resolve():

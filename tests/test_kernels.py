@@ -11,12 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from grasskernels import grassmann
+from grasskernels import grassmann, kernels
 from grasskernels.exceptions import InvalidKernelParameter, NumericalOverflow
 from grasskernels.grassmann import Subspace, subspace_pair_with_angles
 from grasskernels.harness.datasets import generate_planted
-from grasskernels.harness.experiments import (default_catalog_tokens,
-                                              gram_csv_text)
+from grasskernels.harness.experiments import gram_csv_text
 from grasskernels.kernels import (GramMatrix, KernelSpec, certify_pd,
                                   counterexample_gram,
                                   counterexample_subspaces, cross_gram,
@@ -234,6 +233,67 @@ def test_parse_token_errors():
         parse_kernel_token("rbf:projection:beta=0.5:beta=2", 2)
 
 
+def test_catalog_pins_the_fourteen_kernels():
+    """The catalog is every family on both embeddings, family by family,
+    with the parameters these tokens give; `pd-check --kernels catalog`
+    and `bench` print its labels in this order."""
+    for p in (2, 3):
+        tokens = (
+            "baseline:bc", "baseline:projection",
+            "linear:bc", "linear:projection",
+            "polynomial:bc:alpha=2:beta=0.5",
+            "polynomial:projection:alpha=2:beta=0.5",
+            "rbf:bc:beta=0.5", "rbf:projection:beta=0.5",
+            "laplace:bc:beta=1", "laplace:projection:beta=1",
+            "binomial:bc:alpha=1:beta=2",
+            f"binomial:projection:alpha=1:beta={p + 1}",
+            "logarithm:bc", "logarithm:projection",
+        )
+        specs = kernels.catalog(p)
+        assert specs == [parse_kernel_token(token, p) for token in tokens]
+        assert [spec.label() for spec in specs] == [
+            parse_kernel_token(token, p).label() for token in tokens]
+        assert specs[11].label() == \
+            f"binomial:projection:alpha=1.0:beta={p + 1.0!r}"
+
+
+def test_parse_kernel_tokens_expands_the_catalog_and_rejects_repeats():
+    specs = kernels.parse_kernel_tokens(["linear:bc"], 2)
+    assert specs == [KernelSpec("bc", "linear", 2)]
+    specs = kernels.parse_kernel_tokens(["rbf:bc:beta=3", "catalog"], 2)
+    assert specs[1:] == kernels.catalog(2)
+    for tokens in (["catalog", "linear:bc"], ["linear:bc", "linear:bc"],
+                   ["catalog", "catalog"],
+                   ["rbf:bc:beta=1", "rbf:bc:beta=1.0"]):
+        with pytest.raises(InvalidKernelParameter, match="is given twice"):
+            kernels.parse_kernel_tokens(tokens, 2)
+
+
+def _docstring_table():
+    """{family: (mode, projection, determinant)} from the rows of the
+    table in the kernels module docstring."""
+    lines = kernels.__doc__.splitlines()
+    rules = [i for i, text in enumerate(lines) if text.startswith("====")]
+    rows = {}
+    for text in lines[rules[1] + 1:rules[2]]:
+        cells = text.split()
+        rows[cells[0]] = tuple(cells[-3:])
+    return rows
+
+
+def test_docstring_table_matches_the_code():
+    """The mode column is `certification_mode` and the projection and
+    determinant columns are `theory`, for every kernel of the catalog."""
+    table = _docstring_table()
+    assert sorted(table) == sorted(kernels.FAMILIES)
+    for spec in kernels.catalog(2):
+        mode, projection, determinant = table[spec.family]
+        assert spec.certification_mode == mode, spec.label()
+        expected = projection if spec.embedding == "projection" \
+            else determinant
+        assert spec.theory == expected, spec.label()
+
+
 def test_kv_round_trip():
     """A Gram CSV header names the kernel's fields, empty when unset."""
     spec = KernelSpec("projection", "rbf", 2, beta=0.5)
@@ -393,11 +453,11 @@ def test_catalog_gram_matches_pair_loop():
     """
     for d, p, n in SHAPES:
         pts = random_points(n, d, p, [d, p, n])
-        for token in default_catalog_tokens(p):
-            spec = parse_kernel_token(token, p)
+        for spec in kernels.catalog(p):
             np.testing.assert_allclose(gram(spec, pts).values,
                                        pair_loop_gram(spec, pts),
-                                       rtol=1e-15, atol=0, err_msg=token)
+                                       rtol=1e-15, atol=0,
+                                       err_msg=spec.label())
 
 
 def test_gram_entries_equal_evaluate():
@@ -414,8 +474,7 @@ def test_grams_share_one_similarity_per_embedding(monkeypatch):
     """The grouped path matches the one-spec path and the mirrored
     cross_gram bit for bit, from one similarity matrix per embedding."""
     pts = random_points(40, 8, 2, 11)
-    catalog = [parse_kernel_token(token, 2)
-               for token in default_catalog_tokens(2)]
+    catalog = kernels.catalog(2)
     embeddings = []
     similarity = grassmann.similarity
 

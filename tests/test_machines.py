@@ -963,29 +963,40 @@ def test_sparse_classify():
                           objective=0.0, objective_history=(0.0,), sweeps=1,
                           converged=True, kkt_residual=0.0)
 
+    def classify(coefficients, column):
+        [label], [fell_back] = sparse_code_classify(
+            [fitted(coefficients)], labels, np.array([column]))
+        assert fell_back == (not np.any(coefficients))
+        return label
+
     labels = np.array([5, 7, 9])
-    column = np.array([0.9, 0.1, 0.5])
+    column = [0.9, 0.1, 0.5]
     # the largest |coefficient| wins, whatever the column says
-    assert sparse_code_classify(fitted([0.1, -0.7, 0.3]), labels,
-                                column) == 7
+    assert classify([0.1, -0.7, 0.3], column) == 7
     # ties in |coefficient| go to the lowest atom
-    assert sparse_code_classify(fitted([0.0, 0.5, -0.5]), labels,
-                                column) == 7
+    assert classify([0.0, 0.5, -0.5], column) == 7
     # a zero code takes the most similar atom
-    empty = fitted([0.0, 0.0, 0.0])
-    assert sparse_code_classify(empty, labels, column) == 5
-    assert sparse_code_classify(empty, labels, [0.1, 0.9, 0.5]) == 7
+    empty = [0.0, 0.0, 0.0]
+    assert classify(empty, column) == 5
+    assert classify(empty, [0.1, 0.9, 0.5]) == 7
     # ties in the column go to the lowest atom
-    assert sparse_code_classify(empty, labels, [0.2, 0.8, 0.8]) == 7
+    assert classify(empty, [0.2, 0.8, 0.8]) == 7
     # negative zeros are zero
-    assert sparse_code_classify(fitted([-0.0, 0.0, -0.0]), labels,
-                                [0.1, 0.2, 0.3]) == 9
+    assert classify([-0.0, 0.0, -0.0], [0.1, 0.2, 0.3]) == 9
+    # one call labels every code, each as it is labeled alone
+    codes = [fitted(c) for c in ([0.1, -0.7, 0.3], empty, [0.0, 0.0, 0.2])]
+    columns = np.array([column, [0.1, 0.9, 0.5], column])
+    predicted, fell_back = sparse_code_classify(codes, labels, columns)
+    assert predicted.tolist() == [7, 7, 9]
+    assert fell_back.tolist() == [False, True, False]
     with pytest.raises(ValueError, match="atom labels and column entries"):
-        sparse_code_classify(empty, np.array([3, 4]), column)
+        sparse_code_classify(codes, np.array([3, 4]), columns)
     with pytest.raises(ValueError, match="atom labels and column entries"):
-        sparse_code_classify(empty, labels, column[:2])
+        sparse_code_classify(codes, labels, columns[:, :2])
     with pytest.raises(ValueError, match="atom labels and column entries"):
-        sparse_code_classify(empty, labels, column[None, :])
+        sparse_code_classify(codes, labels, columns[0])
+    with pytest.raises(ValueError, match="atom labels and column entries"):
+        sparse_code_classify(codes, labels, columns[:2])
 
 
 def test_sparse_zero_code_from_large_penalty():
@@ -1001,8 +1012,10 @@ def test_sparse_zero_code_from_large_penalty():
     assert code.converged and code.sweeps == 1
     assert code.objective_history == (code.objective,)
     nearest = int(np.argmax(column))
-    assert sparse_code_classify(code, data.labels[1:], column) == \
-        data.labels[1 + nearest] == data.labels[0]
+    predicted, fell_back = sparse_code_classify([code], data.labels[1:],
+                                                column[None])
+    assert fell_back.tolist() == [True]
+    assert predicted[0] == data.labels[1 + nearest] == data.labels[0]
 
 
 def _kkt_residual(kmat, column, lam, y):

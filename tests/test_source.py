@@ -1,5 +1,6 @@
 """Checks on the source tree itself: the error rule, unused imports,
-the tests that docstrings cite and the one module of file I/O."""
+the tests that docstrings cite, the one module of file I/O and the
+order of the layers."""
 
 import ast
 import inspect
@@ -126,3 +127,77 @@ def test_file_io_check_sees_each_call():
     tree = ast.parse("import os\nopen(p)\nos.makedirs(d)\nf.open()\n"
                      "makedirs(d)\n")
     assert _file_io_calls(tree) == [(2, "open"), (3, "os.makedirs")]
+
+
+# the package's layers, lowest first; a module imports only from its own
+# layer or a lower one
+LAYERS = ("exceptions", "numerics", "grassmann", "kernels", "machines",
+          "harness")
+
+
+def _layer(parts):
+    """The layer of a module named by its parts below the root package,
+    None for the root package itself or a name bound in it."""
+    return LAYERS.index(parts[0]) if parts and parts[0] in LAYERS else None
+
+
+def _upward_imports(relpath, tree):
+    """(line, imported module) of each import in the module at `relpath`,
+    a path below the root package, that reaches a higher layer.  The
+    root package's own module sits in no layer and is not checked."""
+    package = list(pathlib.PurePosixPath(relpath).parent.parts)
+    own = _layer(list(pathlib.PurePosixPath(relpath).with_suffix("").parts))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module.split(".") if node.module else []
+        if node.level:
+            base = package[:len(package) - node.level + 1] + module
+        elif module[0] == "grasskernels":
+            base = module[1:]
+        else:
+            continue
+        # `from pkg import name` may bind a submodule
+        targets = ([base] if node.module
+                   else [base + [alias.name] for alias in node.names])
+        for target in targets:
+            layer = _layer(target)
+            if None not in (layer, own) and layer > own:
+                found.append((node.lineno, ".".join(target)))
+    return found
+
+
+def test_imports_follow_the_layers():
+    """Every import under src/ points down or sideways in the order
+    exceptions < numerics < grassmann < kernels < machines < harness;
+    the root package is open to all, for `__version__`."""
+    found = {path.relative_to(SRC).as_posix(): _upward_imports(
+                 path.relative_to(SRC).as_posix(), ast.parse(path.read_text()))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {path: hits for path, hits in found.items() if hits} == {}
+
+
+def test_layer_check_sees_an_upward_import():
+    tree = {
+        "kernels.py": "from . import grassmann, numerics\n"
+                      "from .machines.svm import svm_train\n"
+                      "from .harness import cli\n",
+        "machines/svm.py": "from .. import __version__, numerics\n"
+                           "from ..machines import kkmeans\n"
+                           "from . import klsh\n"
+                           "from .. import harness\n"
+                           "import numpy\n",
+        "grassmann.py": "from grasskernels.kernels import gram\n"
+                        "from numpy import linalg\n",
+        "harness/cli.py": "from ..machines.svm import svm_train\n"
+                          "from .experiments import run_experiment\n",
+    }
+    found = {path: _upward_imports(path, ast.parse(text))
+             for path, text in tree.items()}
+    assert found == {
+        "kernels.py": [(2, "machines.svm"), (3, "harness")],
+        "machines/svm.py": [(4, "harness")],
+        "grassmann.py": [(1, "kernels")],
+        "harness/cli.py": [],
+    }
