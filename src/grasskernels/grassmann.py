@@ -18,6 +18,16 @@ EMBEDDINGS = ("bc", "projection")  # Binet-Cauchy and projection similarity
 _ORTHONORMALITY_TOL = 1e-10
 _PROJECTOR_EQ_TOL = 1e-8
 
+# entries that one matrix product of _products may produce; 2**15
+# doubles are 256 KiB
+_BLOCK_ENTRIES = 2**15
+
+# _products pads its right side with zero columns to a multiple of this
+# width: OpenBLAS 0.3.31 on AVX-512 takes a narrower column tail of a
+# large product through a kernel whose sums can differ in the last bit
+# from those of the pair's own product
+_COLUMN_MULTIPLE = 8
+
 
 class Subspace:
     """A p-dimensional linear subspace of R^d.
@@ -84,19 +94,38 @@ def _check_pair(x, y):
             f"(d={x.d}, p={x.p}) vs (d={y.d}, p={y.p})")
 
 
-def _row_products(xs, ys):
-    """One (len(ys), p, p) stack of x.T @ y per x in xs, lazily.
+def _products(xs, ys):
+    """The (len(xs), len(ys), p, p) stack of every x.T @ y.
 
-    The ys bases are stacked once and every product comes from the same
-    batched matmul, so a product does not depend on the other inputs.
+    The ys bases sit side by side in one d x (len(ys) p) matrix, and each
+    block of xs rows takes one matrix product with it.  A block's product
+    has at most _BLOCK_ENTRIES entries (one row's, when a row alone has
+    more), so the temporaries stay small however many rows there are.
+    Entry (i, j) is bit for bit the product of its pair alone, at one
+    BLAS thread and at two (test_similarity_matches_pair_products).
     """
     xs, ys = list(xs), list(ys)
     if not xs or not ys:
         raise ValueError("need at least one subspace on each side")
     for z in xs + ys:
         _check_pair(xs[0], z)
-    stack = np.stack([y.basis for y in ys])
-    return (np.matmul(x.basis.T, stack) for x in xs)
+    n, m, p = len(xs), len(ys), xs[0].p
+    if p == 1:
+        # a 1 x 1 product is a BLAS dot, whose sums no matrix product
+        # repeats, so lines take one dot per pair
+        return np.matmul(np.stack([x.basis.T for x in xs])[:, None],
+                         np.stack([y.basis for y in ys]))
+    width = -(-m * p // _COLUMN_MULTIPLE) * _COLUMN_MULTIPLE
+    right = np.zeros((xs[0].d, width))
+    right[:, :m * p] = np.hstack([y.basis for y in ys])
+    stack = np.empty((n, m, p, p))
+    rows = max(1, _BLOCK_ENTRIES // (width * p))
+    for start in range(0, n, rows):
+        block = xs[start:start + rows]
+        left = np.hstack([x.basis for x in block])
+        stack[start:start + len(block)] = (left.T @ right)[:, :m * p].reshape(
+            len(block), p, m, p).swapaxes(1, 2)
+    return stack
 
 
 def similarity(embedding, xs, ys):
@@ -104,17 +133,20 @@ def similarity(embedding, xs, ys):
 
     "bc" (Binet-Cauchy) gives |det(x.T @ y)|, the product of the angle
     cosines; "projection" gives ||x.T @ y||_F^2, the sum of their
-    squares.  Each row is one batched product and one reduction per
-    block, so entry (i, j) is bit for bit the value of the pair alone;
-    bc_inner and proj_inner are the 1 x 1 case.
+    squares.  All products come from _products, a few matrix products
+    per call, and the determinants from one stacked call per matrix, so
+    entry (i, j) is bit for bit the value of the pair alone; bc_inner
+    and proj_inner are the 1 x 1 case.
     """
     if embedding not in EMBEDDINGS:
         raise ValueError(f"unknown embedding {embedding!r}")
-    rows = _row_products(xs, ys)
+    stack = _products(xs, ys)
+    n, m, p, _ = stack.shape
     if embedding == "bc":
-        return np.array([np.abs(numerics.determinant(r)) for r in rows])
-    return np.array([np.square(r).reshape(len(r), -1).sum(axis=1)
-                     for r in rows])
+        return np.abs(numerics.determinant(stack.reshape(-1, p, p))).reshape(
+            n, m)
+    # summing the p * p squares along one axis keeps the per-pair order
+    return np.square(stack, out=stack).reshape(n, m, p * p).sum(axis=2)
 
 
 def _angles(products):
@@ -129,13 +161,13 @@ def principal_angles(x, y):
     [0, 1].  arccos loses half the digits of a small angle: 151 of 200
     subspaces of G(3, 10) drawn from default_rng(0) give themselves angles
     up to 4.2e-8, not 0 (test_self_angles_show_arccos_roundoff)."""
-    return _angles(next(_row_products([x], [y]))[0])
+    return _angles(_products([x], [y])[0, 0])
 
 
 def geodesic_distances(xs, ys):
-    """Arc length from every x in xs to every y in ys, row by row."""
-    return np.array([np.linalg.norm(_angles(r), axis=-1)
-                     for r in _row_products(xs, ys)])
+    """Arc length from every x in xs to every y in ys, the norm of each
+    pair's principal angles, all pairs from one _products stack."""
+    return np.linalg.norm(_angles(_products(xs, ys)), axis=-1)
 
 
 def geodesic_distance(x, y):

@@ -56,7 +56,9 @@ def main(argv=None):
             # a library warning prints as one line, without its source
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
-            file_values = load_config_file(config_path) if config_path else {}
+            file_values = (load_config_file(config_path,
+                                            loads_dataset=bool(args["dataset"]))
+                           if config_path else {})
             config = build_config(task, file_values, args)
             result = run_experiment(config)
         sys.stdout.write(result.text)

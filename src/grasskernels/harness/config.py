@@ -33,6 +33,12 @@ _GENERATION_KEYS = ("name", "seed", "d", "p", "classes", "per_class",
                    "noise_angle")
 
 
+def _unread_generation_keys(dataset):
+    """The generation options a run leaves unread: all of them when it
+    loads the dataset file `dataset`, none when it generates its data."""
+    return _GENERATION_KEYS if dataset else ()
+
+
 def _option(default, help, check=None):
     """A config field with its flag's help text and, when its values have
     a range, the (requirement, test) pair checked on the value or on each
@@ -99,9 +105,11 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise InputError(f"unknown task {self.task!r}; "
                              f"expected one of {sorted(TASKS)}")
+        unread = _unread_generation_keys(self.dataset)
         for spec in fields(self):
-            _check_field(spec, getattr(self, spec.name))
-        if self.p >= self.d:
+            if spec.name not in unread:
+                _check_field(spec, getattr(self, spec.name))
+        if not self.dataset and self.p >= self.d:
             raise InputError(
                 f"p must be less than d, got d={self.d}, p={self.p}")
         if self.task == "generate" and self.dataset:
@@ -116,9 +124,7 @@ class ExperimentConfig:
         checked to be at least 1 and has no effect, and so are the
         generation options when the run loads a dataset file.
         """
-        unread = {"threads"}
-        if self.dataset:
-            unread.update(_GENERATION_KEYS)
+        unread = {"threads", *_unread_generation_keys(self.dataset)}
         return [(spec.name, _render(getattr(self, spec.name)))
                 for spec in fields(self) if spec.name not in unread]
 
@@ -186,14 +192,28 @@ def coerce_value(key, value):
     return _parse_typed(key, value, kind)
 
 
-def load_config_file(path):
+def load_config_file(path, loads_dataset=False):
     """Read a config file into a {key: typed value} mapping, each value
-    checked against its field's range; errors name the file and line."""
+    checked against its field's range; errors name the file and line.
+
+    The generation options go unchecked when the run loads a dataset
+    file, named by the file's own `dataset` key or, with
+    `loads_dataset`, by a flag.
+    """
     def parse(text):
-        values = {}
+        values, lines = {}, {}
         for lineno, key, value in key_value_lines(text, _FIELD_TYPES):
             try:
                 values[key] = coerce_value(key, value)
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from exc
+            lines[key] = lineno
+        unread = _unread_generation_keys(loads_dataset
+                                         or values.get("dataset"))
+        for key, lineno in lines.items():
+            if key in unread:
+                continue
+            try:
                 _check_field(_FIELDS[key], values[key])
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from exc

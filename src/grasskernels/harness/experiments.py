@@ -445,15 +445,16 @@ def _exact_neighbours(gram_matrix, top_m):
     return np.argsort(similarity, axis=1, kind="stable")[:, :top_m]
 
 
-def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m, exact):
-    """Recall@top_m and 1-NN label accuracy under one seed's hash family.
+def _hash_cell(keys, labels, top_m, exact):
+    """Recall@top_m and 1-NN label accuracy under one family's (n, bits)
+    keys.
 
     `exact` is `_exact_neighbours(gram_matrix, top_m)`.
     """
-    family = klsh_build(gram_matrix, bits=bits, anchors=anchors, seed=seed)
+    bits = keys.shape[1]
     # float64 products go through BLAS, and sums of at most `bits` ones
     # are exact
-    keys = klsh_hash_gram(family, gram_matrix).astype(np.float64)
+    keys = keys.astype(np.float64)
     # Hamming distances from the agreeing ones and zeros, without an
     # (n, n, bits) array
     distance = bits - (keys @ keys.T + (1.0 - keys) @ (1.0 - keys).T)
@@ -471,12 +472,20 @@ def _hash_cell(gram_matrix, labels, bits, anchors, seed, top_m, exact):
 def _run_hash(config, dataset, specs, grams, report):
     rows = []
     for spec in specs:
-        exact = _exact_neighbours(grams[spec], config.top_m)
+        gram_matrix = grams[spec]
+        exact = _exact_neighbours(gram_matrix, config.top_m)
+        # one family per seed, of the longest length: its first b bits
+        # are the same seed's b-bit family, bit for bit
+        # (test_hash_family_prefix_is_the_shorter_family)
+        keys = [klsh_hash_gram(klsh_build(gram_matrix, bits=max(config.bits),
+                                          anchors=config.anchors, seed=seed),
+                               gram_matrix)
+                for seed in config.seeds]
         for bits in config.bits:
             recalls, nn_accuracies = zip(*(
-                _hash_cell(grams[spec], dataset.labels, bits, config.anchors,
-                           seed, config.top_m, exact)
-                for seed in config.seeds))
+                _hash_cell(seed_keys[:, :bits], dataset.labels,
+                           config.top_m, exact)
+                for seed_keys in keys))
             series = [("recall", "recalls", recalls)]
             if dataset.labels is not None:
                 series.append(("nn_accuracy", "nn_accuracies",

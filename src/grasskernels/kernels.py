@@ -355,8 +355,7 @@ class GramMatrix:
 
 def _mirror_upper(values):
     """Copy the upper triangle onto the lower one, in place, and return it."""
-    lower = np.tril_indices(values.shape[0], -1)
-    values[lower] = values.T[lower]
+    np.copyto(values, values.T, where=np.tri(len(values), k=-1, dtype=bool))
     return values
 
 

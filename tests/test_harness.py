@@ -718,10 +718,13 @@ def test_hash_ranking_matches_per_row_loop():
                                   (16, 40, 3)):
             args = (g, data.labels, bits, 12, seed, top_m)
             exact = experiments._exact_neighbours(g, top_m)
-            assert experiments._hash_cell(*args, exact) \
+            keys = klsh_hash_gram(klsh_build(g, bits=bits, anchors=12,
+                                             seed=seed), g)
+            assert experiments._hash_cell(keys, data.labels, top_m, exact) \
                 == _per_row_hash_scores(*args), (token, bits, top_m)
     exact = experiments._exact_neighbours(g, 5)
-    assert experiments._hash_cell(g, None, 8, 12, 0, 5, exact)[1] is None
+    keys = klsh_hash_gram(klsh_build(g, bits=8, anchors=12, seed=0), g)
+    assert experiments._hash_cell(keys, None, 5, exact)[1] is None
 
 
 def test_hash_task_rejects_oversized_anchor_count():
@@ -1315,6 +1318,40 @@ def test_hash_on_a_dataset_file_reports_no_generation_keys(tmp_path,
     assert not {"name", "seed", "d", "p", "classes", "per_class",
                 "noise_angle", "threads"} & keys
     assert "\nd=6\n" in report.split("\n[dataset]\n", 1)[1]
+
+
+def test_dataset_run_ignores_generation_options(tmp_path, capsys):
+    """A `--dataset` run reads no generation option, so it neither
+    range-checks them nor compares p with d, whether they come from flags
+    or from a config file; a run that generates still rejects them."""
+    path = tmp_path / "hard.txt"
+    save_dataset(generate_planted(d=6, p=2, classes=3, per_class=10,
+                                  noise_angle=0.9, seed=3), str(path))
+    plain = ["hash", "--dataset", str(path), "--seeds", "0", "--bits", "8"]
+    assert cli.main(plain) == 0
+    expected = capsys.readouterr().out
+    for extra in (["--d", "2", "--p", "2"], ["--classes", "0"],
+                  ["--seed", "-1", "--noise-angle", "2"]):
+        assert cli.main(plain + extra) == 0, extra
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, ""), extra
+    config = tmp_path / "gen.cfg"
+    config.write_text("d=2\np=2\nclasses=0\n")
+    assert cli.main(plain + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == expected
+    # the file itself names the dataset
+    config.write_text(f"dataset={path}\nd=2\np=2\nclasses=0\n")
+    assert cli.main(["hash", "--config", str(config), "--seeds", "0",
+                     "--bits", "8"]) == 0
+    assert capsys.readouterr().out == expected
+    for task in ("generate", "svm"):
+        assert cli.main([task, "--d", "2", "--p", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: p must be less than d, got d=2, p=2\n")
+    config.write_text("# generated\nclasses=0\n")
+    assert cli.main(["svm", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 2: classes must be at least 1, got 0\n")
 
 
 def test_cli_names_a_kernel_given_twice_through_the_catalog(capsys):

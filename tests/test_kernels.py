@@ -7,6 +7,7 @@ to a per-pair loop with scalar `math` maps, kept here as the reference.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,7 +429,7 @@ def test_cross_gram_guards():
     assert cross_gram(spec, pts[:1], pts).shape == (1, 3)
 
 
-def test_similarity_matches_pair_products():
+def test_similarity_matches_pair_products(monkeypatch):
     """Each batched entry is bit for bit the product of its pair alone."""
     for d, p, n in SHAPES:
         pts = random_points(n, d, p, [d, p, n])
@@ -443,6 +444,70 @@ def test_similarity_matches_pair_products():
             assert inner(queries[-1], pts[1]) == expected[-1, 1]
     with pytest.raises(ValueError):
         grassmann.similarity("chordal", pts, pts)
+    # queries and refs of different lengths: 90 rows against 100 or 97
+    # refs make an uneven last row block (81 rows per block at p=2,
+    # d=100), 97 refs at p=2 and 31 at p=4 make column counts that are no
+    # multiple of the padding width, then lines and the 1 x 1 case; each
+    # again with a cap of a row or two per block
+    cases = ((100, 2, 90, 100), (100, 2, 90, 97), (12, 4, 25, 31),
+             (100, 1, 30, 37), (7, 3, 1, 1))
+    for cap in (grassmann._BLOCK_ENTRIES, 1000):
+        monkeypatch.setattr(grassmann, "_BLOCK_ENTRIES", cap)
+        for d, p, n, m in cases:
+            pts = random_points(n + m, d, p, [d, p, n, m])
+            queries, refs = pts[:n], pts[n:]
+            for embedding in grassmann.EMBEDDINGS:
+                expected = np.array([[pair_similarity(embedding, x, y)
+                                      for y in refs] for x in queries])
+                got = grassmann.similarity(embedding, queries, refs)
+                assert np.array_equal(got, expected), (cap, d, p, n, m)
+
+
+def test_geodesic_distances_match_pair_angles(monkeypatch):
+    """Each arc length is bit for bit the norm of its pair's principal
+    angles, across uneven row blocks, for lines and for p = 2 and 3."""
+    for cap in (grassmann._BLOCK_ENTRIES, 100):
+        monkeypatch.setattr(grassmann, "_BLOCK_ENTRIES", cap)
+        for d, p, n, m in ((100, 2, 13, 30), (10, 3, 9, 14), (6, 1, 5, 7)):
+            pts = random_points(n + m, d, p, [d, p, n, m, 1])
+            queries, refs = pts[:n], pts[n:]
+            expected = np.array([[np.linalg.norm(
+                grassmann.principal_angles(x, y), axis=-1) for y in refs]
+                for x in queries])
+            got = grassmann.geodesic_distances(queries, refs)
+            assert np.array_equal(got, expected), (cap, d, p)
+
+
+def test_similarity_peak_allocation():
+    """Products of a few rows at a time keep one n=500, p=2 similarity
+    under 12 MB of peak allocation: the 7.6 MB product stack and two
+    1.9 MB result arrays.  One product for all rows takes 16.8 MB."""
+    data = generate_planted(d=100, p=2, classes=50, per_class=10,
+                            noise_angle=0.1, seed=0)
+    for embedding in grassmann.EMBEDDINGS:
+        tracemalloc.start()
+        try:
+            grassmann.similarity(embedding, data.subspaces, data.subspaces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, embedding
+
+
+def test_mirror_matches_the_index_copy():
+    """The masked mirror gives the bits of the lower-triangle index copy
+    it replaced, signed zeros included."""
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 40):
+        values = rng.standard_normal((n, n))
+        values[rng.random((n, n)) < 0.2] = -0.0
+        reference = values.copy()
+        lower = np.tril_indices(n, -1)
+        reference[lower] = reference.T[lower]
+        got = kernels._mirror_upper(values)
+        assert got is values
+        assert np.array_equal(got.view(np.uint64),
+                              reference.view(np.uint64)), n
 
 
 def test_catalog_gram_matches_pair_loop():

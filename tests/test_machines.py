@@ -1554,6 +1554,28 @@ def test_klsh_stacked_keys_match_per_bit_loop():
                 assert np.array_equal(hashed, keys)
 
 
+def test_hash_family_prefix_is_the_shorter_family():
+    """The first b bits of a seed's 60-bit family are that seed's b-bit
+    family, bit for bit: anchors, weights and keys.  So `hash --bits`
+    builds one family per seed, of the longest length, and scores each
+    length on its first bits."""
+    data = generate_planted(d=100, p=2, classes=10, per_class=10,
+                            noise_angle=0.1, seed=0)
+    for token in ("rbf:projection:beta=0.5", "linear:bc"):
+        g = gram(kernels.parse_kernel_token(token, 2), data.subspaces)
+        for seed in (0, 1):
+            full = klsh_build(g, bits=60, anchors=30, seed=seed)
+            full_keys = klsh_hash_gram(full, g)
+            for bits in (1, 4, 5, 20, 59):
+                short = klsh_build(g, bits=bits, anchors=30, seed=seed)
+                assert np.array_equal(short.anchor_indices,
+                                      full.anchor_indices[:bits])
+                assert np.array_equal(short.projection_weights,
+                                      full.projection_weights[:, :bits])
+                assert np.array_equal(klsh_hash_gram(short, g),
+                                      full_keys[:, :bits]), (token, bits)
+
+
 def test_klsh_build_peak_allocation():
     """Whitening a few bits at a time keeps a 60-bit, 30-anchor family on
     100 points under 512 KB of peak allocation; stacking all 60 blocks at
