@@ -46,16 +46,9 @@ class Subspace:
 
     def __init__(self, basis):
         basis = numerics.as_matrix(basis).copy()
-        d, p = basis.shape
-        if not 0 < p < d:
-            raise ValueError(
-                f"subspace dimensions need 0 < p < d, got d={d}, p={p}")
-        gram = basis.T @ basis
-        defect = np.max(np.abs(gram - np.eye(p)))
-        if defect > _ORTHONORMALITY_TOL:
-            raise ValueError(
-                f"basis columns are not orthonormal (defect {defect:.3e}); "
-                "pass the matrix through numerics.orthonormalize first")
+        problem = basis_problem(basis[None])
+        if problem is not None:
+            raise ValueError(problem[1])
         basis.setflags(write=False)
         self.basis = basis
 
@@ -83,6 +76,47 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(d={self.d}, p={self.p})"
+
+
+def basis_problem(bases):
+    """(index, reason) of the first basis of a (k, d, p) float64 stack
+    that a Subspace refuses, or None when it takes them all.
+
+    The one rule of Subspace, applied to the whole stack at once: 0 < p
+    < d, finite entries, and columns orthonormal to within
+    _ORTHONORMALITY_TOL in max |B.T @ B - I|.
+    """
+    _, d, p = bases.shape
+    if not 0 < p < d:
+        return 0, f"subspace dimensions need 0 < p < d, got d={d}, p={p}"
+    finite = np.isfinite(bases).all(axis=(1, 2))
+    # inf and huge entries make inf or nan defects; the finite mask
+    # names the former
+    with np.errstate(all="ignore"):
+        defects = np.abs(np.matmul(bases.swapaxes(1, 2), bases)
+                         - np.eye(p)).max(axis=(1, 2))
+    bad = ~finite | ~(defects <= _ORTHONORMALITY_TOL)
+    if not bad.any():
+        return None
+    index = int(np.argmax(bad))
+    if not finite[index]:
+        return index, "matrix entries must be finite"
+    return index, (f"basis columns are not orthonormal (defect "
+                   f"{defects[index]:.3e}); pass the matrix through "
+                   "numerics.orthonormalize first")
+
+
+def checked_subspaces(bases):
+    """A Subspace for each basis of a C-ordered (k, d, p) stack that
+    basis_problem passed, without checking each again: the stack is
+    frozen and each basis is a read-only view of it."""
+    bases.setflags(write=False)
+    subspaces = []
+    for basis in bases:
+        x = object.__new__(Subspace)
+        x.basis = basis
+        subspaces.append(x)
+    return subspaces
 
 
 def _check_pair(x, y):
@@ -128,25 +162,39 @@ def _products(xs, ys):
     return stack
 
 
-def similarity(embedding, xs, ys):
-    """Similarity of every x in xs to every y in ys, a len(xs) x len(ys) array.
+def similarities(embeddings, xs, ys):
+    """{embedding: similarity matrix} of every x in xs to every y in ys,
+    each a len(xs) x len(ys) array, in the order `embeddings` first names
+    them, all from one _products stack.
 
     "bc" (Binet-Cauchy) gives |det(x.T @ y)|, the product of the angle
     cosines; "projection" gives ||x.T @ y||_F^2, the sum of their
-    squares.  All products come from _products, a few matrix products
-    per call, and the determinants from one stacked call per matrix, so
-    entry (i, j) is bit for bit the value of the pair alone; bc_inner
-    and proj_inner are the 1 x 1 case.
+    squares.  The determinants come from one stacked call, then the
+    squares overwrite the stack in place, so entry (i, j) of each is bit
+    for bit the value of the pair alone.
     """
-    if embedding not in EMBEDDINGS:
-        raise ValueError(f"unknown embedding {embedding!r}")
+    embeddings = list(dict.fromkeys(embeddings))
+    for embedding in embeddings:
+        if embedding not in EMBEDDINGS:
+            raise ValueError(f"unknown embedding {embedding!r}")
     stack = _products(xs, ys)
     n, m, p, _ = stack.shape
-    if embedding == "bc":
-        return np.abs(numerics.determinant(stack.reshape(-1, p, p))).reshape(
-            n, m)
-    # summing the p * p squares along one axis keeps the per-pair order
-    return np.square(stack, out=stack).reshape(n, m, p * p).sum(axis=2)
+    result = {}
+    if "bc" in embeddings:
+        values = numerics.determinant(stack.reshape(-1, p, p))
+        result["bc"] = np.abs(values, out=values).reshape(n, m)
+    if "projection" in embeddings:
+        # summing the p * p squares along one axis keeps the per-pair
+        # order
+        result["projection"] = np.square(stack, out=stack).reshape(
+            n, m, p * p).sum(axis=2)
+    return {embedding: result[embedding] for embedding in embeddings}
+
+
+def similarity(embedding, xs, ys):
+    """The one-embedding case of similarities, a len(xs) x len(ys) array;
+    bc_inner and proj_inner are its 1 x 1 case."""
+    return similarities([embedding], xs, ys)[embedding]
 
 
 def _angles(products):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .. import numerics
 from ..exceptions import InputError
-from ..grassmann import Subspace, random_subspace, tilt_subspace
+from ..grassmann import (Subspace, basis_problem, checked_subspaces,
+                         random_subspace, tilt_subspace)
 from .reports import key_value_lines, read_input, write_text
 
 FORMAT_VERSION = 1
@@ -165,21 +166,16 @@ def parse_dataset(text):
                          f"format_version {fields['format_version']!r}")
     d, p, n = (field(key, int, "dimension fields must be integers")
                for key in ("d", "p", "n"))
+    if not 0 < p < d:
+        raise InputError(f"line {lines['d' if d < 2 else 'p']}: subspace "
+                         f"dimensions need 0 < p < d, got d={d}, p={p}")
+    if n < 1:
+        raise InputError(f"line {lines['n']}: a dataset needs at least "
+                         f"one subspace, got n={n}")
     if len(subspace_lines) != n:
         raise InputError(f"expected {n} subspace lines, "
                          f"found {len(subspace_lines)}")
-
-    subspaces = []
-    for lineno, value in subspace_lines:
-        parts = value.split()
-        if len(parts) != d * p:
-            raise InputError(
-                f"line {lineno}: expected {d * p} values, got {len(parts)}")
-        try:
-            flat = np.array(list(map(float, parts)))
-            subspaces.append(Subspace(flat.reshape((d, p), order="F")))
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
+    subspaces = _subspaces(subspace_lines, d, p)
 
     labels = None
     if "labels" in fields:
@@ -193,6 +189,39 @@ def parse_dataset(text):
                        name=fields.get("name", "unnamed"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _subspaces(subspace_lines, d, p):
+    """The Subspaces of the subspace lines, each line converted into its
+    basis in one (n, d, p) stack and every basis checked in that stack.
+    A bad line is named: the first whose values do not convert, or whose
+    basis a Subspace refuses, whichever comes first."""
+    bases = None
+    for row, (lineno, value) in enumerate(subspace_lines):
+        parts = value.split()
+        try:
+            if len(parts) != d * p:
+                raise ValueError(f"expected {d * p} values, got {len(parts)}")
+            values = list(map(float, parts))
+        except ValueError as exc:
+            if bases is not None:
+                _check_bases(bases[:row], subspace_lines)
+            raise InputError(f"line {lineno}: {exc}") from exc
+        if bases is None:
+            # allocated once a line has held d * p values
+            bases = np.empty((len(subspace_lines), d, p))
+            columns = bases.swapaxes(1, 2)
+        # a line lists the basis column by column
+        columns[row].flat = values
+    _check_bases(bases, subspace_lines)
+    return checked_subspaces(bases)
+
+
+def _check_bases(bases, subspace_lines):
+    problem = basis_problem(bases)
+    if problem is not None:
+        index, reason = problem
+        raise InputError(f"line {subspace_lines[index][0]}: {reason}")
 
 
 def save_dataset(dataset, path):

@@ -18,7 +18,7 @@ baseline     s^2 (determinant) or s (projection)  pd    pd          pd
 linear       s                                    pd    pd          indefinite
 polynomial   (beta + s)^alpha                     pd    pd          indefinite
 rbf          exp(beta * s)                        pd    pd          indefinite
-laplace      exp(-beta * sqrt(smax - s))          pd    pd          unproven
+laplace      exp(-beta * sqrt(smax - s))          pd    pd          indefinite
 binomial     (beta - s)^-alpha                    pd    pd          indefinite
 logarithm    -log(smax + 1 - s)                   cpd   cpd         indefinite
 ===========  ===================================  ====  ==========  ===========
@@ -49,10 +49,10 @@ eigenvalue far outside roundoff; for the logarithm the witness is in
 the conditional mode.  The witnesses are test_four_lines_spectrum
 (linear, rbf), test_certification_regression_on_sampled_subspaces
 (linear, logarithm), acceptance criterion 02 (polynomial, binomial,
-logarithm) and `grasskernels pd-check --seed 0` (linear, polynomial,
-rbf at beta=0.5, binomial at alpha=1, beta=2, logarithm).  The laplace
-determinant kernel has neither a proof nor a witness: it certifies on
-every sample tried, but that is not a guarantee.
+logarithm), `grasskernels pd-check --seed 0` (linear, polynomial,
+rbf at beta=0.5, binomial at alpha=1, beta=2, logarithm) and
+test_laplace_bc_witness (laplace at beta=0.5).  The laplace kernel
+certifies on many samples, among them that pd-check run at beta=1.
 
 Run the pd-check task to see the verdicts on any dataset.
 """
@@ -182,13 +182,13 @@ class KernelSpec:
 
     @property
     def theory(self):
-        """What theory guarantees: 'pd', 'cpd', 'indefinite' or 'unproven'.
+        """What theory guarantees: 'pd', 'cpd' or 'indefinite'.
 
         The last two columns of the module docstring's table.
         """
         if self.embedding == "projection" or self.family == "baseline":
             return self.certification_mode
-        return "unproven" if self.family == "laplace" else "indefinite"
+        return "indefinite"
 
     def label(self):
         """Compact token, e.g. 'rbf:projection:beta=0.5' or 'linear:bc'."""
@@ -363,22 +363,24 @@ def grams(specs, data):
     """The GramMatrix of each distinct spec over one sequence of subspaces.
 
     Returns {spec: GramMatrix} in first-seen order, duplicates collapsed.
-    Every spec is a map of one of the two similarities, so each embedding
-    present costs one similarity matrix, shared by its specs.  A spec's
-    Gram is the upper triangle of its map of that matrix, mirrored so
-    that symmetry is exact: entry (i, j) with i <= j is exactly
-    evaluate(spec, data[i], data[j]), and the Gram of an increasing
-    subset of indices is take() of the full matrix bit for bit.  Nothing
-    is kept between calls.  Raises NumericalOverflow when a value
-    overflows a float.
+    Every spec is a map of one of the two similarities, so the call
+    takes one grassmann.similarities call for the embeddings its specs
+    use: one product stack, and one similarity matrix per embedding,
+    shared by its specs.  A spec's Gram is the upper triangle of its map
+    of that matrix, mirrored so that symmetry is exact: entry (i, j) with
+    i <= j is exactly evaluate(spec, data[i], data[j]), and the Gram of
+    an increasing subset of indices is take() of the full matrix bit for
+    bit.  Nothing is kept between calls.  Raises NumericalOverflow when a
+    value overflows a float.
     """
     data = list(data)
-    similarities = {}
+    specs = list(dict.fromkeys(specs))
+    if not specs:
+        return {}
+    similarities = grassmann.similarities(
+        [spec.embedding for spec in specs], data, data)
     result = {}
-    for spec in dict.fromkeys(specs):
-        if spec.embedding not in similarities:
-            similarities[spec.embedding] = grassmann.similarity(
-                spec.embedding, data, data)
+    for spec in specs:
         _check_p(spec, data[0].p)
         # a copy, since _apply may return s itself and mirroring writes
         values = _mapped(spec, similarities[spec.embedding].copy())

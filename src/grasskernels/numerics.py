@@ -1,11 +1,12 @@
-"""Dense float64 matrix primitives backed by LAPACK through numpy.
+"""Dense float64 matrix primitives, backed by LAPACK through numpy.
 
 Validation, the rank tolerance and the overflow check on a Gram's
 squared feature distances live here.  Gram assembly and certification
-take their determinants and eigenvalues from these helpers; the
-principal-angle SVD in `grassmann`, the eigendecomposition in
-`machines.klsh` and the active-set solves in `machines.sparse` still
-call numpy directly.
+take their determinants and eigenvalues from these helpers: a 2 x 2
+determinant is ad - bc in closed form, and every other determinant and
+every eigenvalue comes from LAPACK.  The principal-angle SVD in
+`grassmann`, the eigendecomposition in `machines.klsh` and the
+active-set solves in `machines.sparse` still call numpy directly.
 """
 
 import numpy as np
@@ -99,10 +100,17 @@ def symmetric_eigenvalues(m):
 def determinant(m):
     """Determinant of a square matrix, or the array of them for a stack.
 
-    LAPACK factors each matrix of a (k, n, n) stack on its own, so each
-    determinant is bit for bit that of its matrix alone.
+    A 2 x 2 determinant is ad - bc in closed form, elementwise over a
+    (k, 2, 2) stack; every other size goes to LAPACK, which factors each
+    matrix of a (k, n, n) stack on its own.  Either way each determinant
+    is bit for bit that of its matrix alone.
     """
     m = np.asarray(m, dtype=np.float64)
     as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim == 3 else m)
     _require_square(m, "determinant")
-    return np.linalg.det(m) if m.ndim == 3 else float(np.linalg.det(m))
+    if m.shape[-1] == 2:
+        det = m[..., 0, 0] * m[..., 1, 1]
+        det -= m[..., 0, 1] * m[..., 1, 0]
+    else:
+        det = np.linalg.det(m)
+    return det if m.ndim == 3 else float(det)

@@ -168,6 +168,59 @@ def test_parse_dataset_rejects_malformed_text():
         == parse_dataset(good).fingerprint
 
 
+def test_parsed_subspaces_equal_their_own_construction():
+    """The Subspaces built from one checked stack hold, bit for bit, the
+    bases Subspace(basis) makes of each line, frozen."""
+    data = generate_planted(d=7, p=3, classes=2, per_class=4,
+                            noise_angle=0.3, seed=5)
+    parsed = parse_dataset(serialize_dataset(data))
+    for x, original in zip(parsed.subspaces, data.subspaces):
+        alone = grassmann.Subspace(x.basis)
+        assert isinstance(x, grassmann.Subspace) and x == alone
+        assert np.array_equal(x.basis, alone.basis)
+        assert np.array_equal(x.basis, original.basis)
+        assert x.basis.flags.c_contiguous
+        assert not x.basis.flags.writeable
+        with pytest.raises(ValueError):
+            x.basis[0, 0] = 2.0
+
+
+def test_dataset_basis_errors_name_file_and_line(tmp_path):
+    """A basis Subspace refuses, an infinite value and an impossible
+    dimension each raise an InputError naming the file and the line; of
+    several bad lines the first is named, whatever is wrong with it."""
+    lines = serialize_dataset(generate_planted(
+        d=4, p=2, classes=2, per_class=3, noise_angle=0.1, seed=2)
+    ).splitlines()
+    assert lines[8].startswith("subspace=")  # line 9
+
+    def load(replacements):
+        changed = list(lines)
+        for lineno, text in replacements.items():
+            changed[lineno - 1] = text
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(changed) + "\n")
+        with pytest.raises(InputError) as caught:
+            load_dataset(str(path))
+        return str(caught.value).removeprefix(f"{path}: ")
+
+    doubled = "subspace=" + " ".join(
+        repr(2.0 * float(v)) for v in lines[8].split("=")[1].split())
+    with_inf = lines[10].replace(lines[10].split()[1], "inf", 1)
+    assert load({9: doubled}).startswith(
+        "line 9: basis columns are not orthonormal (defect ")
+    assert load({11: with_inf}) == "line 11: matrix entries must be finite"
+    assert load({9: doubled, 11: with_inf}).startswith("line 9: basis")
+    assert load({9: doubled, 11: "subspace=1 2"}).startswith("line 9: basis")
+    assert load({11: with_inf, 12: "subspace=x"}).startswith("line 11: ")
+    assert load({3: "d=-1"}) == ("line 3: subspace dimensions need "
+                                 "0 < p < d, got d=-1, p=2")
+    assert load({4: "p=4"}) == ("line 4: subspace dimensions need "
+                                "0 < p < d, got d=4, p=4")
+    assert load({5: "n=0"}) == ("line 5: a dataset needs at least one "
+                                "subspace, got n=0")
+
+
 def test_parse_dataset_reads_lines_as_config_files_do(tmp_path, capsys):
     """Keys and values are stripped, as in config files, and an unknown
     key is an input error: a misspelt `labels=` line once dropped the
@@ -772,23 +825,24 @@ def test_task_run_never_serializes_its_dataset(monkeypatch):
 
 
 def _count_gram_work(monkeypatch):
-    """Record the embedding of each similarity matrix and each Gram's label."""
-    similarities = []
+    """Record the embeddings of each similarities call and each Gram's
+    label."""
+    calls = []
     labels = []
-    similarity, grams = grassmann.similarity, kernels.grams
+    similarities, grams = grassmann.similarities, kernels.grams
 
-    def counting_similarity(embedding, xs, ys):
-        similarities.append(embedding)
-        return similarity(embedding, xs, ys)
+    def counting_similarities(embeddings, xs, ys):
+        calls.append(sorted(set(embeddings)))
+        return similarities(embeddings, xs, ys)
 
     def counting_grams(specs, data):
         result = grams(specs, data)
         labels.extend(spec.label() for spec in result)
         return result
 
-    monkeypatch.setattr(grassmann, "similarity", counting_similarity)
+    monkeypatch.setattr(grassmann, "similarities", counting_similarities)
     monkeypatch.setattr(kernels, "grams", counting_grams)
-    return similarities, labels
+    return calls, labels
 
 
 def test_bench_builds_each_gram_once(monkeypatch):
@@ -797,11 +851,11 @@ def test_bench_builds_each_gram_once(monkeypatch):
         "d": "6", "p": "2", "classes": "2", "per_class": "4",
         "seeds": "0", "lam": "0.01"}))
     # the default focus kernel is one of the catalog's, so the run
-    # builds the catalog's 14 Grams and no more, from one similarity
-    # matrix per embedding
+    # builds the catalog's 14 Grams and no more, from one similarities
+    # call that covers both embeddings
     catalog = [spec.label() for spec in kernels.catalog(2)]
     assert sorted(built) == sorted(catalog)
-    assert sorted(similarities) == ["bc", "projection"]
+    assert similarities == [["bc", "projection"]]
 
 
 def test_tuning_builds_each_candidate_gram_once(monkeypatch):
@@ -818,7 +872,7 @@ def test_tuning_builds_each_candidate_gram_once(monkeypatch):
                 for beta in config.beta_grid} | {focus.label()}
     assert len(expected) == 7
     assert sorted(built) == sorted(expected)
-    assert similarities == ["projection"]
+    assert similarities == [["projection"]]
 
 
 def test_generate_task_round_trip(tmp_path, monkeypatch):
@@ -906,7 +960,7 @@ def test_pd_check_default_catalog_verdict(tmp_path, capsys):
     assert cli.main(["pd-check", "--seed", "0", "--out", str(out)]) == 0
     text = out.read_text()
     assert text.endswith("[verdict]\npassed=true\n")
-    bc_theory = {"baseline": "pd", "laplace": "unproven"}
+    bc_theory = {"baseline": "pd"}
     rows = {}
     for section in text.split("\n\n"):
         lines = section.splitlines()
@@ -923,7 +977,7 @@ def test_pd_check_default_catalog_verdict(tmp_path, capsys):
     failing = {label for label, items in rows.items()
                if items["passed"] == "false"}
     # exactly the `bc` witnesses the `kernels` docstring cites for this
-    # command; laplace:bc, unproven, passes
+    # command; laplace:bc, indefinite at beta=0.5, passes at beta=1
     assert failing == {"linear:bc", "polynomial:bc:alpha=2.0:beta=0.5",
                        "rbf:bc:beta=0.5", "binomial:bc:alpha=1.0:beta=2.0",
                        "logarithm:bc"}

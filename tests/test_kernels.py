@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grasskernels import grassmann, kernels
+from grasskernels import grassmann, kernels, numerics
 from grasskernels.exceptions import InvalidKernelParameter, NumericalOverflow
 from grasskernels.grassmann import Subspace, subspace_pair_with_angles
 from grasskernels.harness.datasets import generate_planted
@@ -53,10 +53,11 @@ def random_points(n, d, p, key):
 
 
 def pair_similarity(embedding, x, y):
-    """Reference similarity of one pair, from its own p x p product."""
+    """Reference similarity of one pair, from its own p x p product and,
+    for "bc", its own determinant."""
     m = x.basis.T @ y.basis
     if embedding == "bc":
-        return abs(float(np.linalg.det(m)))
+        return abs(numerics.determinant(m))
     return float(np.sum(m ** 2))
 
 
@@ -463,6 +464,32 @@ def test_similarity_matches_pair_products(monkeypatch):
                 assert np.array_equal(got, expected), (cap, d, p, n, m)
 
 
+def test_similarities_share_one_product_stack(monkeypatch):
+    """Both embeddings from one call are bit for bit the one-embedding
+    calls, from one product stack, in the order first named."""
+    products = grassmann._products
+    stacks = []
+
+    def counting(xs, ys):
+        stacks.append(len(xs))
+        return products(xs, ys)
+
+    monkeypatch.setattr(grassmann, "_products", counting)
+    for d, p, n in SHAPES:
+        pts = random_points(n, d, p, [d, p, n, 2])
+        queries = pts[::2]
+        stacks.clear()
+        both = grassmann.similarities(("projection", "bc", "projection"),
+                                      queries, pts)
+        assert stacks == [len(queries)]
+        assert list(both) == ["projection", "bc"]
+        for embedding in grassmann.EMBEDDINGS:
+            alone = grassmann.similarity(embedding, queries, pts)
+            assert np.array_equal(both[embedding], alone), (d, p, embedding)
+    with pytest.raises(ValueError, match="unknown embedding"):
+        grassmann.similarities(("bc", "chordal"), pts, pts)
+
+
 def test_geodesic_distances_match_pair_angles(monkeypatch):
     """Each arc length is bit for bit the norm of its pair's principal
     angles, across uneven row blocks, for lines and for p = 2 and 3."""
@@ -537,20 +564,21 @@ def test_gram_entries_equal_evaluate():
 
 def test_grams_share_one_similarity_per_embedding(monkeypatch):
     """The grouped path matches the one-spec path and the mirrored
-    cross_gram bit for bit, from one similarity matrix per embedding."""
+    cross_gram bit for bit, from one similarities call that covers both
+    embeddings."""
     pts = random_points(40, 8, 2, 11)
     catalog = kernels.catalog(2)
-    embeddings = []
-    similarity = grassmann.similarity
+    calls = []
+    similarities = grassmann.similarities
 
-    def counting(embedding, xs, ys):
-        embeddings.append(embedding)
-        return similarity(embedding, xs, ys)
+    def counting(embeddings, xs, ys):
+        calls.append(set(embeddings))
+        return similarities(embeddings, xs, ys)
 
-    monkeypatch.setattr(grassmann, "similarity", counting)
+    monkeypatch.setattr(grassmann, "similarities", counting)
     # duplicates collapse, first-seen order is kept
     got = grams(catalog + catalog[::-1], pts)
-    assert sorted(embeddings) == ["bc", "projection"]
+    assert calls == [{"bc", "projection"}]
     assert list(got) == catalog
     upper = np.triu(np.ones((40, 40), dtype=bool))
     for spec in catalog:
@@ -636,6 +664,20 @@ def test_four_lines_spectrum():
     expected = math.e - 2.0 * math.exp(math.sqrt(2.0) / 2.0) + 1.0
     np.testing.assert_allclose(lo2, expected, rtol=0, atol=1e-12)
     assert not certify_pd(g2).passed
+
+
+def test_laplace_bc_witness():
+    """The laplace kernel on the determinant embedding is not positive
+    definite: at beta=0.5, 400 uniform points of G(2, 4) give a Gram whose
+    smallest eigenvalue is about -1.25e-3 of its largest, far below
+    roundoff."""
+    rng = np.random.default_rng([4, 2, 7])
+    pts = [grassmann.random_subspace(4, 2, rng) for _ in range(400)]
+    spec = parse_kernel_token("laplace:bc:beta=0.5", 2)
+    assert spec.theory == "indefinite"
+    report = certify_pd(gram(spec, pts))
+    assert report.min_eigenvalue < -1e-6 * report.max_eigenvalue
+    assert not report.passed
 
 
 def test_certification_regression_on_sampled_subspaces():
