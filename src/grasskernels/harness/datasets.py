@@ -173,7 +173,7 @@ def parse_dataset(text):
         raise InputError(f"line {lines['n']}: a dataset needs at least "
                          f"one subspace, got n={n}")
     if len(subspace_lines) != n:
-        raise InputError(f"expected {n} subspace lines, "
+        raise InputError(f"line {lines['n']}: expected {n} subspace lines, "
                          f"found {len(subspace_lines)}")
     subspaces = _subspaces(subspace_lines, d, p)
 
@@ -183,12 +183,13 @@ def parse_dataset(text):
             [int(s) for s in v.split()], dtype=np.int64),
             "labels must be int64 values")
         if labels.size != n:
-            raise InputError(f"expected {n} labels, got {labels.size}")
-    try:
-        return Dataset(subspaces=tuple(subspaces), labels=labels,
-                       name=fields.get("name", "unnamed"))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+            raise InputError(f"line {lines['labels']}: expected {n} labels, "
+                             f"got {labels.size}")
+    name = fields.get("name", "unnamed")
+    if not name_round_trips(name):
+        raise InputError(f"line {lines['name']}: dataset names must "
+                         f"{NAME_RULE}, got {name!r}")
+    return Dataset(subspaces=tuple(subspaces), labels=labels, name=name)
 
 
 def _subspaces(subspace_lines, d, p):

@@ -9,6 +9,7 @@ the same report text.
 
 import contextlib
 import dataclasses
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from ..machines.metrics import (clustering_accuracy,
 from ..machines.sparse import kernel_sparse_code, sparse_code_classify
 from ..machines.svm import svm_decision_from_rows, svm_train
 from . import datasets as ds_mod
-from .reports import ReportBuilder, format_float, write_text
+from .reports import (ReportBuilder, format_float, format_value,
+                      write_text)
 
 GENERATOR = f"grasskernels {__version__}"
 
@@ -85,8 +87,8 @@ def _check_inputs(config, dataset):
             f"each query can rank")
 
 
-def _joined(values):
-    return " ".join(str(v) for v in values)
+def _joined(values, separator=" "):
+    return separator.join(format_value(v) for v in values)
 
 
 def _seeded_result(report, label, settings, seeds, series, extra=()):
@@ -226,7 +228,7 @@ def _run_counterexample(report):
     return in_band
 
 
-# --- svm ----------------------------------------------------------------
+# --- svm and sparse-code: the split tasks ---------------------------------
 
 def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     """Train on the given split and predict labels on the test side.
@@ -323,42 +325,75 @@ def _unconverged(trained):
     return sum(not model.converged for model in trained.models)
 
 
-def _run_svm(config, dataset, specs, grams, report):
+def _svm_step(config, dataset, spec, grams, train_idx, test_idx, seed):
+    """Fit one split's machines, tuned first with `--tune`; returns the
+    predicted test labels and the split's counters."""
+    used, gram_matrix, unconverged = spec, grams[spec], 0
+    if config.tune:
+        used, gram_matrix, unconverged = _tune_spec(
+            spec, grams, dataset, train_idx, config, seed)
+    predicted, trained = _fit_predict(gram_matrix, dataset.labels, train_idx,
+                                      test_idx, config.svm_c)
+    record = {"smo_iterations": trained.iterations,
+              "max_kkt_residual": max(m.kkt_residual for m in trained.models),
+              "unconverged_machines": unconverged + _unconverged(trained)}
+    if config.tune:
+        record["tuned"] = used.label()
+    return predicted, record
+
+
+def _sparse_step(config, dataset, spec, grams, train_idx, test_idx, seed):
+    """Code one split's test points over its training atoms and label
+    them; returns the predicted test labels and the split's counters."""
+    gram_matrix = grams[spec]
+    columns = gram_matrix.values[test_idx[:, None], train_idx]
+    coded = kernel_sparse_code(gram_matrix.take(train_idx), columns,
+                               gram_matrix.values[test_idx, test_idx],
+                               config.lam)
+    predicted, fell_back = sparse_code_classify(
+        coded.codes, dataset.labels[train_idx], columns)
+    return predicted, {
+        "feature_sign_sweeps": coded.sweeps,
+        "max_kkt_residual": max(code.kkt_residual for code in coded.codes),
+        "zero_code_fallbacks": np.count_nonzero(fell_back),
+        "unconverged_codes": sum(not code.converged for code in coded.codes)}
+
+
+# each split task's step, table title and (report key, config field) setting
+_SPLIT_STEPS = {
+    "svm": (_svm_step, "svm accuracy", ("penalty", "svm_c")),
+    "sparse-code": (_sparse_step, "sparse coding accuracy", ("lam", "lam")),
+}
+
+
+def _run_split_task(task, config, dataset, specs, grams, report):
+    """Score each kernel's `task` step on each seed's split.  A step
+    returns the predicted test labels and an ordered record of counters,
+    each listed per seed, in record order, after the accuracies."""
+    step, title, (setting, field) = _SPLIT_STEPS[task]
     rows = []
     for spec in specs:
-        accuracies, iterations, residuals, tuned = [], [], [], []
-        unconverged, train_items = [], []
+        accuracies, records, train_items = [], [], []
         for seed in config.seeds:
             train_idx, test_idx = _split(dataset, config, seed)
-            used, gram_matrix, tuning_unconverged = spec, grams[spec], 0
-            with _kernel_failures(f"svm with kernel {spec.label()!r} on "
+            with _kernel_failures(f"{task} with kernel {spec.label()!r} on "
                                   f"split seed {seed}"):
-                if config.tune:
-                    used, gram_matrix, tuning_unconverged = _tune_spec(
-                        spec, grams, dataset, train_idx, config, seed)
-                predicted, trained = _fit_predict(
-                    gram_matrix, dataset.labels, train_idx, test_idx,
-                    config.svm_c)
+                predicted, record = step(config, dataset, spec, grams,
+                                         train_idx, test_idx, seed)
             accuracies.append(
                 float(np.mean(predicted == dataset.labels[test_idx])))
-            iterations.append(trained.iterations)
-            residuals.append(format_float(
-                max(model.kkt_residual for model in trained.models)))
-            unconverged.append(tuning_unconverged + _unconverged(trained))
-            tuned.append(used.label())
+            records.append(record)
             train_items.append((f"train_indices_{seed}", _joined(train_idx)))
-        extra = [("smo_iterations", _joined(iterations)),
-                 ("max_kkt_residual", " ".join(residuals)),
-                 ("unconverged_machines", _joined(unconverged))]
-        if config.tune:
-            extra.append(("tuned", " | ".join(tuned)))
+        counters = [(key, _joined((r[key] for r in records),
+                                  " | " if key == "tuned" else " "))
+                    for key in records[0]]
         [(mean, std)] = _seeded_result(
-            report, f"svm {spec.label()}",
-            [("kernel", spec.label()), ("penalty", config.svm_c)],
+            report, f"{task} {spec.label()}",
+            [("kernel", spec.label()), (setting, getattr(config, field))],
             config.seeds, [("accuracy", "accuracies", accuracies)],
-            extra + train_items)
+            counters + train_items)
         rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
-    report.add_table("svm accuracy", ("kernel", "mean", "std"), rows)
+    report.add_table(title, ("kernel", "mean", "std"), rows)
     return True
 
 
@@ -395,61 +430,22 @@ def _run_cluster(config, dataset, specs, grams, report):
     return True
 
 
-# --- sparse-code -----------------------------------------------------------
-
-def _run_sparse(config, dataset, specs, grams, report):
-    rows = []
-    for spec in specs:
-        gram_matrix = grams[spec]
-        accuracies, sweeps, residuals, fallbacks = [], [], [], []
-        unconverged, train_items = [], []
-        for seed in config.seeds:
-            train_idx, test_idx = _split(dataset, config, seed)
-            columns = gram_matrix.values[test_idx[:, None], train_idx]
-            with _kernel_failures(f"sparse-code with kernel "
-                                  f"{spec.label()!r} on split seed {seed}"):
-                coded = kernel_sparse_code(
-                    gram_matrix.take(train_idx), columns,
-                    gram_matrix.values[test_idx, test_idx], config.lam)
-            predicted, fell_back = sparse_code_classify(
-                coded.codes, dataset.labels[train_idx], columns)
-            accuracies.append(np.mean(dataset.labels[test_idx] == predicted))
-            sweeps.append(coded.sweeps)
-            residuals.append(format_float(
-                max(code.kkt_residual for code in coded.codes)))
-            fallbacks.append(np.count_nonzero(fell_back))
-            unconverged.append(sum(not code.converged
-                                   for code in coded.codes))
-            train_items.append((f"train_indices_{seed}", _joined(train_idx)))
-        [(mean, std)] = _seeded_result(
-            report, f"sparse-code {spec.label()}",
-            [("kernel", spec.label()), ("lam", config.lam)], config.seeds,
-            [("accuracy", "accuracies", accuracies)],
-            [("feature_sign_sweeps", _joined(sweeps)),
-             ("max_kkt_residual", " ".join(residuals)),
-             ("zero_code_fallbacks", _joined(fallbacks)),
-             ("unconverged_codes", _joined(unconverged))] + train_items)
-        rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
-    report.add_table("sparse coding accuracy", ("kernel", "mean", "std"),
-                     rows)
-    return True
-
-
 # --- hash --------------------------------------------------------------
 
-def _exact_neighbours(gram_matrix, top_m):
-    """Each point's top_m most similar other points, ties to lower index."""
-    # each row ranks every other point, the query itself last
-    similarity = -gram_matrix.values
-    np.fill_diagonal(similarity, np.inf)
-    return np.argsort(similarity, axis=1, kind="stable")[:, :top_m]
+def _nearest(distance, top_m):
+    """Each point's top_m nearest other points under the (n, n)
+    `distance`, ties to lower index.  Each row ranks every other point,
+    the query itself last: the diagonal of `distance` is set to +inf."""
+    np.fill_diagonal(distance, np.inf)
+    return np.argsort(distance, axis=1, kind="stable")[:, :top_m]
 
 
 def _hash_cell(keys, labels, top_m, exact):
     """Recall@top_m and 1-NN label accuracy under one family's (n, bits)
     keys.
 
-    `exact` is `_exact_neighbours(gram_matrix, top_m)`.
+    `exact` is `_nearest(-gram_matrix.values, top_m)`, the exact
+    neighbours.
     """
     bits = keys.shape[1]
     # float64 products go through BLAS, and sums of at most `bits` ones
@@ -458,8 +454,7 @@ def _hash_cell(keys, labels, top_m, exact):
     # Hamming distances from the agreeing ones and zeros, without an
     # (n, n, bits) array
     distance = bits - (keys @ keys.T + (1.0 - keys) @ (1.0 - keys).T)
-    np.fill_diagonal(distance, bits + 1)
-    approx = np.argsort(distance, axis=1, kind="stable")[:, :top_m]
+    approx = _nearest(distance, top_m)
     # neither ranking repeats a point, so equal pairs count the overlap
     overlap = np.sum(exact[:, :, None] == approx[:, None, :], axis=(1, 2))
     recall = float(np.mean(overlap / top_m))
@@ -473,7 +468,7 @@ def _run_hash(config, dataset, specs, grams, report):
     rows = []
     for spec in specs:
         gram_matrix = grams[spec]
-        exact = _exact_neighbours(gram_matrix, config.top_m)
+        exact = _nearest(-gram_matrix.values, config.top_m)
         # one family per seed, of the longest length: its first b bits
         # are the same seed's b-bit family, bit for bit
         # (test_hash_family_prefix_is_the_shorter_family)
@@ -523,8 +518,9 @@ def _run_bench(config, dataset, specs, grams, report):
     """
     passed = _run_counterexample(report)
     _run_pd_check(config, dataset, kernels.catalog(dataset.p), grams, report)
-    for runner in (_run_svm, _run_cluster, _run_sparse):
-        runner(config, dataset, specs, grams, report)
+    _run_split_task("svm", config, dataset, specs, grams, report)
+    _run_cluster(config, dataset, specs, grams, report)
+    _run_split_task("sparse-code", config, dataset, specs, grams, report)
     # small benchmark datasets cannot support the full anchor and
     # short-list defaults; each query ranks the other n - 1 points
     hash_config = dataclasses.replace(
@@ -540,9 +536,9 @@ def _run_bench(config, dataset, specs, grams, report):
 _RUNNERS = {
     "gram": _run_gram,
     "pd-check": _run_pd_check,
-    "svm": _run_svm,
+    "svm": functools.partial(_run_split_task, "svm"),
     "cluster": _run_cluster,
-    "sparse-code": _run_sparse,
+    "sparse-code": functools.partial(_run_split_task, "sparse-code"),
     "hash": _run_hash,
     "bench": _run_bench,
 }

@@ -221,6 +221,33 @@ def test_dataset_basis_errors_name_file_and_line(tmp_path):
                                 "subspace, got n=0")
 
 
+def test_dataset_header_errors_name_their_line(tmp_path):
+    """A name the file cannot give back, a labels count other than n and
+    a subspace line count other than n each raise an InputError naming
+    the file and the `name=`, `labels=` or `n=` line, wherever it is."""
+    lines = serialize_dataset(generate_planted(
+        d=4, p=2, classes=2, per_class=2, noise_angle=0.1, seed=3)
+    ).splitlines()
+    assert lines[1].startswith("name=") and lines[4] == "n=4"
+    assert lines[5] == "labels=0 0 1 1"
+    path = tmp_path / "data.txt"
+
+    def load(changed):
+        path.write_text("\n".join(changed) + "\n")
+        with pytest.raises(InputError) as caught:
+            load_dataset(str(path))
+        return str(caught.value).removeprefix(f"{path}: ")
+
+    assert load(lines[:1] + ["name=a=b"] + lines[2:]) == (
+        "line 2: dataset names must be one line without '=' or "
+        "surrounding whitespace, got 'a=b'")
+    assert load(lines[:5] + ["labels=0 0 1"] + lines[6:]) == (
+        "line 6: expected 4 labels, got 3")
+    assert load(lines[:-1]) == "line 5: expected 4 subspace lines, found 3"
+    assert load(lines[:4] + lines[5:] + ["n=5"]) == (
+        "line 10: expected 5 subspace lines, found 4")
+
+
 def test_parse_dataset_reads_lines_as_config_files_do(tmp_path, capsys):
     """Keys and values are stripped, as in config files, and an unknown
     key is an input error: a misspelt `labels=` line once dropped the
@@ -603,6 +630,43 @@ def test_svm_report_lists_solver_counters(tune):
     assert items["unconverged_machines"] == " ".join(unconverged) == "0 0"
 
 
+@pytest.mark.parametrize("kernel, lam, fallbacks, unconverged", [
+    (DEFAULT_KERNEL, "0.001", "0 0", "0 0"),
+    (DEFAULT_KERNEL, "6", "9 9", "0 0"),
+    ("rbf:projection:beta=20", "0.001", "0 0", "9 9")])
+def test_sparse_code_report_lists_solver_counters(kernel, lam, fallbacks,
+                                                  unconverged):
+    """Per seed, feature_sign_sweeps is the total and max_kkt_residual the
+    largest final residual over the split's codes, zero_code_fallbacks
+    counts the all-zero codes labeled by their most similar atom, and
+    unconverged_codes those that stopped above the tolerance, recomputed
+    here from kernel_sparse_code and sparse_code_classify."""
+    config = build_config("sparse-code", overrides={
+        "d": "6", "p": "2", "classes": "3", "per_class": "6",
+        "seeds": "0 1", "kernels": kernel, "lam": lam})
+    items = _items(run_experiment(config).text)
+    data = experiments._resolve_dataset(config)
+    g = kernels.gram(kernels.parse_kernel_token(kernel, 2), data.subspaces)
+    sweeps, residuals, fell_back, stopped = [], [], [], []
+    for seed in config.seeds:
+        train, test = stratified_split(data.labels, config.train_fraction,
+                                       np.random.default_rng([seed]))
+        columns = g.values[test[:, None], train]
+        codes = sparse_mod.kernel_sparse_code(
+            g.take(train), columns, g.values[test, test], config.lam).codes
+        _, zero = sparse_mod.sparse_code_classify(codes, data.labels[train],
+                                                  columns)
+        sweeps.append(str(sum(code.sweeps for code in codes)))
+        residuals.append(format_float(max(code.kkt_residual
+                                          for code in codes)))
+        fell_back.append(str(np.count_nonzero(zero)))
+        stopped.append(str(sum(not code.converged for code in codes)))
+    assert items["feature_sign_sweeps"] == " ".join(sweeps)
+    assert items["max_kkt_residual"] == " ".join(residuals)
+    assert items["zero_code_fallbacks"] == " ".join(fell_back) == fallbacks
+    assert items["unconverged_codes"] == " ".join(stopped) == unconverged
+
+
 def test_svm_tuning_path():
     config = build_config("svm", overrides={
         "d": "6", "p": "2", "classes": "2", "per_class": "6",
@@ -770,12 +834,12 @@ def test_hash_ranking_matches_per_row_loop():
         for bits, top_m, seed in ((4, 5, 0), (60, 10, 1), (8, 29, 2),
                                   (16, 40, 3)):
             args = (g, data.labels, bits, 12, seed, top_m)
-            exact = experiments._exact_neighbours(g, top_m)
+            exact = experiments._nearest(-g.values, top_m)
             keys = klsh_hash_gram(klsh_build(g, bits=bits, anchors=12,
                                              seed=seed), g)
             assert experiments._hash_cell(keys, data.labels, top_m, exact) \
                 == _per_row_hash_scores(*args), (token, bits, top_m)
-    exact = experiments._exact_neighbours(g, 5)
+    exact = experiments._nearest(-g.values, 5)
     keys = klsh_hash_gram(klsh_build(g, bits=8, anchors=12, seed=0), g)
     assert experiments._hash_cell(keys, None, 5, exact)[1] is None
 
@@ -843,6 +907,28 @@ def _count_gram_work(monkeypatch):
     monkeypatch.setattr(grassmann, "similarities", counting_similarities)
     monkeypatch.setattr(kernels, "grams", counting_grams)
     return calls, labels
+
+
+def _result_sections(text, task):
+    """The `[result "<task> ..."]` sections of a report, in order."""
+    return [section for section in text.split("\n\n")
+            if section.startswith(f'[result "{task} ')]
+
+
+@pytest.mark.parametrize("tune", ["false", "true"])
+def test_bench_writes_each_task_section_as_the_task_alone(tune):
+    """bench's svm, cluster and sparse-code `[result]` sections are those
+    each task writes when run alone with the same options."""
+    options = {"d": "6", "p": "2", "classes": "3", "per_class": "6",
+               "seeds": "0 1", "kernels": "rbf:projection:beta=0.5 "
+               "linear:projection", "tune": tune, "beta_grid": "0.1 1.0",
+               "cv_folds": "2"}
+    bench = run_experiment(build_config("bench", overrides=options)).text
+    for task in ("svm", "cluster", "sparse-code"):
+        alone = run_experiment(build_config(task, overrides=options)).text
+        sections = _result_sections(alone, task)
+        assert len(sections) == 2
+        assert _result_sections(bench, task) == sections
 
 
 def test_bench_builds_each_gram_once(monkeypatch):
