@@ -1,10 +1,11 @@
 """Task runners behind the command line interface.
 
 Every task resolves its dataset and kernels, builds each Gram it needs
-once, runs each kernel over the configured seeds in order and renders
-one report.  Each seed's randomness comes from generators seeded by the
-seed itself, never from shared state, so the same configuration gives
-the same report text.
+once and renders one report.  One runner runs the seeded tasks (svm,
+sparse-code, cluster and hash): each kernel's step on each configured
+seed in order.  Each seed's randomness comes from generators seeded by
+the seed itself, never from shared state, and a task runs on one BLAS
+thread, so the same configuration gives the same report text.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import __version__, kernels
+from .. import __version__, kernels, numerics
 from ..exceptions import (InputError, InvalidKernelParameter,
                           NotPositiveSemidefinite, NumericalOverflow)
 from ..machines.kkmeans import kkmeans
@@ -91,27 +92,6 @@ def _joined(values, separator=" "):
     return separator.join(format_value(v) for v in values)
 
 
-def _seeded_result(report, label, settings, seeds, series, extra=()):
-    """Write one kernel's `[result]` section of per-seed scores.
-
-    The section holds `settings`, `seeds`, then for each (name, plural,
-    values) in `series` the per-seed values as `plural` plus their
-    `mean_<name>` and sample `std_<name>`, then `extra`.  Returns the
-    (mean, std) of each series, in order.
-    """
-    items = list(settings) + [("seeds", _joined(seeds))]
-    stats = []
-    for name, plural, values in series:
-        v = np.asarray(values, dtype=np.float64)
-        mean = float(np.mean(v))
-        std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-        items += [(plural, " ".join(format_float(x) for x in values)),
-                  (f"mean_{name}", mean), (f"std_{name}", std)]
-        stats.append((mean, std))
-    report.add_section("result", items + list(extra), label=label)
-    return stats
-
-
 def _split(dataset, config, seed):
     """The (train, test) index split of one seed."""
     return ds_mod.stratified_split(dataset.labels, config.train_fraction,
@@ -138,6 +118,44 @@ def _kernel_failures(where):
         yield
     except tuple(hints) as exc:
         raise InputError(f"{where}: {exc}; {hints[type(exc)]}") from exc
+
+
+def _run_seeded(task, config, dataset, specs, grams, report):
+    """Run each kernel's `task` step on each seed; write one `[result]`
+    section and one table row per cell.
+
+    `make(config, dataset, spec, grams)` gives a kernel's step, and
+    `step(seed)` gives `{section label: (settings, scores, record)}` in
+    section order.  A section lists the settings, `seeds`, each score
+    that is not None per seed with its `mean_` and sample `std_`, then
+    each counter of the ordered record per seed, in record order.
+    """
+    make, title, columns, row = _SEEDED[task]
+    where = "split seed" if task in _SPLIT_TASKS else "seed"
+    rows = []
+    for spec in specs:
+        step = make(config, dataset, spec, grams)
+        outputs = []
+        for seed in config.seeds:
+            with _kernel_failures(f"{task} with kernel {spec.label()!r} on "
+                                  f"{where} {seed}"):
+                outputs.append(step(seed))
+        for label, (settings, scores, _) in outputs[0].items():
+            _, seed_scores, records = zip(*[o[label] for o in outputs])
+            items = settings + [("seeds", _joined(config.seeds))]
+            for name in [name for name in scores if scores[name] is not None]:
+                values = [scored[name] for scored in seed_scores]
+                std = np.std(values, ddof=1) if len(values) > 1 else 0.0
+                items += [(re.sub("y$", "ie", name) + "s", _joined(values)),
+                          (f"mean_{name}", float(np.mean(values))),
+                          (f"std_{name}", float(std))]
+            items += [(key, _joined((r[key] for r in records if key in r),
+                                    " | " if key == "tuned" else " "))
+                      for key in dict.fromkeys(k for r in records for k in r)]
+            report.add_section("result", items, label=label)
+            rows.append(row(dict(items)))
+    report.add_table(title, columns, rows)
+    return True
 
 
 # --- gram -----------------------------------------------------------------
@@ -325,7 +343,7 @@ def _unconverged(trained):
     return sum(not model.converged for model in trained.models)
 
 
-def _svm_step(config, dataset, spec, grams, train_idx, test_idx, seed):
+def _svm_fit(config, dataset, spec, grams, train_idx, test_idx, seed):
     """Fit one split's machines, tuned first with `--tune`; returns the
     predicted test labels and the split's counters."""
     used, gram_matrix, unconverged = spec, grams[spec], 0
@@ -342,7 +360,7 @@ def _svm_step(config, dataset, spec, grams, train_idx, test_idx, seed):
     return predicted, record
 
 
-def _sparse_step(config, dataset, spec, grams, train_idx, test_idx, seed):
+def _sparse_fit(config, dataset, spec, grams, train_idx, test_idx, seed):
     """Code one split's test points over its training atoms and label
     them; returns the predicted test labels and the split's counters."""
     gram_matrix = grams[spec]
@@ -359,75 +377,52 @@ def _sparse_step(config, dataset, spec, grams, train_idx, test_idx, seed):
         "unconverged_codes": sum(not code.converged for code in coded.codes)}
 
 
-# each split task's step, table title and (report key, config field) setting
-_SPLIT_STEPS = {
-    "svm": (_svm_step, "svm accuracy", ("penalty", "svm_c")),
-    "sparse-code": (_sparse_step, "sparse coding accuracy", ("lam", "lam")),
-}
+def _split_step(task, fit, setting, field, config, dataset, spec, grams):
+    """A split task's step: `fit` labels the test points of each seed's
+    split and returns that seed's counters."""
+    settings = [("kernel", spec.label()), (setting, getattr(config, field))]
+
+    def step(seed):
+        train_idx, test_idx = _split(dataset, config, seed)
+        predicted, record = fit(config, dataset, spec, grams, train_idx,
+                                test_idx, seed)
+        record[f"train_indices_{seed}"] = _joined(train_idx)
+        accuracy = float(np.mean(predicted == dataset.labels[test_idx]))
+        return {f"{task} {spec.label()}": (settings, {"accuracy": accuracy},
+                                           record)}
+    return step
 
 
-def _run_split_task(task, config, dataset, specs, grams, report):
-    """Score each kernel's `task` step on each seed's split.  A step
-    returns the predicted test labels and an ordered record of counters,
-    each listed per seed, in record order, after the accuracies."""
-    step, title, (setting, field) = _SPLIT_STEPS[task]
-    rows = []
-    for spec in specs:
-        accuracies, records, train_items = [], [], []
-        for seed in config.seeds:
-            train_idx, test_idx = _split(dataset, config, seed)
-            with _kernel_failures(f"{task} with kernel {spec.label()!r} on "
-                                  f"split seed {seed}"):
-                predicted, record = step(config, dataset, spec, grams,
-                                         train_idx, test_idx, seed)
-            accuracies.append(
-                float(np.mean(predicted == dataset.labels[test_idx])))
-            records.append(record)
-            train_items.append((f"train_indices_{seed}", _joined(train_idx)))
-        counters = [(key, _joined((r[key] for r in records),
-                                  " | " if key == "tuned" else " "))
-                    for key in records[0]]
-        [(mean, std)] = _seeded_result(
-            report, f"{task} {spec.label()}",
-            [("kernel", spec.label()), (setting, getattr(config, field))],
-            config.seeds, [("accuracy", "accuracies", accuracies)],
-            counters + train_items)
-        rows.append((spec.label(), f"{mean:.4f}", f"{std:.4f}"))
-    report.add_table(title, ("kernel", "mean", "std"), rows)
-    return True
+def _accuracy_row(section):
+    return (section["kernel"], f"{section['mean_accuracy']:.4f}",
+            f"{section['std_accuracy']:.4f}")
 
 
 # --- cluster ----------------------------------------------------------------
 
-def _run_cluster(config, dataset, specs, grams, report):
+def _cluster_step(config, dataset, spec, grams):
     cluster_count = config.clusters or dataset.class_count
-    rows = []
-    for spec in specs:
-        runs = []
-        for seed in config.seeds:
-            with _kernel_failures(f"cluster with kernel {spec.label()!r} "
-                                  f"on seed {seed}"):
-                runs.append(kkmeans(grams[spec], cluster_count, seed=seed,
-                                    restarts=config.restarts))
-        series = [("inertia", "inertias", [r.inertia for r in runs])]
-        if dataset.labels is not None:
-            series += [
-                ("nmi", "nmis", [normalized_mutual_information(
-                    r.labels, dataset.labels) for r in runs]),
-                ("accuracy", "accuracies", [clustering_accuracy(
-                    r.labels, dataset.labels) for r in runs])]
-        stats = _seeded_result(
-            report, f"cluster {spec.label()}",
-            [("kernel", spec.label()), ("clusters", cluster_count),
-             ("restarts", config.restarts)], config.seeds, series,
-            [("lloyd_iterations", _joined(r.iterations for r in runs)),
-             ("unconverged_restarts",
-              _joined(r.unconverged_restarts for r in runs))])
-        scores = [f"{mean:.4f}" for mean, _ in stats[1:]] or ["-", "-"]
-        rows.append((spec.label(), f"{stats[0][0]:.6g}", *scores))
-    report.add_table("clustering", ("kernel", "mean_inertia", "mean_nmi",
-                                    "mean_accuracy"), rows)
-    return True
+    settings = [("kernel", spec.label()), ("clusters", cluster_count),
+                ("restarts", config.restarts)]
+    labels = dataset.labels
+
+    def step(seed):
+        run = kkmeans(grams[spec], cluster_count, seed=seed,
+                      restarts=config.restarts)
+        scores = {"inertia": run.inertia}
+        if labels is not None:
+            scores["nmi"] = normalized_mutual_information(run.labels, labels)
+            scores["accuracy"] = clustering_accuracy(run.labels, labels)
+        return {f"cluster {spec.label()}": (settings, scores, {
+            "lloyd_iterations": run.iterations,
+            "unconverged_restarts": run.unconverged_restarts})}
+    return step
+
+
+def _cluster_row(section):
+    return (section["kernel"], f"{section['mean_inertia']:.6g}",
+            *(f"{section[key]:.4f}" if key in section else "-"
+              for key in ("mean_nmi", "mean_accuracy")))
 
 
 # --- hash --------------------------------------------------------------
@@ -448,12 +443,11 @@ def _hash_cell(keys, labels, top_m, exact):
     neighbours.
     """
     bits = keys.shape[1]
-    # float64 products go through BLAS, and sums of at most `bits` ones
-    # are exact
-    keys = keys.astype(np.float64)
-    # Hamming distances from the agreeing ones and zeros, without an
-    # (n, n, bits) array
-    distance = bits - (keys @ keys.T + (1.0 - keys) @ (1.0 - keys).T)
+    # as signs, agreeing bits add 1 to a product and differing ones
+    # subtract 1; float64 products go through BLAS, and sums of at most
+    # `bits` signs are exact
+    signs = 2.0 * keys - 1.0
+    distance = (bits - signs @ signs.T) / 2.0
     approx = _nearest(distance, top_m)
     # neither ranking repeats a point, so equal pairs count the overlap
     overlap = np.sum(exact[:, :, None] == approx[:, None, :], axis=(1, 2))
@@ -464,38 +458,29 @@ def _hash_cell(keys, labels, top_m, exact):
     return recall, nn_accuracy
 
 
-def _run_hash(config, dataset, specs, grams, report):
-    rows = []
-    for spec in specs:
-        gram_matrix = grams[spec]
-        exact = _nearest(-gram_matrix.values, config.top_m)
-        # one family per seed, of the longest length: its first b bits
-        # are the same seed's b-bit family, bit for bit
+def _hash_step(config, dataset, spec, grams):
+    gram_matrix = grams[spec]
+    exact = _nearest(-gram_matrix.values, config.top_m)
+
+    def step(seed):
+        # one family per seed; its first b bits are the b-bit family
         # (test_hash_family_prefix_is_the_shorter_family)
-        keys = [klsh_hash_gram(klsh_build(gram_matrix, bits=max(config.bits),
-                                          anchors=config.anchors, seed=seed),
-                               gram_matrix)
-                for seed in config.seeds]
-        for bits in config.bits:
-            recalls, nn_accuracies = zip(*(
-                _hash_cell(seed_keys[:, :bits], dataset.labels,
-                           config.top_m, exact)
-                for seed_keys in keys))
-            series = [("recall", "recalls", recalls)]
-            if dataset.labels is not None:
-                series.append(("nn_accuracy", "nn_accuracies",
-                               nn_accuracies))
-            stats = _seeded_result(
-                report, f"hash {spec.label()} bits={bits}",
-                [("kernel", spec.label()), ("bits", bits),
-                 ("anchors", config.anchors), ("top_m", config.top_m)],
-                config.seeds, series)
-            scores = [f"{mean:.4f}" for mean, _ in stats[1:]] or ["-"]
-            rows.append((spec.label(), str(bits), f"{stats[0][0]:.4f}",
-                         *scores))
-    report.add_table("hashing", ("kernel", "bits", "mean_recall",
-                                 "mean_nn_accuracy"), rows)
-    return True
+        keys = klsh_hash_gram(klsh_build(gram_matrix, bits=max(config.bits),
+                                         anchors=config.anchors, seed=seed),
+                              gram_matrix)
+        return {f"hash {spec.label()} bits={bits}": (
+            [("kernel", spec.label()), ("bits", bits),
+             ("anchors", config.anchors), ("top_m", config.top_m)],
+            dict(zip(("recall", "nn_accuracy"), _hash_cell(
+                keys[:, :bits], dataset.labels, config.top_m, exact))), {})
+            for bits in config.bits}
+    return step
+
+
+def _hash_row(section):
+    return (section["kernel"], str(section["bits"]),
+            *(f"{section[key]:.4f}" if key in section else "-"
+              for key in ("mean_recall", "mean_nn_accuracy")))
 
 
 # --- generate / bench -------------------------------------------------------
@@ -518,16 +503,32 @@ def _run_bench(config, dataset, specs, grams, report):
     """
     passed = _run_counterexample(report)
     _run_pd_check(config, dataset, kernels.catalog(dataset.p), grams, report)
-    _run_split_task("svm", config, dataset, specs, grams, report)
-    _run_cluster(config, dataset, specs, grams, report)
-    _run_split_task("sparse-code", config, dataset, specs, grams, report)
+    for task in ("svm", "cluster", "sparse-code"):
+        _run_seeded(task, config, dataset, specs, grams, report)
     # small benchmark datasets cannot support the full anchor and
     # short-list defaults; each query ranks the other n - 1 points
     hash_config = dataclasses.replace(
         config, anchors=min(config.anchors, dataset.n),
         top_m=min(config.top_m, dataset.n - 1))
-    _run_hash(hash_config, dataset, specs, grams, report)
+    _run_seeded("hash", hash_config, dataset, specs, grams, report)
     return passed
+
+
+# each seeded task's step, and its table's title, columns and row of one
+# `[result]` section's items
+_SEEDED = {
+    "svm": (functools.partial(_split_step, "svm", _svm_fit, "penalty",
+                              "svm_c"), "svm accuracy",
+            ("kernel", "mean", "std"), _accuracy_row),
+    "sparse-code": (functools.partial(_split_step, "sparse-code", _sparse_fit,
+                                      "lam", "lam"), "sparse coding accuracy",
+                    ("kernel", "mean", "std"), _accuracy_row),
+    "cluster": (_cluster_step, "clustering", ("kernel", "mean_inertia",
+                                              "mean_nmi", "mean_accuracy"),
+                _cluster_row),
+    "hash": (_hash_step, "hashing", ("kernel", "bits", "mean_recall",
+                                     "mean_nn_accuracy"), _hash_row),
+}
 
 
 # runners of the tasks that work on a dataset; the catalog Grams that
@@ -536,16 +537,14 @@ def _run_bench(config, dataset, specs, grams, report):
 _RUNNERS = {
     "gram": _run_gram,
     "pd-check": _run_pd_check,
-    "svm": functools.partial(_run_split_task, "svm"),
-    "cluster": _run_cluster,
-    "sparse-code": functools.partial(_run_split_task, "sparse-code"),
-    "hash": _run_hash,
     "bench": _run_bench,
+    **{task: functools.partial(_run_seeded, task) for task in _SEEDED},
 }
 
 
+@numerics.one_blas_thread()
 def run_experiment(config):
-    """Run one configured task and return its rendered report."""
+    """Run one configured task on one BLAS thread; return its report."""
     report = ReportBuilder(GENERATOR)
     report.add_section("config", config.resolved_items())
 

@@ -7,13 +7,84 @@ determinant is ad - bc in closed form, and every other determinant and
 every eigenvalue comes from LAPACK.  The principal-angle SVD in
 `grassmann`, the eigendecomposition in `machines.klsh` and the
 active-set solves in `machines.sparse` still call numpy directly.
+`one_blas_thread` runs a block on one OpenBLAS thread, so its floats do
+not depend on the thread count.
 """
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
 from .exceptions import NumericalOverflow
 
 RANK_TOLERANCE = 1e-10
+
+# thread count setters of the OpenBLAS builds numpy loads: its wheels'
+# `scipy_openblas64_`, a 64-bit-integer build and a system build; each
+# has the getter of the same name with `get` for `set`
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(getter, setter) of the loaded BLAS's thread count, or None.
+
+    The libraries tried are the OpenBLAS that numpy's wheels bundle
+    (`numpy.libs` on Linux and Windows, `numpy/.dylibs` on macOS), then
+    the system's; loading one that numpy already loaded gives numpy's.
+    """
+    root = os.path.dirname(np.__file__)
+    paths = (glob.glob(os.path.join(root, os.pardir, "numpy.libs",
+                                    "*openblas*"))
+             + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+    if not paths:
+        # find_library runs a helper program and imports subprocess, so
+        # only when numpy bundles no OpenBLAS
+        from ctypes.util import find_library
+        paths = [find_library("openblas")]
+    for path in filter(None, paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(library, name):
+                get = getattr(library, name.replace("_set_", "_get_"))
+                set_ = getattr(library, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the enclosed block, or the decorated function, on one BLAS
+    thread, and restore the thread count afterwards.
+
+    A multithreaded BLAS product or LAPACK reduction does not fix its
+    summation order, so its last bits can change with the thread count.
+    With one thread a run gives the same floats at any
+    `OPENBLAS_NUM_THREADS`.  Does nothing when no OpenBLAS thread setter
+    is found (another BLAS, or an unusual install).
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def as_matrix(values):

@@ -17,7 +17,7 @@ import pytest
 import grasskernels
 from grasskernels import grassmann, kernels
 from grasskernels.harness import datasets as ds_mod
-from grasskernels.exceptions import InputError
+from grasskernels.exceptions import InputError, NumericalOverflow
 from grasskernels.harness import cli, experiments
 from grasskernels.harness.config import (TASK_DESCRIPTIONS, TASKS,
                                          ExperimentConfig, build_config,
@@ -931,6 +931,94 @@ def test_bench_writes_each_task_section_as_the_task_alone(tune):
         assert _result_sections(bench, task) == sections
 
 
+def _layout(text):
+    """Each `[result]` section's header and keys, in order, then each
+    table's header and columns."""
+    layout = []
+    for section in text.split("\n\n"):
+        header, *lines = section.splitlines()
+        if header.startswith("[result "):
+            layout.append((header, [line.split("=", 1)[0] for line in lines]))
+        elif header.startswith("[table "):
+            layout.append((header, lines[0].split()))
+    return layout
+
+
+_SPLIT_KEYS = ["seeds", "accuracies", "mean_accuracy", "std_accuracy"]
+_HASH_KEYS = ["kernel", "bits", "anchors", "top_m", "seeds", "recalls",
+              "mean_recall", "std_recall", "nn_accuracies",
+              "mean_nn_accuracy", "std_nn_accuracy"]
+
+
+@pytest.mark.parametrize("task,overrides,layout", [
+    ("svm", {}, [
+        ('[result "svm linear:projection"]', ["kernel", "penalty"]
+         + _SPLIT_KEYS + ["smo_iterations", "max_kkt_residual",
+                          "unconverged_machines", "train_indices_0",
+                          "train_indices_1"]),
+        ('[table "svm accuracy"]', ["kernel", "mean", "std"])]),
+    ("sparse-code", {}, [
+        ('[result "sparse-code linear:projection"]', ["kernel", "lam"]
+         + _SPLIT_KEYS + ["feature_sign_sweeps", "max_kkt_residual",
+                          "zero_code_fallbacks", "unconverged_codes",
+                          "train_indices_0", "train_indices_1"]),
+        ('[table "sparse coding accuracy"]', ["kernel", "mean", "std"])]),
+    ("cluster", {}, [
+        ('[result "cluster linear:projection"]', [
+            "kernel", "clusters", "restarts", "seeds", "inertias",
+            "mean_inertia", "std_inertia", "nmis", "mean_nmi", "std_nmi",
+            "accuracies", "mean_accuracy", "std_accuracy",
+            "lloyd_iterations", "unconverged_restarts"]),
+        ('[table "clustering"]', ["kernel", "mean_inertia", "mean_nmi",
+                                  "mean_accuracy"])]),
+    ("hash", {"bits": "5 20", "anchors": "8", "top_m": "5",
+              "kernels": "linear:projection rbf:bc:beta=0.5"}, [
+        ('[result "hash linear:projection bits=5"]', _HASH_KEYS),
+        ('[result "hash linear:projection bits=20"]', _HASH_KEYS),
+        ('[result "hash rbf:bc:beta=0.5 bits=5"]', _HASH_KEYS),
+        ('[result "hash rbf:bc:beta=0.5 bits=20"]', _HASH_KEYS),
+        ('[table "hashing"]', ["kernel", "bits", "mean_recall",
+                               "mean_nn_accuracy"])]),
+])
+def test_seeded_task_report_layout(task, overrides, layout):
+    """Each seeded task's sections list the settings, `seeds`, the
+    scores with their means and stds, then the counters; hash writes one
+    section per kernel and, within it, per bit length."""
+    options = {"d": "6", "p": "2", "classes": "3", "per_class": "6",
+               "seeds": "0 1", "kernels": "linear:projection"}
+    text = run_experiment(build_config(task, overrides=dict(
+        options, **overrides))).text
+    assert _layout(text) == layout
+    if task == "hash":
+        assert [row[:2] for row in _table_rows(text)] == [
+            ["linear:projection", "5"], ["linear:projection", "20"],
+            ["rbf:bc:beta=0.5", "5"], ["rbf:bc:beta=0.5", "20"]]
+
+
+@pytest.mark.parametrize("argv,classes", [
+    (["pd-check", "--kernels", "catalog"], "15"),
+    (["cluster"], "50"),
+])
+def test_reports_do_not_depend_on_the_blas_thread_count(argv, classes,
+                                                        tmp_path):
+    """One and two BLAS threads give the same report.  Before each task
+    ran on one BLAS thread, the n=150 catalog eigenvalues and the n=500
+    k-means inertias differed in their last digits."""
+    path = str(tmp_path / "data.txt")
+    run_experiment(build_config("generate", overrides={
+        "d": "100", "p": "2", "classes": classes, "per_class": "10",
+        "seed": "0", "out": path}))
+    src = os.path.dirname(os.path.dirname(grasskernels.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-m", "grasskernels.harness.cli", *argv,
+             "--dataset", path], env=env, capture_output=True, text=True,
+            check=True).stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_bench_builds_each_gram_once(monkeypatch):
     similarities, built = _count_gram_work(monkeypatch)
     run_experiment(build_config("bench", overrides={
@@ -1311,6 +1399,24 @@ _FIRST_FAILURE = {
     "cluster": "cluster with kernel {label!r} on seed 1: ",
     "bench": "svm with kernel {label!r} on split seed 1: ",
 }
+
+
+def test_hash_failure_names_its_seed(monkeypatch, capsys):
+    """A hash family that a kernel's values break ends in the one error
+    line of the other seeded tasks, naming the kernel and the seed; no
+    kernel is known to reach it, so the family build is made to fail."""
+    def failing(gram_matrix, bits, anchors, seed):
+        if seed == 1:
+            raise NumericalOverflow("hash weights overflow a float")
+        return klsh_build(gram_matrix, bits=bits, anchors=anchors, seed=seed)
+
+    monkeypatch.setattr(experiments, "klsh_build", failing)
+    assert cli.main(["hash", "--seeds", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: hash with kernel {DEFAULT_KERNEL!r} on seed 1: hash weights "
+        "overflow a float; pick parameters that give smaller kernel values; "
+        "for binomial, a beta further above smax"]
 
 
 @pytest.mark.parametrize("task", [task for task in TASKS

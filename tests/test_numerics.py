@@ -221,3 +221,29 @@ class TestSymmetricEigenvalues:
             [1e308, 1e308])
         with pytest.raises(NumericalOverflow, match="eigenvalues"):
             numerics.symmetric_eigenvalues(np.full((2, 2), 1e308))
+
+
+class TestOneBlasThread:
+    def test_sets_one_thread_and_restores_the_count(self, monkeypatch):
+        """The count goes back also when the block raises."""
+        threads = [4]
+        monkeypatch.setattr(numerics, "_blas_thread_calls", lambda: (
+            lambda: threads[-1], threads.append))
+        with numerics.one_blas_thread():
+            assert threads == [4, 1]
+        with pytest.raises(ValueError):
+            with numerics.one_blas_thread():
+                raise ValueError
+        assert threads == [4, 1, 4, 1, 4]
+
+    def test_without_a_thread_setter_the_function_just_runs(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(numerics, "_blas_thread_calls", lambda: None)
+        assert numerics.one_blas_thread()(lambda: 7)() == 7
+
+    def test_finds_the_loaded_openblas(self):
+        """numpy's OpenBLAS wheel build, the stack the thread guarantee
+        is checked on, exposes the setter."""
+        get_threads, _ = numerics._blas_thread_calls()
+        with numerics.one_blas_thread():
+            assert get_threads() == 1

@@ -1,6 +1,6 @@
 """Checks on the source tree itself: the error rule, unused imports,
-the tests that docstrings cite, the one module of file I/O and the
-order of the layers."""
+the tests that docstrings cite, the one module of file I/O, the order
+of the layers and the one loop over the seeds."""
 
 import ast
 import inspect
@@ -201,3 +201,27 @@ def test_layer_check_sees_an_upward_import():
         "grassmann.py": [(1, "kernels")],
         "harness/cli.py": [],
     }
+
+
+def _seed_loops(tree):
+    """The line of each `for` loop or comprehension over a `.seeds`
+    attribute, such as `config.seeds`."""
+    return sorted(node.iter.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.For, ast.comprehension))
+                  and isinstance(node.iter, ast.Attribute)
+                  and node.iter.attr == "seeds")
+
+
+def test_one_loop_runs_the_seeds():
+    """Every seeded task runs through one runner, so the task runners
+    iterate over the configured seeds in one place."""
+    tree = ast.parse((SRC / "harness" / "experiments.py").read_text())
+    assert len(_seed_loops(tree)) == 1
+
+
+def test_seed_loop_check_sees_a_second_loop():
+    tree = ast.parse("for seed in config.seeds:\n    run(seed)\n"
+                     "keys = [build(seed) for seed in hash_config.seeds]\n"
+                     "items = _joined(config.seeds)\n"
+                     "for seed in seeds:\n    run(seed)\n")
+    assert _seed_loops(tree) == [1, 3]
