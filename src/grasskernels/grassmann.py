@@ -325,23 +325,38 @@ def subspace_pair_with_angles(d, p, angles, rng):
     return Subspace(x), Subspace(y)
 
 
+def tilted_bases(bases, angles, draws):
+    """Each basis of a (n, d, p) stack with its first k columns rotated
+    toward orthogonal directions, k = draws.shape[2] <= min(p, d - p).
+
+    Column i of basis j moves by angles[j, i] toward the i-th column of
+    the orthonormalized part of draws[j], a (d, k) Gaussian draw, that
+    lies in the orthogonal complement of basis j; its other columns and
+    angles are left alone.  Every step is stacked (numerics.orthonormalize
+    included), so basis j is bit for bit that of its stack of one.
+    """
+    raw = draws - bases @ (bases.swapaxes(1, 2) @ draws)
+    normals = numerics.orthonormalize(raw)
+    k = draws.shape[2]
+    a = angles[:, None, :k]
+    tilted = bases.copy()
+    tilted[:, :, :k] = bases[:, :, :k] * np.cos(a) + normals * np.sin(a)
+    return tilted
+
+
 def tilt_subspace(x, angles, rng):
     """Rotate the basis columns of x toward random orthogonal directions.
 
     Column i moves by angles[i] toward the i-th column of a random
     orthonormal frame drawn inside the orthogonal complement of x.  When
     the complement is narrower than p only the first d - p columns can
-    move; the remaining angles are ignored.
+    move; the remaining angles are ignored.  The one-member case of
+    tilted_bases, drawing its (d, min(p, d - p)) Gaussian from `rng`.
     """
     if not isinstance(x, Subspace):
         raise TypeError("expected a Subspace")
     a = np.asarray(angles, dtype=np.float64)
     if a.ndim != 1 or a.size != x.p:
         raise ValueError(f"need {x.p} angles, got {a!r}")
-    k = min(x.p, x.d - x.p)
-    raw = rng.standard_normal((x.d, k))
-    raw -= x.basis @ (x.basis.T @ raw)
-    normals = numerics.orthonormalize(raw)
-    basis = x.basis.copy()
-    basis[:, :k] = basis[:, :k] * np.cos(a[:k]) + normals * np.sin(a[:k])
-    return Subspace(basis)
+    draws = rng.standard_normal((x.d, min(x.p, x.d - x.p)))
+    return Subspace(tilted_bases(x.basis[None], a[None], draws[None])[0])

@@ -31,7 +31,7 @@ import numpy as np
 from .. import numerics
 from ..exceptions import InputError
 from ..grassmann import (Subspace, basis_problem, checked_subspaces,
-                         random_subspace, tilt_subspace)
+                         tilted_bases)
 from .reports import key_value_lines, read_input, write_text
 
 FORMAT_VERSION = 1
@@ -256,30 +256,36 @@ def generate_planted(d, p, classes, per_class, noise_angle, seed=0,
     rng = np.random.default_rng(seed)
     if classes * p <= d:
         frame = numerics.orthonormalize(rng.standard_normal((d, classes * p)))
-        prototypes = [Subspace(frame[:, c * p:(c + 1) * p])
-                      for c in range(classes)]
+        prototypes = frame.reshape(d, classes, p).swapaxes(0, 1)
     else:
         warnings.warn(
             f"classes * p = {classes * p} exceeds d = {d}; prototypes "
             "cannot be mutually orthogonal and are drawn independently",
             stacklevel=2)
-        prototypes = [random_subspace(d, p, rng) for _ in range(classes)]
-
-    subspaces = []
-    labels = []
-    for c, prototype in enumerate(prototypes):
-        for _ in range(per_class):
-            if noise_angle == 0.0:
-                member = prototype
-            else:
-                angles = rng.uniform(0.0, noise_angle, size=p)
-                member = tilt_subspace(prototype, angles, rng)
-            subspaces.append(member)
-            labels.append(c)
+        # one draw of the stack is the classes' consecutive (d, p) draws
+        prototypes = numerics.orthonormalize(
+            rng.standard_normal((classes, d, p)))
+    # np.repeat copies into a C-ordered stack, the layout of a Subspace's
+    # basis, so each member's products are those of its basis alone
+    bases = np.repeat(prototypes, per_class, axis=0)
+    n = classes * per_class
+    if noise_angle != 0.0:
+        # each member draws its angles, then its normals: one stream in
+        # member order
+        angles = np.empty((n, p))
+        draws = np.empty((n, d, min(p, d - p)))
+        for i in range(n):
+            angles[i] = rng.uniform(0.0, noise_angle, size=p)
+            rng.standard_normal(out=draws[i])
+        bases = tilted_bases(bases, angles, draws)
+    problem = basis_problem(bases)
+    if problem is not None:
+        raise ValueError(problem[1])
     if name is None:
         name = f"planted_d{d}_p{p}_c{classes}_m{per_class}_s{seed}"
-    return Dataset(subspaces=tuple(subspaces),
-                   labels=np.array(labels, dtype=np.int64), name=name)
+    return Dataset(subspaces=tuple(checked_subspaces(bases)),
+                   labels=np.repeat(np.arange(classes), per_class),
+                   name=name)
 
 
 def subspace_from_samples(samples, p):

@@ -430,9 +430,25 @@ def _cluster_row(section):
 def _nearest(distance, top_m):
     """Each point's top_m nearest other points under the (n, n)
     `distance`, ties to lower index.  Each row ranks every other point,
-    the query itself last: the diagonal of `distance` is set to +inf."""
+    the query itself last: the diagonal of `distance` is set to +inf.
+
+    The first top_m of each row's stable sort, by selection: every
+    entry below the row's top_m-th smallest value, then the entries
+    equal to it in index order until top_m are chosen, and a stable
+    sort of those few.
+    """
     np.fill_diagonal(distance, np.inf)
-    return np.argsort(distance, axis=1, kind="stable")[:, :top_m]
+    # like a slice of the sort, a top_m past n keeps all n
+    top_m = min(top_m, distance.shape[1])
+    cut = np.partition(distance, top_m - 1, axis=1)[:, top_m - 1, None]
+    below = distance < cut
+    at = distance == cut
+    wanted = top_m - np.count_nonzero(below, axis=1)
+    chosen = below | (at & (np.cumsum(at, axis=1) <= wanted[:, None]))
+    columns = np.nonzero(chosen)[1].reshape(-1, top_m)
+    order = np.argsort(np.take_along_axis(distance, columns, axis=1),
+                       axis=1, kind="stable")
+    return np.take_along_axis(columns, order, axis=1)
 
 
 def _hash_cell(keys, labels, top_m, exact):

@@ -4,8 +4,10 @@ Validation, the rank tolerance and the overflow check on a Gram's
 squared feature distances live here.  Gram assembly and certification
 take their determinants and eigenvalues from these helpers: a 2 x 2
 determinant is ad - bc in closed form, and every other determinant and
-every eigenvalue comes from LAPACK.  The principal-angle SVD in
-`grassmann`, the eigendecomposition in `machines.klsh` and the
+every eigenvalue comes from LAPACK.  `determinant` and `orthonormalize`
+take a (k, r, c) stack as well as one matrix, and give each matrix of a
+stack bit for bit the result of that matrix alone.  The principal-angle
+SVD in `grassmann`, the eigendecomposition in `machines.klsh` and the
 active-set solves in `machines.sparse` still call numpy directly.
 `one_blas_thread` runs a block on one OpenBLAS thread, so its floats do
 not depend on the thread count.
@@ -99,6 +101,15 @@ def as_matrix(values):
     return m
 
 
+def _as_matrices(values):
+    """A float64 matrix or (k, r, c) stack of them, checked as as_matrix
+    checks one matrix."""
+    m = np.asarray(values, dtype=np.float64)
+    as_matrix(m.reshape(len(m) * m.shape[1], m.shape[2]) if m.ndim == 3
+              else m)
+    return m
+
+
 def require_finite(values, what):
     """`values`, or NumericalOverflow naming `what` when one of them is
     infinite or NaN."""
@@ -137,26 +148,32 @@ def svd(m):
 
 
 def orthonormalize(m):
-    """Orthonormal basis spanning the columns of m, preserving column order.
+    """Orthonormal basis spanning the columns of m, preserving column order;
+    for a (k, d, p) stack, the stack of each matrix's basis.
 
     Uses QR with the diagonal of R forced positive, so an input that is
     already orthonormal (or diagonal with positive entries) comes back
-    without sign flips.  Raises ValueError when the smallest singular
-    value falls below RANK_TOLERANCE times the largest.
+    without sign flips.  numpy's svd and qr call LAPACK once per matrix,
+    so each basis of a stack is bit for bit that of its matrix alone.
+    Raises ValueError when a smallest singular value falls below
+    RANK_TOLERANCE times the largest, naming the matrix of a stack.
     """
-    m = as_matrix(m)
-    d, p = m.shape
+    m = _as_matrices(m)
+    d, p = m.shape[-2:]
     if d < p:
         raise ValueError(f"cannot orthonormalize {p} columns in R^{d}")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
+    s = np.linalg.svd(m, compute_uv=False).reshape(-1, p)
+    deficient = (s[:, 0] == 0.0) | (s[:, -1] < RANK_TOLERANCE * s[:, 0])
+    if deficient.any():
+        i = int(np.argmax(deficient))
+        where = f"matrix {i}: " if m.ndim == 3 else ""
         raise ValueError(
-            f"column rank below {p}: singular value ratio "
-            f"{s[-1]:.3e} / {s[0]:.3e}")
+            f"{where}column rank below {p}: singular value ratio "
+            f"{s[i, -1]:.3e} / {s[i, 0]:.3e}")
     q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def symmetric_eigenvalues(m):
@@ -176,8 +193,7 @@ def determinant(m):
     matrix of a (k, n, n) stack on its own.  Either way each determinant
     is bit for bit that of its matrix alone.
     """
-    m = np.asarray(m, dtype=np.float64)
-    as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim == 3 else m)
+    m = _as_matrices(m)
     _require_square(m, "determinant")
     if m.shape[-1] == 2:
         det = m[..., 0, 0] * m[..., 1, 1]

@@ -16,7 +16,8 @@ from grasskernels.grassmann import (Subspace, bc_inner, compound_matrix,
                                     curve_length_ratio, geodesic_distance,
                                     plucker_embed, principal_angles,
                                     proj_inner, random_subspace,
-                                    subspace_pair_with_angles, tilt_subspace)
+                                    subspace_pair_with_angles, tilt_subspace,
+                                    tilted_bases)
 
 
 def line(t):
@@ -307,6 +308,40 @@ class TestConstructions:
         y = tilt_subspace(x, np.array([0.2, 0.4]), rng)
         got = principal_angles(x, y)
         np.testing.assert_allclose(got, [0.0, 0.2], atol=1e-7)
+
+    def test_tilt_matches_the_one_basis_maths(self):
+        """tilt_subspace, the stack-of-one call of tilted_bases, gives
+        bit for bit the basis of the 2-D steps it replaced."""
+        for d, p, seed in ((8, 2, 55), (3, 2, 56), (4, 3, 57), (6, 1, 58)):
+            rng = np.random.default_rng(seed)
+            x = random_subspace(d, p, rng)
+            angles = rng.uniform(0.0, 0.5, size=p)
+            state = rng.bit_generator.state
+            k = min(p, d - p)
+            raw = rng.standard_normal((d, k))
+            raw -= x.basis @ (x.basis.T @ raw)
+            normals = numerics.orthonormalize(raw)
+            expected = x.basis.copy()
+            expected[:, :k] = (expected[:, :k] * np.cos(angles[:k])
+                               + normals * np.sin(angles[:k]))
+            rng.bit_generator.state = state
+            assert np.array_equal(tilt_subspace(x, angles, rng).basis,
+                                  expected), (d, p)
+
+    def test_tilted_stack_matches_each_basis_alone(self):
+        rng = np.random.default_rng(59)
+        for d, p in ((8, 2), (3, 2), (4, 3), (9, 4)):
+            k = min(p, d - p)
+            bases = np.stack([random_subspace(d, p, rng).basis
+                              for _ in range(6)])
+            angles = rng.uniform(0.0, 1.0, size=(6, p))
+            draws = rng.standard_normal((6, d, k))
+            tilted = tilted_bases(bases, angles, draws)
+            for i in range(6):
+                assert np.array_equal(tilted[i], tilted_bases(
+                    bases[i:i + 1], angles[i:i + 1], draws[i:i + 1])[0])
+            # the columns past k keep their prototype's values
+            assert np.array_equal(tilted[:, :, k:], bases[:, :, k:])
 
     def test_tilt_guards(self):
         rng = np.random.default_rng(54)

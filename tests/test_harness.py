@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import grasskernels
-from grasskernels import grassmann, kernels
+from grasskernels import grassmann, kernels, numerics
 from grasskernels.harness import datasets as ds_mod
 from grasskernels.exceptions import InputError, NumericalOverflow
 from grasskernels.harness import cli, experiments
@@ -292,6 +292,76 @@ def test_generate_planted_geometry():
     again = generate_planted(d=8, p=2, classes=3, per_class=2,
                              noise_angle=0.0, seed=0)
     assert again.fingerprint == data.fingerprint
+
+
+def _planted_one_by_one(d, p, classes, per_class, noise_angle, seed):
+    """Reference for generate_planted: the per-member loop, each member
+    tilted alone by tilt_subspace and checked as its own Subspace."""
+    rng = np.random.default_rng(seed)
+    if classes * p <= d:
+        frame = numerics.orthonormalize(rng.standard_normal((d, classes * p)))
+        prototypes = [grassmann.Subspace(frame[:, c * p:(c + 1) * p])
+                      for c in range(classes)]
+    else:
+        prototypes = [grassmann.random_subspace(d, p, rng)
+                      for _ in range(classes)]
+    subspaces, labels = [], []
+    for c, prototype in enumerate(prototypes):
+        for _ in range(per_class):
+            member = prototype
+            if noise_angle != 0.0:
+                angles = rng.uniform(0.0, noise_angle, size=p)
+                member = grassmann.tilt_subspace(prototype, angles, rng)
+            subspaces.append(member)
+            labels.append(c)
+    return subspaces, labels
+
+
+@pytest.mark.parametrize("d, p, classes, per_class, noise_angle, seed", [
+    (8, 2, 2, 20, 0.1, 0),      # the default shape
+    (100, 2, 10, 10, 0.1, 24),  # an n=100 file
+    (3, 2, 2, 5, 0.3, 1),       # k = d - p < p
+    (4, 3, 2, 5, 0.3, 2),
+    (7, 1, 3, 4, 0.2, 3),       # lines
+    (8, 2, 3, 4, 0.0, 4),       # no noise: members are their prototypes
+    (4, 2, 3, 4, 0.1, 5),       # classes * p > d
+    (6, 2, 6, 20, 0.9, 3),      # the hard file
+])
+def test_generate_planted_matches_per_member_loop(d, p, classes, per_class,
+                                                  noise_angle, seed):
+    """One stack, one tilt and one check give every basis bit for bit as
+    the per-member loop does."""
+    args = (d, p, classes, per_class, noise_angle, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = generate_planted(*args)
+    assert len(caught) == (classes * p > d)
+    subspaces, labels = _planted_one_by_one(*args)
+    assert data.n == len(subspaces)
+    for i, (got, expected) in enumerate(zip(data.subspaces, subspaces)):
+        assert np.array_equal(got.basis, expected.basis), i
+    assert np.array_equal(data.labels, labels)
+    assert data.labels.dtype == np.int64
+    assert data.name == f"planted_d{d}_p{p}_c{classes}_m{per_class}_s{seed}"
+
+
+def test_generate_planted_checks_the_stack_once(monkeypatch):
+    """A generated file's bases are checked as one stack, never one
+    Subspace at a time."""
+    calls = []
+
+    def counting(bases):
+        calls.append(bases.shape)
+        return grassmann_basis_problem(bases)
+
+    grassmann_basis_problem = grassmann.basis_problem
+    monkeypatch.setattr(grassmann, "basis_problem", counting)
+    monkeypatch.setattr(ds_mod, "basis_problem", counting)
+    for noise_angle in (0.1, 0.0):
+        calls.clear()
+        generate_planted(d=8, p=2, classes=2, per_class=20,
+                         noise_angle=noise_angle, seed=0)
+        assert calls == [(40, 8, 2)]
 
 
 def test_generate_planted_guards_and_warning():
@@ -842,6 +912,21 @@ def test_hash_ranking_matches_per_row_loop():
     exact = experiments._nearest(-g.values, 5)
     keys = klsh_hash_gram(klsh_build(g, bits=8, anchors=12, seed=0), g)
     assert experiments._hash_cell(keys, None, 5, exact)[1] is None
+
+
+def test_nearest_selection_matches_full_stable_sort():
+    """Selecting each row's top_m equals the first top_m of its full
+    stable sort, ties to the lower index, on rows of small integers that
+    tie often; a top_m past n keeps the whole row, as a slice does."""
+    rng = np.random.default_rng(7)
+    for n, values in ((2, 2), (5, 2), (12, 3), (40, 4), (40, 40)):
+        for top_m in sorted({1, max(1, n // 3), max(1, n - 2), n - 1, n + 3}):
+            distance = rng.integers(-values, values, (n, n)).astype(float)
+            expected = distance.copy()
+            np.fill_diagonal(expected, np.inf)
+            expected = np.argsort(expected, axis=1, kind="stable")[:, :top_m]
+            assert np.array_equal(experiments._nearest(distance, top_m),
+                                  expected), (n, values, top_m)
 
 
 def test_hash_task_rejects_oversized_anchor_count():

@@ -120,6 +120,49 @@ class TestOrthonormalize:
         with pytest.raises(ValueError, match="cannot orthonormalize"):
             numerics.orthonormalize(np.ones((2, 3)))
 
+    def test_stack_matches_each_matrix_alone(self):
+        """LAPACK factors each matrix of a stack on its own, so each basis
+        is bit for bit that of its matrix alone."""
+        rng = np.random.default_rng(24)
+        for shape in ((6, 5, 3), (5, 8, 2), (3, 4, 4), (40, 100, 2),
+                      (7, 3, 2), (4, 7, 1), (1, 6, 3)):
+            stack = rng.standard_normal(shape)
+            q = numerics.orthonormalize(stack)
+            assert q.shape == shape
+            for i, m in enumerate(stack):
+                assert np.array_equal(q[i], numerics.orthonormalize(m)), \
+                    (shape, i)
+
+    def test_one_matrix_errors_unchanged(self):
+        col = np.arange(1.0, 5.0).reshape(4, 1)
+        with pytest.raises(ValueError, match=r"^column rank below 2: "
+                           r"singular value ratio \S+ / \S+$"):
+            numerics.orthonormalize(np.hstack([col, 2.0 * col]))
+        with pytest.raises(ValueError,
+                           match="^cannot orthonormalize 3 columns in R.2$"):
+            numerics.orthonormalize(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            numerics.orthonormalize([[1.0, 0.0], [np.nan, 1.0], [0.0, 0.0]])
+
+    def test_stack_errors(self):
+        rng = np.random.default_rng(25)
+        stack = rng.standard_normal((4, 5, 2))
+        stack[2, :, 1] = 3.0 * stack[2, :, 0]
+        with pytest.raises(ValueError, match=r"^matrix 2: column rank "
+                           r"below 2: singular value ratio"):
+            numerics.orthonormalize(stack)
+        stack[3] = 0.0
+        with pytest.raises(ValueError, match="^matrix 2: column rank"):
+            numerics.orthonormalize(stack)
+        with pytest.raises(ValueError, match="cannot orthonormalize 3"):
+            numerics.orthonormalize(np.ones((2, 2, 3)))
+        stack[0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            numerics.orthonormalize(stack)
+        for empty in ((2, 3, 0), (0, 3, 2)):
+            with pytest.raises(ValueError, match="at least one entry"):
+                numerics.orthonormalize(np.ones(empty))
+
 
 class TestDeterminant:
     def test_hand_values(self):
@@ -149,6 +192,11 @@ class TestDeterminant:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="needs a square matrix"):
             numerics.determinant(np.ones((2, 3)))
+
+    def test_rejects_empty_stacks(self):
+        for empty in ((2, 0, 0), (0, 2, 2)):
+            with pytest.raises(ValueError, match="at least one entry"):
+                numerics.determinant(np.ones(empty))
 
     def test_two_by_two_closed_form(self):
         """A 2 x 2 determinant, alone or in a stack, is exactly ad - bc
