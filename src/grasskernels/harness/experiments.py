@@ -6,6 +6,10 @@ sparse-code, cluster and hash): each kernel's step on each configured
 seed in order.  Each seed's randomness comes from generators seeded by
 the seed itself, never from shared state, and a task runs on one BLAS
 thread, so the same configuration gives the same report text.
+
+Each runner imports the kernels and machines it calls, so a task run
+loads only the layers it runs: without a bytecode cache, every module a
+run imports is compiled from source.
 """
 
 import contextlib
@@ -17,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import __version__, kernels, numerics
+from .. import __version__, numerics
 from ..exceptions import (InputError, InvalidKernelParameter,
                           NotPositiveSemidefinite, NumericalOverflow)
-from ..machines.kkmeans import kkmeans
-from ..machines.klsh import klsh_build, klsh_hash_gram
-from ..machines.metrics import (clustering_accuracy,
-                                normalized_mutual_information)
-from ..machines.sparse import kernel_sparse_code, sparse_code_classify
-from ..machines.svm import svm_decision_from_rows, svm_train
 from . import datasets as ds_mod
 from .reports import (ReportBuilder, format_float, format_value,
                       write_text)
@@ -199,6 +197,7 @@ def _run_gram(config, dataset, specs, grams, report):
 def _run_pd_check(config, dataset, specs, grams, report):
     """Certify each kernel; the verdict asks it only of the kernels that
     theory calls pd or cpd (`KernelSpec.theory`)."""
+    from .. import kernels
     passed = True
     rows = []
     for spec in specs:
@@ -229,6 +228,7 @@ def _run_pd_check(config, dataset, specs, grams, report):
 # --- counterexample ---------------------------------------------------------
 
 def _run_counterexample(report):
+    from .. import kernels
     gram_matrix = kernels.counterexample_gram()
     verdict = kernels.certify_pd(gram_matrix, mode="pd")
     lo, hi = COUNTEREXAMPLE_BAND
@@ -256,6 +256,7 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     together, with the largest decision value winning, ties to the lowest
     class id.  Returns the predicted labels and the trained SvmModels.
     """
+    from ..machines.svm import svm_decision_from_rows, svm_train
     train_labels = labels[train_idx]
     classes = np.unique(train_labels)
     positive = classes[1:] if classes.size == 2 else classes
@@ -363,6 +364,7 @@ def _svm_fit(config, dataset, spec, grams, train_idx, test_idx, seed):
 def _sparse_fit(config, dataset, spec, grams, train_idx, test_idx, seed):
     """Code one split's test points over its training atoms and label
     them; returns the predicted test labels and the split's counters."""
+    from ..machines.sparse import kernel_sparse_code, sparse_code_classify
     gram_matrix = grams[spec]
     columns = gram_matrix.values[test_idx[:, None], train_idx]
     coded = kernel_sparse_code(gram_matrix.take(train_idx), columns,
@@ -401,6 +403,9 @@ def _accuracy_row(section):
 # --- cluster ----------------------------------------------------------------
 
 def _cluster_step(config, dataset, spec, grams):
+    from ..machines.kkmeans import kkmeans
+    from ..machines.metrics import (clustering_accuracy,
+                                    normalized_mutual_information)
     cluster_count = config.clusters or dataset.class_count
     settings = [("kernel", spec.label()), ("clusters", cluster_count),
                 ("restarts", config.restarts)]
@@ -475,6 +480,7 @@ def _hash_cell(keys, labels, top_m, exact):
 
 
 def _hash_step(config, dataset, spec, grams):
+    from ..machines.klsh import klsh_build, klsh_hash_gram
     gram_matrix = grams[spec]
     exact = _nearest(-gram_matrix.values, config.top_m)
 
@@ -517,6 +523,7 @@ def _run_bench(config, dataset, specs, grams, report):
     certification is included for information, each row marked with
     what theory guarantees of it (`KernelSpec.theory`).
     """
+    from .. import kernels
     passed = _run_counterexample(report)
     _run_pd_check(config, dataset, kernels.catalog(dataset.p), grams, report)
     for task in ("svm", "cluster", "sparse-code"):
@@ -569,6 +576,7 @@ def run_experiment(config):
     elif config.task == "counterexample":
         passed = _run_counterexample(report)
     else:
+        from .. import kernels
         dataset = _resolve_dataset(config)
         _check_inputs(config, dataset)
         report.add_section("dataset", _dataset_items(dataset))

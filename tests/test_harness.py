@@ -33,6 +33,7 @@ from grasskernels.harness.reports import (ReportBuilder, format_float,
                                           format_value, write_text)
 from grasskernels.machines import kkmeans as kkmeans_mod
 from grasskernels.machines import sparse as sparse_mod
+from grasskernels.machines import klsh as klsh_mod
 from grasskernels.machines.klsh import klsh_build, klsh_hash_gram
 from grasskernels.machines import svm as svm_mod
 from grasskernels.machines.svm import svm_train
@@ -1495,7 +1496,7 @@ def test_hash_failure_names_its_seed(monkeypatch, capsys):
             raise NumericalOverflow("hash weights overflow a float")
         return klsh_build(gram_matrix, bits=bits, anchors=anchors, seed=seed)
 
-    monkeypatch.setattr(experiments, "klsh_build", failing)
+    monkeypatch.setattr(klsh_mod, "klsh_build", failing)
     assert cli.main(["hash", "--seeds", "0,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
@@ -1746,14 +1747,41 @@ def test_packages_bind_only_submodules():
                 assert value.__name__ == f"{package.__name__}.{name}"
 
 
-def test_package_imports_no_scipy():
-    """numpy is the only run-time dependency: a fresh interpreter that
-    imports the package and its command line loads no scipy module."""
+# the kernels and machine modules each task run loads
+_TASK_LAYERS = {
+    "generate": [],
+    "gram": ["kernels"],
+    "pd-check": ["kernels"],
+    "counterexample": ["kernels"],
+    "svm": ["kernels", "machines", "machines.svm"],
+    "sparse-code": ["kernels", "machines", "machines.sparse"],
+    "cluster": ["kernels", "machines", "machines.kkmeans",
+                "machines.metrics"],
+    "hash": ["kernels", "machines", "machines.klsh"],
+    "bench": ["kernels", "machines", "machines.kkmeans", "machines.klsh",
+              "machines.metrics", "machines.sparse", "machines.svm"],
+}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_task_run_imports_only_its_layers(task, tmp_path):
+    """A fresh interpreter that runs one task on the default data loads
+    only the kernels and machine modules the task calls.  Without a
+    bytecode cache every module a run imports is compiled from source,
+    so generate skips both layers and pd-check every machine.  numpy is
+    the only run-time dependency, so no task loads a scipy module."""
+    assert sorted(_TASK_LAYERS) == sorted(TASKS)
     src = os.path.dirname(os.path.dirname(grasskernels.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, grasskernels, grasskernels.harness.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    probe = ("import sys\n"
+             "from grasskernels.harness import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(code, sorted(m.removeprefix('grasskernels.')\n"
+             "    for m in sys.modules\n"
+             "    if m.split('.')[0] == 'scipy' or m.split('.')[:2] in (\n"
+             "        ['grasskernels', 'kernels'],\n"
+             "        ['grasskernels', 'machines'])))\n")
+    result = subprocess.run([sys.executable, "-c", probe, task], env=env,
+                            cwd=tmp_path, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.splitlines()[-1] == f"0 {_TASK_LAYERS[task]}"

@@ -491,7 +491,7 @@ def test_svm_lockstep_cross_validation_folds(monkeypatch):
         calls.append(gram_matrix.n)
         return svm_train(gram_matrix, labels, c=c)
 
-    monkeypatch.setattr(experiments, "svm_train", checked)
+    monkeypatch.setattr(svm_mod, "svm_train", checked)
     experiments.run_experiment(build_config("svm", overrides={
         "d": "8", "p": "2", "classes": "4", "per_class": "8",
         "seeds": "0 1", "tune": "true", "beta_grid": "0.1 1.0",

@@ -50,17 +50,38 @@ def test_every_library_error_type_is_caught_by_name():
     assert sorted(types - {"GrassError"} - caught) == []
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _unused_imports(tree):
-    """(line, name) of each name the module imports and never loads."""
-    bound = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
-                      for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [(node.lineno, a.asname or a.name) for a in node.names]
-    used = _names_used(tree)
-    return [(line, name) for line, name in bound if name not in used]
+    """(line, name) of each name an import binds and its scope never
+    loads: the module for a module-level import, and for an import
+    inside a function that function, the functions nested in it
+    included."""
+    unused = []
+
+    def scan(scope):
+        bound = []
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _FUNCTIONS):
+                scan(node)
+                continue
+            if isinstance(node, ast.Import):
+                bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                          for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound += [(node.lineno, a.asname or a.name)
+                          for a in node.names]
+            stack += ast.iter_child_nodes(node)
+        used = _names_used(scope)
+        unused.extend((line, name) for line, name in bound
+                      if name not in used)
+
+    scan(tree)
+    return sorted(unused)
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -71,9 +92,16 @@ def test_no_unused_imports(path):
 
 
 def test_unused_import_check_sees_an_unused_name():
+    """An import inside a function counts as used only where that
+    function, or one nested in it, loads the name."""
     tree = ast.parse("import os\nimport numpy as np\nfrom a import b, c\n"
-                     "np.zeros(c)\n")
-    assert _unused_imports(tree) == [(1, "os"), (3, "b")]
+                     "np.zeros(c)\n"
+                     "def f():\n"
+                     "    from a import d, e\n"
+                     "    return lambda: e\n"
+                     "def g():\n"
+                     "    return d\n")
+    assert _unused_imports(tree) == [(1, "os"), (3, "b"), (6, "d")]
 
 
 def _docstrings(tree):
