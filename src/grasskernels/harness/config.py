@@ -117,8 +117,8 @@ class ExperimentConfig:
                              "drop the dataset option")
 
     def resolved_items(self):
-        """Ordered (key, rendered value) pairs of the options the run
-        reads, for report embedding.
+        """Ordered (key, rendered value) pairs of every option, for
+        report embedding, whether or not the task reads it.
 
         The thread count is left out, since the option is accepted,
         checked to be at least 1 and has no effect, and so are the

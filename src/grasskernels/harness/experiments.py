@@ -123,12 +123,15 @@ def _run_seeded(task, config, dataset, specs, grams, report):
     section and one table row per cell.
 
     `make(config, dataset, spec, grams)` gives a kernel's step, and
-    `step(seed)` gives `{section label: (settings, scores, record)}` in
-    section order.  A section lists the settings, `seeds`, each score
-    that is not None per seed with its `mean_` and sample `std_`, then
-    each counter of the ordered record per seed, in record order.
+    `step(seed)` gives `{suffix: (settings, scores, record)}` in section
+    order, the section labeled `"<task> <kernel><suffix>"`.  A section
+    lists the kernel, the step's settings, `seeds`, each score per seed
+    with its `mean_` and sample `std_`, then each counter of the ordered
+    record per seed, in record order.  A table cell is its column's
+    format of the section's value at the column's key, or `-` where the
+    section has no such key.
     """
-    make, title, columns, row = _SEEDED[task]
+    make, title, columns = _SEEDED[task]
     where = "split seed" if task in _SPLIT_TASKS else "seed"
     rows = []
     for spec in specs:
@@ -138,10 +141,11 @@ def _run_seeded(task, config, dataset, specs, grams, report):
             with _kernel_failures(f"{task} with kernel {spec.label()!r} on "
                                   f"{where} {seed}"):
                 outputs.append(step(seed))
-        for label, (settings, scores, _) in outputs[0].items():
-            _, seed_scores, records = zip(*[o[label] for o in outputs])
-            items = settings + [("seeds", _joined(config.seeds))]
-            for name in [name for name in scores if scores[name] is not None]:
+        for suffix, (settings, scores, _) in outputs[0].items():
+            _, seed_scores, records = zip(*[o[suffix] for o in outputs])
+            items = [("kernel", spec.label()), *settings,
+                     ("seeds", _joined(config.seeds))]
+            for name in scores:
                 values = [scored[name] for scored in seed_scores]
                 std = np.std(values, ddof=1) if len(values) > 1 else 0.0
                 items += [(re.sub("y$", "ie", name) + "s", _joined(values)),
@@ -150,9 +154,12 @@ def _run_seeded(task, config, dataset, specs, grams, report):
             items += [(key, _joined((r[key] for r in records if key in r),
                                     " | " if key == "tuned" else " "))
                       for key in dict.fromkeys(k for r in records for k in r)]
-            report.add_section("result", items, label=label)
-            rows.append(row(dict(items)))
-    report.add_table(title, columns, rows)
+            report.add_section("result", items,
+                               label=f"{task} {spec.label()}{suffix}")
+            section = dict(items)
+            rows.append([form(section[key]) if key in section else "-"
+                         for _, key, form in columns])
+    report.add_table(title, [header for header, _, _ in columns], rows)
     return True
 
 
@@ -379,10 +386,10 @@ def _sparse_fit(config, dataset, spec, grams, train_idx, test_idx, seed):
         "unconverged_codes": sum(not code.converged for code in coded.codes)}
 
 
-def _split_step(task, fit, setting, field, config, dataset, spec, grams):
+def _split_step(fit, setting, field, config, dataset, spec, grams):
     """A split task's step: `fit` labels the test points of each seed's
     split and returns that seed's counters."""
-    settings = [("kernel", spec.label()), (setting, getattr(config, field))]
+    settings = [(setting, getattr(config, field))]
 
     def step(seed):
         train_idx, test_idx = _split(dataset, config, seed)
@@ -390,14 +397,8 @@ def _split_step(task, fit, setting, field, config, dataset, spec, grams):
                                 test_idx, seed)
         record[f"train_indices_{seed}"] = _joined(train_idx)
         accuracy = float(np.mean(predicted == dataset.labels[test_idx]))
-        return {f"{task} {spec.label()}": (settings, {"accuracy": accuracy},
-                                           record)}
+        return {"": (settings, {"accuracy": accuracy}, record)}
     return step
-
-
-def _accuracy_row(section):
-    return (section["kernel"], f"{section['mean_accuracy']:.4f}",
-            f"{section['std_accuracy']:.4f}")
 
 
 # --- cluster ----------------------------------------------------------------
@@ -407,8 +408,7 @@ def _cluster_step(config, dataset, spec, grams):
     from ..machines.metrics import (clustering_accuracy,
                                     normalized_mutual_information)
     cluster_count = config.clusters or dataset.class_count
-    settings = [("kernel", spec.label()), ("clusters", cluster_count),
-                ("restarts", config.restarts)]
+    settings = [("clusters", cluster_count), ("restarts", config.restarts)]
     labels = dataset.labels
 
     def step(seed):
@@ -418,16 +418,10 @@ def _cluster_step(config, dataset, spec, grams):
         if labels is not None:
             scores["nmi"] = normalized_mutual_information(run.labels, labels)
             scores["accuracy"] = clustering_accuracy(run.labels, labels)
-        return {f"cluster {spec.label()}": (settings, scores, {
+        return {"": (settings, scores, {
             "lloyd_iterations": run.iterations,
             "unconverged_restarts": run.unconverged_restarts})}
     return step
-
-
-def _cluster_row(section):
-    return (section["kernel"], f"{section['mean_inertia']:.6g}",
-            *(f"{section[key]:.4f}" if key in section else "-"
-              for key in ("mean_nmi", "mean_accuracy")))
 
 
 # --- hash --------------------------------------------------------------
@@ -457,8 +451,8 @@ def _nearest(distance, top_m):
 
 
 def _hash_cell(keys, labels, top_m, exact):
-    """Recall@top_m and 1-NN label accuracy under one family's (n, bits)
-    keys.
+    """The `recall` at top_m and, on labeled data, the 1-NN label
+    `nn_accuracy` under one family's (n, bits) keys.
 
     `exact` is `_nearest(-gram_matrix.values, top_m)`, the exact
     neighbours.
@@ -472,11 +466,10 @@ def _hash_cell(keys, labels, top_m, exact):
     approx = _nearest(distance, top_m)
     # neither ranking repeats a point, so equal pairs count the overlap
     overlap = np.sum(exact[:, :, None] == approx[:, None, :], axis=(1, 2))
-    recall = float(np.mean(overlap / top_m))
-    nn_accuracy = None
+    scores = {"recall": float(np.mean(overlap / top_m))}
     if labels is not None:
-        nn_accuracy = float(np.mean(labels[approx[:, 0]] == labels))
-    return recall, nn_accuracy
+        scores["nn_accuracy"] = float(np.mean(labels[approx[:, 0]] == labels))
+    return scores
 
 
 def _hash_step(config, dataset, spec, grams):
@@ -490,19 +483,12 @@ def _hash_step(config, dataset, spec, grams):
         keys = klsh_hash_gram(klsh_build(gram_matrix, bits=max(config.bits),
                                          anchors=config.anchors, seed=seed),
                               gram_matrix)
-        return {f"hash {spec.label()} bits={bits}": (
-            [("kernel", spec.label()), ("bits", bits),
-             ("anchors", config.anchors), ("top_m", config.top_m)],
-            dict(zip(("recall", "nn_accuracy"), _hash_cell(
-                keys[:, :bits], dataset.labels, config.top_m, exact))), {})
-            for bits in config.bits}
+        return {f" bits={bits}": (
+            [("bits", bits), ("anchors", config.anchors),
+             ("top_m", config.top_m)],
+            _hash_cell(keys[:, :bits], dataset.labels, config.top_m, exact),
+            {}) for bits in config.bits}
     return step
-
-
-def _hash_row(section):
-    return (section["kernel"], str(section["bits"]),
-            *(f"{section[key]:.4f}" if key in section else "-"
-              for key in ("mean_recall", "mean_nn_accuracy")))
 
 
 # --- generate / bench -------------------------------------------------------
@@ -537,20 +523,25 @@ def _run_bench(config, dataset, specs, grams, report):
     return passed
 
 
-# each seeded task's step, and its table's title, columns and row of one
-# `[result]` section's items
+# each seeded task's step, and its table's title and columns as
+# (header, `[result]` key, format) triples
+_FOUR = "{:.4f}".format
+_ACCURACY = (("kernel", "kernel", str), ("mean", "mean_accuracy", _FOUR),
+             ("std", "std_accuracy", _FOUR))
 _SEEDED = {
-    "svm": (functools.partial(_split_step, "svm", _svm_fit, "penalty",
-                              "svm_c"), "svm accuracy",
-            ("kernel", "mean", "std"), _accuracy_row),
-    "sparse-code": (functools.partial(_split_step, "sparse-code", _sparse_fit,
-                                      "lam", "lam"), "sparse coding accuracy",
-                    ("kernel", "mean", "std"), _accuracy_row),
-    "cluster": (_cluster_step, "clustering", ("kernel", "mean_inertia",
-                                              "mean_nmi", "mean_accuracy"),
-                _cluster_row),
-    "hash": (_hash_step, "hashing", ("kernel", "bits", "mean_recall",
-                                     "mean_nn_accuracy"), _hash_row),
+    "svm": (functools.partial(_split_step, _svm_fit, "penalty", "svm_c"),
+            "svm accuracy", _ACCURACY),
+    "sparse-code": (functools.partial(_split_step, _sparse_fit, "lam", "lam"),
+                    "sparse coding accuracy", _ACCURACY),
+    "cluster": (_cluster_step, "clustering", (
+        ("kernel", "kernel", str),
+        ("mean_inertia", "mean_inertia", "{:.6g}".format),
+        ("mean_nmi", "mean_nmi", _FOUR),
+        ("mean_accuracy", "mean_accuracy", _FOUR))),
+    "hash": (_hash_step, "hashing", (
+        ("kernel", "kernel", str), ("bits", "bits", str),
+        ("mean_recall", "mean_recall", _FOUR),
+        ("mean_nn_accuracy", "mean_nn_accuracy", _FOUR))),
 }
 
 

@@ -76,25 +76,17 @@ class SvmModels:
     iterations: int
 
 
-def _best_partner(gaps, curvatures):
-    """Index and value of the largest second-order gain gap^2 / a.
-
-    `gaps[t]` is the KKT violation of pairing the fixed index f with t,
-    and `curvatures[t]` is a = K_ff + K_tt - 2 K_ft floored at _TAU; only
-    positive gaps count.
-    """
-    gains = np.where(gaps > 0.0, gaps * gaps / curvatures, -np.inf)
-    best = int(np.argmax(gains))
-    return best, gains[best]
-
-
 def _best_partners(gaps, curvatures, starts):
-    """`_best_partner` of each row of (m, n) gaps and curvatures.
+    """Index and value of the largest second-order gain gap^2 / a in each
+    row of (n,) or (m, n) gaps and curvatures, ties to the lower index.
 
-    `starts[r]` is the flat index of row r's first entry.
+    `gaps[t]` is the KKT violation of pairing a row's fixed index f with
+    t, and `curvatures[t]` is a = K_ff + K_tt - 2 K_ft floored at _TAU;
+    only positive gaps count, and a row without one has gain -inf.
+    `starts[r]` is the flat index of row r's first entry, 0 for one row.
     """
     gains = np.where(gaps > 0.0, gaps * gaps / curvatures, -np.inf)
-    best = gains.argmax(axis=1)
+    best = gains.argmax(axis=-1)
     return best, gains.ravel()[starts + best]
 
 
@@ -157,12 +149,12 @@ def _train_one(k, y, c, curvatures):
 
         # one-sided second-order choices: the best partner j of the
         # maximal violator and the best partner i of the minimal one
-        j, gain_j = _best_partner(up[top] - down, curvatures[top])
-        i, gain_i = _best_partner(up - down[bottom], curvatures[bottom])
+        j, gain_j = _best_partners(up[top] - down, curvatures[top], 0)
+        i, gain_i = _best_partners(up - down[bottom], curvatures[bottom], 0)
         # a label flip swaps the two choices; ties go to the pair with the
         # smaller sorted indices, which the flip leaves alone
-        if gain_j > gain_i or (gain_j == gain_i and sorted((top, j))
-                               <= sorted((i, bottom))):
+        if gain_j > gain_i or (gain_j == gain_i and _pair_key(top, j, n)
+                               <= _pair_key(i, bottom, n)):
             i = top
         else:
             j = bottom

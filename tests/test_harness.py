@@ -890,7 +890,8 @@ def _per_row_hash_scores(gram_matrix, labels, bits, anchors, seed, top_m):
         approx = np.argsort(distance, kind="stable")[:top_m]
         recalls[i] = np.intersect1d(exact, approx).size / top_m
         hits[i] = float(labels[approx[0]] == labels[i])
-    return float(np.mean(recalls)), float(np.mean(hits))
+    return {"recall": float(np.mean(recalls)),
+            "nn_accuracy": float(np.mean(hits))}
 
 
 def test_hash_ranking_matches_per_row_loop():
@@ -912,7 +913,7 @@ def test_hash_ranking_matches_per_row_loop():
                 == _per_row_hash_scores(*args), (token, bits, top_m)
     exact = experiments._nearest(-g.values, 5)
     keys = klsh_hash_gram(klsh_build(g, bits=8, anchors=12, seed=0), g)
-    assert experiments._hash_cell(keys, None, 5, exact)[1] is None
+    assert list(experiments._hash_cell(keys, None, 5, exact)) == ["recall"]
 
 
 def test_nearest_selection_matches_full_stable_sort():

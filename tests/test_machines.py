@@ -517,6 +517,36 @@ def test_svm_lockstep_rows_at_a_cut_budget_train_as_alone(monkeypatch):
         assert model.converged or model.iterations == budget
 
 
+def _brute_best_partner(gaps, curvatures):
+    """Reference for svm._best_partners on one row: the first index of
+    the largest gap^2 / a among the positive gaps; (0, -inf) when no gap
+    is positive."""
+    best, gain = 0, -np.inf
+    for t, (gap, curvature) in enumerate(zip(gaps, curvatures)):
+        if gap > 0.0 and gap * gap / curvature > gain:
+            best, gain = t, gap * gap / curvature
+    return best, gain
+
+
+def test_best_partners_matches_brute_force():
+    """Both SMO loops pick partners by `_best_partners`, so the lockstep
+    matching the one-machine loop cannot catch a fault in it.  Small
+    integer gaps and curvatures make ties, zero and negative gaps, and
+    rows without a positive gap."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, n = rng.integers(1, 5), rng.integers(1, 9)
+        gaps = rng.integers(-2, 3, size=(m, n)).astype(float)
+        curvatures = rng.choice([svm_mod._TAU, 1.0, 2.0, 4.0], size=(m, n))
+        expected = [_brute_best_partner(g, a)
+                    for g, a in zip(gaps, curvatures)]
+        best, gains = svm_mod._best_partners(gaps, curvatures,
+                                             np.arange(0, m * n, n))
+        assert [(int(b), float(v)) for b, v in zip(best, gains)] == expected
+        best, gain = svm_mod._best_partners(gaps[0], curvatures[0], 0)
+        assert (int(best), float(gain)) == expected[0]
+
+
 def test_svm_lockstep_rejects_bad_target_rows():
     g = gram(RBF_PROJ, planted_binary()[0].subspaces[:4])
     good = [1.0, -1.0, 1.0, -1.0]
