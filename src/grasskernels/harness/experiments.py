@@ -1,8 +1,9 @@
 """Task runners behind the command line interface.
 
 Every task resolves its dataset and kernels, builds each Gram it needs
-once and renders one report.  One runner runs the seeded tasks (svm,
-sparse-code, cluster and hash): each kernel's step on each configured
+once and renders one report.  One runner runs every per-kernel task
+(pd-check, gram, svm, sparse-code, cluster and hash): each kernel's
+cells in order, a seeded task's cells from its step on each configured
 seed in order.  Each seed's randomness comes from generators seeded by
 the seed itself, never from shared state, and a task runs on one BLAS
 thread, so the same configuration gives the same report text.
@@ -118,23 +119,41 @@ def _kernel_failures(where):
         raise InputError(f"{where}: {exc}; {hints[type(exc)]}") from exc
 
 
-def _run_seeded(task, config, dataset, specs, grams, report):
-    """Run each kernel's `task` step on each seed; write one `[result]`
-    section and one table row per cell.
+def _run_kernels(task, config, dataset, specs, grams, report):
+    """Run `task` on each kernel; write one `[result]` section and one
+    table row per cell, and return the verdict.
 
-    `make(config, dataset, spec, grams)` gives a kernel's step, and
-    `step(seed)` gives `{suffix: (settings, scores, record)}` in section
-    order, the section labeled `"<task> <kernel><suffix>"`.  A section
-    lists the kernel, the step's settings, `seeds`, each score per seed
-    with its `mean_` and sample `std_`, then each counter of the ordered
-    record per seed, in record order.  A table cell is its column's
-    format of the section's value at the column's key, or `-` where the
-    section has no such key.
+    `cells(config, dataset, spec, grams)` yields a kernel's cells in
+    order as `(suffix, items, passed)`: the section labeled `"<task>
+    <kernel><suffix>"` lists the kernel, then `items`, and a cell that
+    did not pass fails the verdict.  A table cell is its column's format
+    of the section's value at the column's key, or `-` where it has none.
     """
-    make, title, columns = _SEEDED[task]
-    where = "split seed" if task in _SPLIT_TASKS else "seed"
+    cells, title, columns = _TASKS[task]
+    passed = True
     rows = []
     for spec in specs:
+        for suffix, items, cell_passed in cells(config, dataset, spec, grams):
+            items = [("kernel", spec.label()), *items]
+            report.add_section("result", items,
+                               label=f"{task} {spec.label()}{suffix}")
+            section = dict(items)
+            rows.append([form(section[key]) if key in section else "-"
+                         for _, key, form in columns])
+            passed = passed and cell_passed
+    report.add_table(title, [header for header, _, _ in columns], rows)
+    return passed
+
+
+def _seeded(task, make):
+    """The cells of a seeded task: `make(config, dataset, spec, grams)`
+    gives a kernel's step, and `step(seed)` gives `{suffix: (settings,
+    scores, record)}` in cell order.  A cell lists the settings, `seeds`,
+    each score per seed with its `mean_` and sample `std_`, then each
+    counter of the ordered record per seed, in record order."""
+    where = "split seed" if task in _SPLIT_TASKS else "seed"
+
+    def cells(config, dataset, spec, grams):
         step = make(config, dataset, spec, grams)
         outputs = []
         for seed in config.seeds:
@@ -143,8 +162,7 @@ def _run_seeded(task, config, dataset, specs, grams, report):
                 outputs.append(step(seed))
         for suffix, (settings, scores, _) in outputs[0].items():
             _, seed_scores, records = zip(*[o[suffix] for o in outputs])
-            items = [("kernel", spec.label()), *settings,
-                     ("seeds", _joined(config.seeds))]
+            items = [*settings, ("seeds", _joined(config.seeds))]
             for name in scores:
                 values = [scored[name] for scored in seed_scores]
                 std = np.std(values, ddof=1) if len(values) > 1 else 0.0
@@ -154,16 +172,11 @@ def _run_seeded(task, config, dataset, specs, grams, report):
             items += [(key, _joined((r[key] for r in records if key in r),
                                     " | " if key == "tuned" else " "))
                       for key in dict.fromkeys(k for r in records for k in r)]
-            report.add_section("result", items,
-                               label=f"{task} {spec.label()}{suffix}")
-            section = dict(items)
-            rows.append([form(section[key]) if key in section else "-"
-                         for _, key, form in columns])
-    report.add_table(title, [header for header, _, _ in columns], rows)
-    return True
+            yield suffix, items, True
+    return cells
 
 
-# --- gram -----------------------------------------------------------------
+# --- gram and pd-check -----------------------------------------------------
 
 def _safe_filename(label):
     return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
@@ -181,55 +194,28 @@ def gram_csv_text(spec, gram_matrix, fingerprint):
     return "\n".join(lines) + "\n"
 
 
-def _run_gram(config, dataset, specs, grams, report):
-    rows = []
-    for spec in specs:
-        path = os.path.join(config.out or GRAM_DIR,
-                            f"gram_{_safe_filename(spec.label())}.csv")
-        write_text(path, gram_csv_text(spec, grams[spec],
-                                       dataset.fingerprint))
-        report.add_section("result", [
-            ("kernel", spec.label()),
-            ("file", path),
-            ("n", grams[spec].n),
-            ("fingerprint", dataset.fingerprint),
-        ], label=f"gram {spec.label()}")
-        rows.append((spec.label(), path))
-    report.add_table("gram files", ("kernel", "file"), rows)
-    return True
+def _gram_cells(config, dataset, spec, grams):
+    """Write a kernel's Gram as CSV."""
+    path = os.path.join(config.out or GRAM_DIR,
+                        f"gram_{_safe_filename(spec.label())}.csv")
+    write_text(path, gram_csv_text(spec, grams[spec], dataset.fingerprint))
+    yield "", [("file", path), ("n", grams[spec].n),
+               ("fingerprint", dataset.fingerprint)], True
 
 
-# --- pd-check ---------------------------------------------------------------
-
-def _run_pd_check(config, dataset, specs, grams, report):
-    """Certify each kernel; the verdict asks it only of the kernels that
-    theory calls pd or cpd (`KernelSpec.theory`)."""
+def _pd_check_cells(config, dataset, spec, grams):
+    """Certify a kernel; the verdict asks it only of a kernel that theory
+    calls pd or cpd (`KernelSpec.theory`)."""
     from .. import kernels
-    passed = True
-    rows = []
-    for spec in specs:
-        with _kernel_failures(f"pd-check with kernel {spec.label()!r}"):
-            verdict = kernels.certify_pd(grams[spec],
-                                         mode=spec.certification_mode)
-        theory = spec.theory
-        if theory in ("pd", "cpd"):
-            passed = passed and verdict.passed
-        report.add_section("result", [
-            ("kernel", spec.label()),
-            ("mode", verdict.mode),
-            ("theory", theory),
-            ("min_eigenvalue", verdict.min_eigenvalue),
-            ("max_eigenvalue", verdict.max_eigenvalue),
-            ("tolerance", verdict.tolerance),
-            ("passed", verdict.passed),
-        ], label=f"pd-check {spec.label()}")
-        rows.append((spec.label(), verdict.mode, theory,
-                     f"{verdict.min_eigenvalue:.6g}",
-                     f"{verdict.max_eigenvalue:.6g}",
-                     "pass" if verdict.passed else "FAIL"))
-    report.add_table("spectra", ("kernel", "mode", "theory", "min_eig",
-                                 "max_eig", "verdict"), rows)
-    return passed
+    with _kernel_failures(f"pd-check with kernel {spec.label()!r}"):
+        verdict = kernels.certify_pd(grams[spec],
+                                     mode=spec.certification_mode)
+    yield "", [("mode", verdict.mode), ("theory", spec.theory),
+               ("min_eigenvalue", verdict.min_eigenvalue),
+               ("max_eigenvalue", verdict.max_eigenvalue),
+               ("tolerance", verdict.tolerance),
+               ("passed", verdict.passed)], (
+        verdict.passed or spec.theory not in ("pd", "cpd"))
 
 
 # --- counterexample ---------------------------------------------------------
@@ -511,35 +497,45 @@ def _run_bench(config, dataset, specs, grams, report):
     """
     from .. import kernels
     passed = _run_counterexample(report)
-    _run_pd_check(config, dataset, kernels.catalog(dataset.p), grams, report)
+    _run_kernels("pd-check", config, dataset, kernels.catalog(dataset.p),
+                 grams, report)
     for task in ("svm", "cluster", "sparse-code"):
-        _run_seeded(task, config, dataset, specs, grams, report)
+        _run_kernels(task, config, dataset, specs, grams, report)
     # small benchmark datasets cannot support the full anchor and
     # short-list defaults; each query ranks the other n - 1 points
     hash_config = dataclasses.replace(
         config, anchors=min(config.anchors, dataset.n),
         top_m=min(config.top_m, dataset.n - 1))
-    _run_seeded("hash", hash_config, dataset, specs, grams, report)
+    _run_kernels("hash", hash_config, dataset, specs, grams, report)
     return passed
 
 
-# each seeded task's step, and its table's title and columns as
+# each per-kernel task's cells, and its table's title and columns as
 # (header, `[result]` key, format) triples
+_KERNEL = ("kernel", "kernel", str)
 _FOUR = "{:.4f}".format
-_ACCURACY = (("kernel", "kernel", str), ("mean", "mean_accuracy", _FOUR),
+_SIX = "{:.6g}".format
+_ACCURACY = (_KERNEL, ("mean", "mean_accuracy", _FOUR),
              ("std", "std_accuracy", _FOUR))
-_SEEDED = {
-    "svm": (functools.partial(_split_step, _svm_fit, "penalty", "svm_c"),
+_TASKS = {
+    "gram": (_gram_cells, "gram files", (_KERNEL, ("file", "file", str))),
+    "pd-check": (_pd_check_cells, "spectra", (
+        _KERNEL, ("mode", "mode", str), ("theory", "theory", str),
+        ("min_eig", "min_eigenvalue", _SIX),
+        ("max_eig", "max_eigenvalue", _SIX),
+        ("verdict", "passed", lambda passed: "pass" if passed else "FAIL"))),
+    "svm": (_seeded("svm", functools.partial(_split_step, _svm_fit,
+                                             "penalty", "svm_c")),
             "svm accuracy", _ACCURACY),
-    "sparse-code": (functools.partial(_split_step, _sparse_fit, "lam", "lam"),
-                    "sparse coding accuracy", _ACCURACY),
-    "cluster": (_cluster_step, "clustering", (
-        ("kernel", "kernel", str),
-        ("mean_inertia", "mean_inertia", "{:.6g}".format),
+    "sparse-code": (_seeded("sparse-code", functools.partial(
+        _split_step, _sparse_fit, "lam", "lam")),
+        "sparse coding accuracy", _ACCURACY),
+    "cluster": (_seeded("cluster", _cluster_step), "clustering", (
+        _KERNEL, ("mean_inertia", "mean_inertia", _SIX),
         ("mean_nmi", "mean_nmi", _FOUR),
         ("mean_accuracy", "mean_accuracy", _FOUR))),
-    "hash": (_hash_step, "hashing", (
-        ("kernel", "kernel", str), ("bits", "bits", str),
+    "hash": (_seeded("hash", _hash_step), "hashing", (
+        _KERNEL, ("bits", "bits", str),
         ("mean_recall", "mean_recall", _FOUR),
         ("mean_nn_accuracy", "mean_nn_accuracy", _FOUR))),
 }
@@ -548,12 +544,8 @@ _SEEDED = {
 # runners of the tasks that work on a dataset; the catalog Grams that
 # bench certifies and the candidates that svm tunes over are built along
 # with the task's own kernels
-_RUNNERS = {
-    "gram": _run_gram,
-    "pd-check": _run_pd_check,
-    "bench": _run_bench,
-    **{task: functools.partial(_run_seeded, task) for task in _SEEDED},
-}
+_RUNNERS = {"bench": _run_bench,
+            **{task: functools.partial(_run_kernels, task) for task in _TASKS}}
 
 
 @numerics.one_blas_thread()

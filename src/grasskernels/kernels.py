@@ -366,12 +366,13 @@ def grams(specs, data):
     Every spec is a map of one of the two similarities, so the call
     takes one grassmann.similarities call for the embeddings its specs
     use: one product stack, and one similarity matrix per embedding,
-    shared by its specs.  A spec's Gram is the upper triangle of its map
-    of that matrix, mirrored so that symmetry is exact: entry (i, j) with
-    i <= j is exactly evaluate(spec, data[i], data[j]), and the Gram of
-    an increasing subset of indices is take() of the full matrix bit for
-    bit.  Nothing is kept between calls.  Raises NumericalOverflow when a
-    value overflows a float.
+    shared by its specs.  Each similarity matrix is mirrored once, its
+    upper triangle copied onto the lower, and a spec's Gram is its map of
+    the mirrored matrix; every map is elementwise, so symmetry is exact:
+    entry (i, j) with i <= j is exactly evaluate(spec, data[i], data[j]),
+    and the Gram of an increasing subset of indices is take() of the full
+    matrix bit for bit.  Nothing is kept between calls.  Raises
+    NumericalOverflow when a value overflows a float.
     """
     data = list(data)
     specs = list(dict.fromkeys(specs))
@@ -379,12 +380,12 @@ def grams(specs, data):
         return {}
     similarities = grassmann.similarities(
         [spec.embedding for spec in specs], data, data)
+    for values in similarities.values():
+        _mirror_upper(values)
     result = {}
     for spec in specs:
         _check_p(spec, data[0].p)
-        # a copy, since _apply may return s itself and mirroring writes
-        values = _mapped(spec, similarities[spec.embedding].copy())
-        result[spec] = GramMatrix(_mirror_upper(values))
+        result[spec] = GramMatrix(_mapped(spec, similarities[spec.embedding]))
     return result
 
 

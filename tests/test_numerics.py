@@ -5,7 +5,10 @@ permutation expansion (exact formula, exponential cost, fine at n <= 5)
 and the product of eigenvalues from a different LAPACK path.
 """
 
+import ctypes
+import ctypes.util
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -288,6 +291,67 @@ class TestOneBlasThread:
                                                             monkeypatch):
         monkeypatch.setattr(numerics, "_blas_thread_calls", lambda: None)
         assert numerics.one_blas_thread()(lambda: 7)() == 7
+
+    @staticmethod
+    def _libraries(monkeypatch, bundled, loads):
+        """Make numpy bundle the `bundled` paths and `ctypes.CDLL` load
+        the fake library `loads[path]`, or fail on a path it lacks; no
+        real library is loaded.  Returns the paths tried, in order."""
+        tried = []
+
+        def load(path):
+            tried.append(path)
+            if path not in loads:
+                raise OSError(f"cannot load {path}")
+            return loads[path]
+
+        monkeypatch.setattr(numerics.glob, "glob", lambda pattern: (
+            bundled if "numpy.libs" in pattern else []))
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        return tried
+
+    @staticmethod
+    def _openblas(setter):
+        """A fake library with the thread setter `setter` and its getter."""
+        return types.SimpleNamespace(**{
+            name: types.SimpleNamespace()
+            for name in (setter, setter.replace("_set_", "_get_"))})
+
+    def test_looks_up_the_system_openblas_when_numpy_bundles_none(
+            self, monkeypatch):
+        """find_library runs only when numpy bundles no OpenBLAS."""
+        library = self._openblas("openblas_set_num_threads")
+        tried = self._libraries(monkeypatch, [], {"libopenblas.so.0":
+                                                  library})
+        monkeypatch.setattr(ctypes.util, "find_library", {
+            "openblas": "libopenblas.so.0"}.get)
+        get, set_ = numerics._blas_thread_calls.__wrapped__()
+        assert tried == ["libopenblas.so.0"]
+        assert get is library.openblas_get_num_threads
+        assert set_ is library.openblas_set_num_threads
+        assert (get.argtypes, get.restype) == ([], ctypes.c_int)
+        assert (set_.argtypes, set_.restype) == ([ctypes.c_int], None)
+
+    def test_skips_a_library_that_fails_to_load(self, monkeypatch):
+        library = self._openblas("scipy_openblas_set_num_threads64_")
+        tried = self._libraries(monkeypatch, ["broken.so", "good.so"],
+                                {"good.so": library})
+        get, set_ = numerics._blas_thread_calls.__wrapped__()
+        assert tried == ["broken.so", "good.so"]
+        assert get is library.scipy_openblas_get_num_threads64_
+        assert set_ is library.scipy_openblas_set_num_threads64_
+
+    def test_without_a_thread_setter_gives_none(self, monkeypatch):
+        """A library without a known setter, one that fails to load and
+        no system OpenBLAS at all each leave nothing to call."""
+        tried = self._libraries(monkeypatch, ["other.so", "broken.so"],
+                                {"other.so": types.SimpleNamespace()})
+        assert numerics._blas_thread_calls.__wrapped__() is None
+        assert tried == ["other.so", "broken.so"]
+        tried = self._libraries(monkeypatch, [], {})
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        assert numerics._blas_thread_calls.__wrapped__() is None
+        assert tried == []
 
     def test_finds_the_loaded_openblas(self):
         """numpy's OpenBLAS wheel build, the stack the thread guarantee

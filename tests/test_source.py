@@ -1,6 +1,6 @@
 """Checks on the source tree itself: the error rule, unused imports,
 the tests that docstrings cite, the one module of file I/O, the order
-of the layers and the one loop over the seeds."""
+of the layers and the one loop over the seeds and over the kernels."""
 
 import ast
 import inspect
@@ -253,3 +253,28 @@ def test_seed_loop_check_sees_a_second_loop():
                      "items = _joined(config.seeds)\n"
                      "for seed in seeds:\n    run(seed)\n")
     assert _seed_loops(tree) == [1, 3]
+
+
+def _kernel_loops(tree):
+    """The line of each `for` statement over a name `specs`."""
+    return sorted(node.iter.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.For)
+                  and isinstance(node.iter, ast.Name)
+                  and node.iter.id == "specs")
+
+
+def test_one_loop_runs_the_kernels():
+    """Every per-kernel task (pd-check, gram and the seeded tasks) runs
+    through one runner, so the task runners iterate over the kernels in
+    one place."""
+    tree = ast.parse((SRC / "harness" / "experiments.py").read_text())
+    assert len(_kernel_loops(tree)) == 1
+
+
+def test_kernel_loop_check_sees_a_second_loop():
+    tree = ast.parse("for spec in specs:\n    run(spec)\n"
+                     "needed = [c for spec in specs for c in grid(spec)]\n"
+                     "for spec in config.specs:\n    run(spec)\n"
+                     "for spec in specs:\n    write(spec)\n"
+                     "for seed in seeds:\n    run(seed)\n")
+    assert _kernel_loops(tree) == [1, 6]
