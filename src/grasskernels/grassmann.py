@@ -129,14 +129,17 @@ def _check_pair(x, y):
 
 
 def _products(xs, ys):
-    """The (len(xs), len(ys), p, p) stack of every x.T @ y.
+    """The (len(xs), len(ys), p, p) stack of every x.T @ y, yielded in
+    row blocks: C-ordered (rows, len(ys), p, p) arrays, in row order.
 
     The ys bases sit side by side in one d x (len(ys) p) matrix, and each
     block of xs rows takes one matrix product with it.  A block's product
     has at most _BLOCK_ENTRIES entries (one row's, when a row alone has
-    more), so the temporaries stay small however many rows there are.
-    Entry (i, j) is bit for bit the product of its pair alone, at one
-    BLAS thread and at two (test_similarity_matches_pair_products).
+    more), so the temporaries stay small however many rows there are,
+    and a caller that reduces each block before taking the next never
+    holds the whole stack.  Entry (i, j) is bit for bit the product of
+    its pair alone, at one BLAS thread and at two
+    (test_similarity_matches_pair_products).
     """
     xs, ys = list(xs), list(ys)
     if not xs or not ys:
@@ -147,48 +150,68 @@ def _products(xs, ys):
     if p == 1:
         # a 1 x 1 product is a BLAS dot, whose sums no matrix product
         # repeats, so lines take one dot per pair
-        return np.matmul(np.stack([x.basis.T for x in xs])[:, None],
-                         np.stack([y.basis for y in ys]))
+        right = np.stack([y.basis for y in ys])
+        rows = max(1, _BLOCK_ENTRIES // m)
+        for start in range(0, n, rows):
+            yield np.matmul(np.stack([x.basis.T for x in
+                                      xs[start:start + rows]])[:, None],
+                            right)
+        return
     width = -(-m * p // _COLUMN_MULTIPLE) * _COLUMN_MULTIPLE
     right = np.zeros((xs[0].d, width))
-    right[:, :m * p] = np.hstack([y.basis for y in ys])
-    stack = np.empty((n, m, p, p))
+    np.concatenate([y.basis for y in ys], axis=1, out=right[:, :m * p])
     rows = max(1, _BLOCK_ENTRIES // (width * p))
     for start in range(0, n, rows):
-        block = xs[start:start + rows]
-        left = np.hstack([x.basis for x in block])
-        stack[start:start + len(block)] = (left.T @ right)[:, :m * p].reshape(
-            len(block), p, m, p).swapaxes(1, 2)
-    return stack
+        count = min(rows, n - start)
+        product = (np.hstack([x.basis for x in xs[start:start + count]]).T
+                   @ right).reshape(count, p, width)
+        block = np.ascontiguousarray(
+            product[:, :, :m * p].reshape(count, p, m, p).swapaxes(1, 2))
+        # drop the product before the caller reduces the block, and the
+        # block before the next product, so no two blocks' arrays are
+        # ever held at once
+        del product
+        yield block
+        del block
 
 
 def similarities(embeddings, xs, ys):
     """{embedding: similarity matrix} of every x in xs to every y in ys,
     each a len(xs) x len(ys) array, in the order `embeddings` first names
-    them, all from one _products stack.
+    them, all from one _products call.
 
     "bc" (Binet-Cauchy) gives |det(x.T @ y)|, the product of the angle
     cosines; "projection" gives ||x.T @ y||_F^2, the sum of their
-    squares.  The determinants come from one stacked call, then the
-    squares overwrite the stack in place, so entry (i, j) of each is bit
-    for bit the value of the pair alone.
+    squares.  Each row block of products is reduced to its rows of every
+    similarity before the next block is made: the determinants from one
+    stacked call, then the squares overwrite the block in place.  So
+    entry (i, j) of each is bit for bit the value of the pair alone, and
+    the product stack is never held whole.
     """
     embeddings = list(dict.fromkeys(embeddings))
     for embedding in embeddings:
         if embedding not in EMBEDDINGS:
             raise ValueError(f"unknown embedding {embedding!r}")
-    stack = _products(xs, ys)
-    n, m, p, _ = stack.shape
-    result = {}
-    if "bc" in embeddings:
-        values = numerics.determinant(stack.reshape(-1, p, p))
-        result["bc"] = np.abs(values, out=values).reshape(n, m)
-    if "projection" in embeddings:
-        # summing the p * p squares along one axis keeps the per-pair
-        # order
-        result["projection"] = np.square(stack, out=stack).reshape(
-            n, m, p * p).sum(axis=2)
-    return {embedding: result[embedding] for embedding in embeddings}
+    xs, ys = list(xs), list(ys)
+    result = {embedding: np.empty((len(xs), len(ys)))
+              for embedding in embeddings}
+    start = 0
+    for block in _products(xs, ys):
+        rows, m, p, _ = block.shape
+        stop = start + rows
+        if "bc" in result:
+            values = numerics.determinant(block.reshape(-1, p, p))
+            result["bc"][start:stop] = np.abs(values, out=values).reshape(
+                rows, m)
+        if "projection" in result:
+            # summing the p * p squares along one axis keeps the per-pair
+            # order
+            result["projection"][start:stop] = np.square(
+                block, out=block).reshape(rows, m, p * p).sum(axis=2)
+        start = stop
+        # dropped before the next block is made
+        del block
+    return result
 
 
 def similarity(embedding, xs, ys):
@@ -209,13 +232,14 @@ def principal_angles(x, y):
     [0, 1].  arccos loses half the digits of a small angle: 151 of 200
     subspaces of G(3, 10) drawn from default_rng(0) give themselves angles
     up to 4.2e-8, not 0 (test_self_angles_show_arccos_roundoff)."""
-    return _angles(_products([x], [y])[0, 0])
+    return _angles(next(_products([x], [y]))[0, 0])
 
 
 def geodesic_distances(xs, ys):
     """Arc length from every x in xs to every y in ys, the norm of each
-    pair's principal angles, all pairs from one _products stack."""
-    return np.linalg.norm(_angles(_products(xs, ys)), axis=-1)
+    pair's principal angles, all pairs from one _products call."""
+    return np.concatenate([np.linalg.norm(_angles(block), axis=-1)
+                           for block in _products(xs, ys)])
 
 
 def geodesic_distance(x, y):

@@ -1,12 +1,16 @@
 """Task runners behind the command line interface.
 
-Every task resolves its dataset and kernels, builds each Gram it needs
-once and renders one report.  One runner runs every per-kernel task
-(pd-check, gram, svm, sparse-code, cluster and hash): each kernel's
-cells in order, a seeded task's cells from its step on each configured
-seed in order.  Each seed's randomness comes from generators seeded by
-the seed itself, never from shared state, and a task runs on one BLAS
-thread, so the same configuration gives the same report text.
+Every task resolves its dataset and kernels, takes the similarity
+matrices its kernels need once and renders one report.  One runner runs
+every per-kernel task (pd-check, gram, svm, sparse-code, cluster and
+hash): each kernel's cells in order, a seeded task's cells from its step
+on each configured seed in order.  The runner maps a kernel's Gram, with
+its tuning candidates for `svm --tune`, at the start of that kernel's
+turn, once for all its cells and seeds, and drops it before the next
+kernel's, so a task run holds one kernel's Grams at a time.  Each seed's
+randomness comes from generators seeded by the seed itself, never from
+shared state, and a task runs on one BLAS thread, so the same
+configuration gives the same report text.
 
 Each runner imports the kernels and machines it calls, so a task run
 loads only the layers it runs: without a bytecode cache, every module a
@@ -123,17 +127,28 @@ def _run_kernels(task, config, dataset, specs, grams, report):
     """Run `task` on each kernel; write one `[result]` section and one
     table row per cell, and return the verdict.
 
-    `cells(config, dataset, spec, grams)` yields a kernel's cells in
-    order as `(suffix, items, passed)`: the section labeled `"<task>
-    <kernel><suffix>"` lists the kernel, then `items`, and a cell that
-    did not pass fails the verdict.  A table cell is its column's format
-    of the section's value at the column's key, or `-` where it has none.
+    `grams` is the task run's `kernels.grams` mapping.  Each kernel's
+    turn first maps its Grams: its own and, for svm with `--tune`, its
+    tuning candidates'.  A value that overflows ends the run in one
+    InputError that names the task run's task (bench, inside bench).
+    `cells(config, dataset, spec, grams)` then gets those Grams alone
+    and yields the kernel's cells in order as `(suffix, items, passed)`:
+    the section labeled `"<task> <kernel><suffix>"` lists the kernel,
+    then `items`, and a cell that did not pass fails the verdict.  A
+    table cell is its column's format of the section's value at the
+    column's key, or `-` where it has none.
     """
     cells, title, columns = _TASKS[task]
     passed = True
     rows = []
     for spec in specs:
-        for suffix, items, cell_passed in cells(config, dataset, spec, grams):
+        used = [spec]
+        if config.tune and task == "svm":
+            used += _candidate_specs(spec, config)
+        with _kernel_failures(config.task):
+            held = {used_spec: grams[used_spec]
+                    for used_spec in dict.fromkeys(used)}
+        for suffix, items, cell_passed in cells(config, dataset, spec, held):
             items = [("kernel", spec.label()), *items]
             report.add_section("result", items,
                                label=f"{task} {spec.label()}{suffix}")
@@ -141,6 +156,8 @@ def _run_kernels(task, config, dataset, specs, grams, report):
             rows.append([form(section[key]) if key in section else "-"
                          for _, key, form in columns])
             passed = passed and cell_passed
+        # dropped before the next kernel's Grams are mapped
+        del held
     report.add_table(title, [header for header, _, _ in columns], rows)
     return passed
 
@@ -194,13 +211,29 @@ def gram_csv_text(spec, gram_matrix, fingerprint):
     return "\n".join(lines) + "\n"
 
 
-def _gram_cells(config, dataset, spec, grams):
-    """Write a kernel's Gram as CSV."""
-    path = os.path.join(config.out or GRAM_DIR,
+def _gram_path(config, spec):
+    return os.path.join(config.out or GRAM_DIR,
                         f"gram_{_safe_filename(spec.label())}.csv")
-    write_text(path, gram_csv_text(spec, grams[spec], dataset.fingerprint))
-    yield "", [("file", path), ("n", grams[spec].n),
+
+
+def _gram_cells(config, dataset, spec, grams):
+    """A kernel's Gram CSV file, which `_run_gram` writes."""
+    yield "", [("file", _gram_path(config, spec)), ("n", grams[spec].n),
                ("fingerprint", dataset.fingerprint)], True
+
+
+def _run_gram(config, dataset, specs, grams, report):
+    """Run the gram task, then write each kernel's Gram as CSV.
+
+    The files are written once every kernel's Gram has been mapped, as
+    the report is once it is whole, so a kernel whose values overflow
+    leaves no file behind.  Each Gram is mapped again for its file.
+    """
+    passed = _run_kernels("gram", config, dataset, specs, grams, report)
+    for spec, gram_matrix in grams.items():
+        write_text(_gram_path(config, spec),
+                   gram_csv_text(spec, gram_matrix, dataset.fingerprint))
+    return passed
 
 
 def _pd_check_cells(config, dataset, spec, grams):
@@ -292,12 +325,12 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     """Pick grid parameters by stratified cross-validation on the train side.
 
     `grams` holds the Gram of `spec` and of each of its candidates over
-    the whole dataset; each fold is fit and scored on its train points'
-    entries of it, which equal take(train_idx)'s bit for bit.  Returns
-    the winning spec and Gram, or spec and its own Gram for a
-    parameterless spec, with the number of fold machines that stopped
-    unconverged.  Raises InputError when no fold can be fit, since no
-    candidate could then be scored.
+    the whole dataset, mapped once for all of the kernel's split seeds;
+    each fold is fit and scored on its train points' entries of it, which
+    equal take(train_idx)'s bit for bit.  Returns the winning spec and
+    Gram, or spec and its own Gram for a parameterless spec, with the
+    number of fold machines that stopped unconverged.  Raises InputError
+    when no fold can be fit, since no candidate could then be scored.
     """
     if spec.alpha is None and spec.beta is None:
         return spec, grams[spec], 0
@@ -541,11 +574,9 @@ _TASKS = {
 }
 
 
-# runners of the tasks that work on a dataset; the catalog Grams that
-# bench certifies and the candidates that svm tunes over are built along
-# with the task's own kernels
-_RUNNERS = {"bench": _run_bench,
-            **{task: functools.partial(_run_kernels, task) for task in _TASKS}}
+# runners of the tasks that work on a dataset
+_RUNNERS = {**{task: functools.partial(_run_kernels, task) for task in _TASKS},
+            "bench": _run_bench, "gram": _run_gram}
 
 
 @numerics.one_blas_thread()
@@ -566,15 +597,15 @@ def run_experiment(config):
         default = "catalog" if config.task == "pd-check" else DEFAULT_KERNEL
         specs = kernels.parse_kernel_tokens(config.kernels or (default,),
                                             dataset.p)
+        # the catalog that bench certifies and the candidates that svm
+        # tunes over share the similarity matrices of the task's kernels
         needed = specs
         if config.task == "bench":
             needed = kernels.catalog(dataset.p) + specs
         if config.tune and config.task in ("svm", "bench"):
-            # each candidate's Gram is built once for all kernels and seeds
             needed = needed + [candidate for spec in specs
                                for candidate in _candidate_specs(spec, config)]
-        with _kernel_failures(config.task):
-            grams = kernels.grams(needed, dataset.subspaces)
+        grams = kernels.grams(needed, dataset.subspaces)
         passed = _RUNNERS[config.task](config, dataset, specs, grams,
                                        report)
 

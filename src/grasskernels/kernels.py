@@ -58,6 +58,7 @@ Run the pd-check task to see the verdicts on any dataset.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -335,7 +336,7 @@ class GramMatrix:
         if v.shape[0] != v.shape[1]:
             raise ValueError(
                 f"a Gram matrix must be square, got {v.shape}")
-        if np.max(np.abs(v - v.T)) > 0.0:
+        if not np.array_equal(v, v.T):
             raise ValueError("Gram matrix entries must be exactly symmetric")
         v = v.copy()
         v.setflags(write=False)
@@ -359,34 +360,58 @@ def _mirror_upper(values):
     return values
 
 
+class _Grams(Mapping):
+    """The read-only {spec: GramMatrix} mapping that grams returns.
+
+    It holds the mirrored similarity matrices, read-only, and maps a
+    spec's Gram each time the spec is read; it keeps no Gram.  A caller
+    that reads each Gram once and drops it holds one Gram at a time.
+    """
+
+    def __init__(self, specs, similarities):
+        self._specs = specs
+        self._similarities = similarities
+
+    def __getitem__(self, spec):
+        if spec not in self._specs:
+            raise KeyError(spec)
+        return GramMatrix(_mapped(spec, self._similarities[spec.embedding]))
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self):
+        return len(self._specs)
+
+
 def grams(specs, data):
     """The GramMatrix of each distinct spec over one sequence of subspaces.
 
-    Returns {spec: GramMatrix} in first-seen order, duplicates collapsed.
-    Every spec is a map of one of the two similarities, so the call
-    takes one grassmann.similarities call for the embeddings its specs
-    use: one product stack, and one similarity matrix per embedding,
-    shared by its specs.  Each similarity matrix is mirrored once, its
-    upper triangle copied onto the lower, and a spec's Gram is its map of
-    the mirrored matrix; every map is elementwise, so symmetry is exact:
-    entry (i, j) with i <= j is exactly evaluate(spec, data[i], data[j]),
-    and the Gram of an increasing subset of indices is take() of the full
-    matrix bit for bit.  Nothing is kept between calls.  Raises
-    NumericalOverflow when a value overflows a float.
+    Returns a read-only mapping from each spec, in first-seen order with
+    duplicates collapsed, to its GramMatrix, which it maps anew each time
+    the spec is read.  Every spec is a map of one of the two
+    similarities, so the call takes one grassmann.similarities call for
+    the embeddings its specs use, and the mapping holds one similarity
+    matrix per embedding, shared by its specs.  Each similarity matrix is
+    mirrored once, its upper triangle copied onto the lower, and a spec's
+    Gram is its map of the mirrored matrix; every map is elementwise, so
+    symmetry is exact: entry (i, j) with i <= j is exactly evaluate(spec,
+    data[i], data[j]), and the Gram of an increasing subset of indices is
+    take() of the full matrix bit for bit.  Nothing is kept between
+    calls.  Reading a spec raises NumericalOverflow when one of its
+    values overflows a float.
     """
     data = list(data)
-    specs = list(dict.fromkeys(specs))
+    specs = dict.fromkeys(specs)
     if not specs:
-        return {}
+        return _Grams(specs, {})
     similarities = grassmann.similarities(
         [spec.embedding for spec in specs], data, data)
     for values in similarities.values():
-        _mirror_upper(values)
-    result = {}
+        _mirror_upper(values).setflags(write=False)
     for spec in specs:
         _check_p(spec, data[0].p)
-        result[spec] = GramMatrix(_mapped(spec, similarities[spec.embedding]))
-    return result
+    return _Grams(specs, similarities)
 
 
 def gram(spec, data):

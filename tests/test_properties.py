@@ -1,11 +1,14 @@
 """Property tests: principal angles and the Pluecker embedding, the
-kernel token grammar, the config parser, the dataset parser and the
-dataset fingerprint.
+kernel token grammar, the config parser, the dataset parser, the
+dataset fingerprint and the command line as a whole.
 
 Every draw is derandomized so the suite stays reproducible.
 """
 
+import contextlib
+import io
 import math
+import os
 from dataclasses import fields
 from typing import get_origin
 
@@ -19,10 +22,12 @@ from grasskernels.exceptions import InputError, InvalidKernelParameter
 from grasskernels.grassmann import (Subspace, plucker_embed,
                                     principal_angles, random_subspace,
                                     subspace_pair_with_angles)
+from grasskernels.harness import cli
 from grasskernels.harness.config import (ExperimentConfig, build_config,
                                          load_config_file)
-from grasskernels.harness.datasets import (Dataset, name_round_trips,
-                                           parse_dataset, serialize_dataset)
+from grasskernels.harness.datasets import (Dataset, generate_planted,
+                                           name_round_trips, parse_dataset,
+                                           serialize_dataset)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
@@ -328,3 +333,118 @@ def test_fingerprint_identifies_the_parsed_arrays(data):
         unlabeled = "".join(line for line in text.splitlines(True)
                             if not line.startswith("labels="))
         assert parse_dataset(unlabeled).fingerprint != fingerprint
+
+
+# the CLI fuzz test's option values: valid ones, then out-of-range and
+# malformed ones
+CLI_VALUES = {
+    "kernels": (["catalog", "linear:bc", "rbf:projection:beta=0.5",
+                 "logarithm:projection,laplace:bc:beta=1",
+                 "polynomial:projection:alpha=2:beta=0.5 "
+                 "binomial:bc:alpha=1:beta=2",
+                 # values past float range, alone and after a good kernel
+                 "rbf:projection:beta=354.891356446692", "linear:projection,"
+                 "binomial:projection:alpha=1.5:beta=2.0000000000000004",
+                 "rbf:projection:beta=354"],
+                ["linear:bc,linear:bc", "rbf:bc", "binomial:bc:alpha=1:beta=1",
+                 "foo", ""]),
+    "seeds": (["0", "0,1", "2 5"], ["", "-1", "0,0", "x"]),
+    "svm_c": (["0.1", "10"], ["0", "-1", "nan", "inf"]),
+    "lam": (["0.001", "1", "1e6"], ["0", "-1", "nan"]),
+    "clusters": (["0", "1", "2", "5"], ["100", "-1", "x"]),
+    "restarts": (["1", "2"], ["0"]),
+    "bits": (["1", "5,20"], ["0", "1,1", ""]),
+    "anchors": (["2", "5"], ["1", "30"]),
+    "top_m": (["1", "3", "100"], ["0"]),
+    "train_fraction": (["0.5", "0.1", "0.9"], ["0", "1"]),
+    "cv_folds": (["2", "5"], ["1"]),
+    "beta_grid": (["0.5", "0.1,354.891356446692"], ["", "-1", "x"]),
+    "alpha_grid": (["1", "2,3"], ["0", "1.5"]),
+    "threads": (["1", "2"], ["0"]),
+    "noise_angle": (["0", "0.5"], ["1.6", "nan"]),
+    "seed": (["0", "7"], ["-1"]),
+    "name": (["tiny", "café"], ["", "a=b"]),
+    "out": (["out.txt", "sub/dir/file.txt"], ["."]),
+    "config": (["seeds.cfg"], ["missing.cfg"]),
+}
+
+
+def _cli_flag(key, value):
+    return f"--{key.replace('_', '-')}={value}"
+
+
+@st.composite
+def cli_argvs(draw):
+    """A task on tiny data with up to four valid options, then in one run
+    of three an out-of-range or malformed option, and in one of five
+    `--tune`.  The data are generated, n = classes * per_class <= 24,
+    with p = d at times, or a file: a valid one with n = 12, one with a
+    NaN entry, an empty one or a missing one."""
+    argv = [draw(st.sampled_from(
+        ["gram", "pd-check", "counterexample", "svm", "cluster",
+         "sparse-code", "hash", "bench", "generate"]))]
+    dataset = draw(st.one_of(st.none(), st.just("tiny.txt"), st.sampled_from(
+        ["nan.txt", "empty.txt", "missing.txt"])))
+    if dataset is None:
+        d = draw(st.integers(2, 6))
+        argv += [_cli_flag("d", d), _cli_flag("p", draw(st.integers(1, d))),
+                 _cli_flag("classes", draw(st.integers(1, 4))),
+                 _cli_flag("per_class", draw(st.integers(1, 6)))]
+    else:
+        argv.append(_cli_flag("dataset", dataset))
+    for key in draw(st.lists(st.sampled_from(sorted(CLI_VALUES)),
+                             max_size=4, unique=True)):
+        argv.append(_cli_flag(key, draw(st.sampled_from(CLI_VALUES[key][0]))))
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(CLI_VALUES)))
+        argv.append(_cli_flag(key, draw(st.sampled_from(CLI_VALUES[key][1]))))
+    if draw(st.integers(0, 4)) == 0:
+        argv.append("--tune")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A working directory holding the fuzz test's input files."""
+    root = tmp_path_factory.mktemp("cli")
+    text = serialize_dataset(generate_planted(
+        d=6, p=2, classes=3, per_class=4, noise_angle=0.1, seed=1))
+    (root / "tiny.txt").write_text(text)
+    # the first basis entry made NaN
+    head, _, rest = text.partition("\nsubspace=")
+    (root / "nan.txt").write_text(
+        head + "\nsubspace=nan " + rest.partition(" ")[2])
+    (root / "empty.txt").write_text("")
+    (root / "seeds.cfg").write_text("seeds=0,1\n")
+    return root
+
+
+@settings(SETTINGS, max_examples=200)
+@given(cli_argvs())
+def test_cli_exits_0_1_or_2_and_never_raises(cli_dir, argv):
+    """Any run of drawn options on tiny data exits 0 (passed), 1 (verdict
+    failed) or 2 (bad input), with one `error:` line on stderr and
+    nothing on stdout for 2, and a report and no error line otherwise;
+    `warning:` lines may come with any of them.  Kernel values that
+    overflow surface in a kernel's turn of the runner, so the pools hold
+    such kernels, alone and after a good one, and as tuning candidates.
+    The pools leave out values that only make a run slow, not wrong: a
+    huge `--svm-c`, which runs the full SMO budget, a tiny `--lam`, long
+    seed lists and more than 24 points."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(cli_dir)
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    lines = [line for line in stderr.getvalue().splitlines()
+             if not line.startswith("warning: ")]
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+        assert stdout.getvalue() == "", argv
+    else:
+        assert lines == [] and stdout.getvalue(), argv
