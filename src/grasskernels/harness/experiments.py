@@ -127,8 +127,8 @@ def _run_kernels(task, config, dataset, specs, grams, report):
     """Run `task` on each kernel; write one `[result]` section and one
     table row per cell, and return the verdict.
 
-    `grams` is the task run's `kernels.grams` mapping.  Each kernel's
-    turn first maps its Grams: its own and, for svm with `--tune`, its
+    `grams` is the task run's `kernels.grams` view.  Each kernel's turn
+    first maps its Grams from it: its own and, for svm with `--tune`, its
     tuning candidates'.  A value that overflows ends the run in one
     InputError that names the task run's task (bench, inside bench).
     `cells(config, dataset, spec, grams)` then gets those Grams alone
@@ -230,9 +230,9 @@ def _run_gram(config, dataset, specs, grams, report):
     leaves no file behind.  Each Gram is mapped again for its file.
     """
     passed = _run_kernels("gram", config, dataset, specs, grams, report)
-    for spec, gram_matrix in grams.items():
+    for spec in grams.specs:
         write_text(_gram_path(config, spec),
-                   gram_csv_text(spec, gram_matrix, dataset.fingerprint))
+                   gram_csv_text(spec, grams[spec], dataset.fingerprint))
     return passed
 
 
@@ -597,15 +597,11 @@ def run_experiment(config):
         default = "catalog" if config.task == "pd-check" else DEFAULT_KERNEL
         specs = kernels.parse_kernel_tokens(config.kernels or (default,),
                                             dataset.p)
-        # the catalog that bench certifies and the candidates that svm
-        # tunes over share the similarity matrices of the task's kernels
-        needed = specs
-        if config.task == "bench":
-            needed = kernels.catalog(dataset.p) + specs
-        if config.tune and config.task in ("svm", "bench"):
-            needed = needed + [candidate for spec in specs
-                               for candidate in _candidate_specs(spec, config)]
-        grams = kernels.grams(needed, dataset.subspaces)
+        # the view reads any kernel, and tuning candidate, on its specs'
+        # embeddings, and bench's catalog holds both
+        grams = kernels.grams(
+            kernels.catalog(dataset.p) if config.task == "bench" else specs,
+            dataset.subspaces)
         passed = _RUNNERS[config.task](config, dataset, specs, grams,
                                        report)
 

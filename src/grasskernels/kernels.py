@@ -58,7 +58,6 @@ Run the pd-check task to see the verdicts on any dataset.
 """
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -360,58 +359,55 @@ def _mirror_upper(values):
     return values
 
 
-class _Grams(Mapping):
-    """The read-only {spec: GramMatrix} mapping that grams returns.
+class _Grams:
+    """The read-only Gram view that grams returns.
 
-    It holds the mirrored similarity matrices, read-only, and maps a
-    spec's Gram each time the spec is read; it keeps no Gram.  A caller
-    that reads each Gram once and drops it holds one Gram at a time.
+    It holds the mirrored similarity matrices, read-only, and maps any
+    kernel on their embeddings each time the kernel is read; it keeps no
+    Gram.  A caller that reads each Gram once and drops it holds one
+    Gram at a time.
     """
 
-    def __init__(self, specs, similarities):
-        self._specs = specs
+    def __init__(self, specs, similarities, p):
+        self.specs = specs
         self._similarities = similarities
+        self._p = p
 
     def __getitem__(self, spec):
-        if spec not in self._specs:
+        if spec.embedding not in self._similarities:
             raise KeyError(spec)
+        _check_p(spec, self._p)
         return GramMatrix(_mapped(spec, self._similarities[spec.embedding]))
-
-    def __iter__(self):
-        return iter(self._specs)
-
-    def __len__(self):
-        return len(self._specs)
 
 
 def grams(specs, data):
-    """The GramMatrix of each distinct spec over one sequence of subspaces.
+    """A read-only view of the GramMatrix over one sequence of subspaces
+    of any kernel on the embeddings of the given specs.
 
-    Returns a read-only mapping from each spec, in first-seen order with
-    duplicates collapsed, to its GramMatrix, which it maps anew each time
-    the spec is read.  Every spec is a map of one of the two
+    The view lists the specs, in first-seen order with duplicates
+    collapsed, as `specs`, and maps a kernel's GramMatrix anew each time
+    the kernel is read.  Every kernel is a map of one of the two
     similarities, so the call takes one grassmann.similarities call for
-    the embeddings its specs use, and the mapping holds one similarity
-    matrix per embedding, shared by its specs.  Each similarity matrix is
-    mirrored once, its upper triangle copied onto the lower, and a spec's
-    Gram is its map of the mirrored matrix; every map is elementwise, so
-    symmetry is exact: entry (i, j) with i <= j is exactly evaluate(spec,
-    data[i], data[j]), and the Gram of an increasing subset of indices is
-    take() of the full matrix bit for bit.  Nothing is kept between
-    calls.  Reading a spec raises NumericalOverflow when one of its
-    values overflows a float.
+    the embeddings its specs use, and the view holds one similarity
+    matrix per embedding.  Each similarity matrix is mirrored once, its
+    upper triangle copied onto the lower, and a kernel's Gram is its map
+    of the mirrored matrix; every map is elementwise, so symmetry is
+    exact: entry (i, j) with i <= j is exactly evaluate(spec, data[i],
+    data[j]), and the Gram of an increasing subset of indices is take()
+    of the full matrix bit for bit.  Nothing is kept between calls.
+    Reading a kernel raises KeyError when the view holds no similarity
+    on its embedding, ValueError when its p is not the data's and
+    NumericalOverflow when one of its values overflows a float.
     """
     data = list(data)
-    specs = dict.fromkeys(specs)
+    specs = list(dict.fromkeys(specs))
     if not specs:
-        return _Grams(specs, {})
+        return _Grams(specs, {}, None)
     similarities = grassmann.similarities(
         [spec.embedding for spec in specs], data, data)
     for values in similarities.values():
         _mirror_upper(values).setflags(write=False)
-    for spec in specs:
-        _check_p(spec, data[0].p)
-    return _Grams(specs, similarities)
+    return _Grams(specs, similarities, data[0].p)
 
 
 def gram(spec, data):

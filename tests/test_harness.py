@@ -977,8 +977,8 @@ def test_task_run_never_serializes_its_dataset(monkeypatch):
 
 
 def _count_gram_work(monkeypatch):
-    """Record the embeddings of each similarities call and each Gram's
-    label."""
+    """Record the embeddings of each similarities call and the label of
+    each spec a Gram view is built from."""
     calls = []
     labels = []
     similarities, grams = grassmann.similarities, kernels.grams
@@ -989,7 +989,7 @@ def _count_gram_work(monkeypatch):
 
     def counting_grams(specs, data):
         result = grams(specs, data)
-        labels.extend(spec.label() for spec in result)
+        labels.extend(spec.label() for spec in result.specs)
         return result
 
     monkeypatch.setattr(grassmann, "similarities", counting_similarities)
@@ -1122,18 +1122,21 @@ def test_bench_builds_each_gram_once(monkeypatch):
 
 def test_tuning_builds_each_candidate_gram_once(monkeypatch):
     similarities, built = _count_gram_work(monkeypatch)
+    maps = _count_maps(monkeypatch)
     config = build_config("svm", overrides={
         "d": "6", "p": "2", "classes": "2", "per_class": "6",
         "seeds": "0 1 2 3 4", "tune": "true"})
     run_experiment(config)
     # the default kernel's beta=0.5 is on the grid, so the focus kernel
     # and its candidates are seven distinct specs, all on the projection
-    # embedding
+    # embedding; the view is built from the focus kernel alone and each
+    # of the seven Grams is built (mapped) from it once
     focus = kernels.parse_kernel_token(DEFAULT_KERNEL, 2)
     expected = {dataclasses.replace(focus, beta=beta).label()
                 for beta in config.beta_grid} | {focus.label()}
     assert len(expected) == 7
-    assert sorted(built) == sorted(expected)
+    assert built == [focus.label()]
+    assert sorted(maps) == sorted(expected)
     assert similarities == [["projection"]]
 
 

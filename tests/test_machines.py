@@ -1568,9 +1568,11 @@ def test_klsh_stacked_keys_match_per_bit_loop():
     n100 = generate_planted(d=100, p=2, classes=10, per_class=10,
                             noise_angle=0.1, seed=24)
     for data in (bench, n100):
-        for g in grams([RBF_PROJ, parse_kernel_token("linear:projection", 2),
-                        parse_kernel_token("laplace:projection:beta=1", 2)],
-                       data.subspaces).values():
+        view = grams([RBF_PROJ, parse_kernel_token("linear:projection", 2),
+                      parse_kernel_token("laplace:projection:beta=1", 2)],
+                     data.subspaces)
+        for spec in view.specs:
+            g = view[spec]
             for seed in range(3):
                 family = klsh_build(g, bits=60, anchors=30, seed=seed)
                 keys = np.empty((g.n, 60), dtype=np.uint8)

@@ -1,5 +1,5 @@
 """Property tests: principal angles and the Pluecker embedding, the
-kernel token grammar, the config parser, the dataset parser, the
+kernel token grammar, the Gram view, the config parser, the dataset parser, the
 dataset fingerprint and the command line as a whole.
 
 Every draw is derandomized so the suite stays reproducible.
@@ -18,7 +18,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from grasskernels import grassmann, kernels
-from grasskernels.exceptions import InputError, InvalidKernelParameter
+from grasskernels.exceptions import (InputError, InvalidKernelParameter,
+                                     NumericalOverflow)
 from grasskernels.grassmann import (Subspace, plucker_embed,
                                     principal_angles, random_subspace,
                                     subspace_pair_with_angles)
@@ -93,8 +94,8 @@ def test_pair_with_angles_takes_any_order_and_rejects_out_of_range(
 
 
 @st.composite
-def kernel_specs(draw):
-    p = draw(st.integers(min_value=1, max_value=6))
+def kernel_specs(draw, p=st.integers(min_value=1, max_value=6)):
+    p = draw(p)
     family = draw(st.sampled_from(kernels.FAMILIES))
     embedding = draw(st.sampled_from(grassmann.EMBEDDINGS))
     alpha = beta = None
@@ -118,6 +119,43 @@ def kernel_specs(draw):
 @given(kernel_specs())
 def test_kernel_label_round_trips(spec):
     assert kernels.parse_kernel_token(spec.label(), spec.p) == spec
+
+
+@SETTINGS
+@given(st.data())
+def test_gram_view_reads_any_kernel_on_its_embeddings(data):
+    """A Gram view built from one kernel per embedding it holds reads
+    each drawn kernel on those embeddings bit for bit as gram does, and
+    raises KeyError for a kernel on another embedding and ValueError for
+    one with another p."""
+    p = data.draw(st.integers(min_value=1, max_value=4))
+    d = data.draw(st.integers(min_value=p + 1, max_value=p + 3))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0,
+                                                      max_value=2**32 - 1)))
+    points = [random_subspace(d, p, rng)
+              for _ in range(data.draw(st.integers(min_value=1,
+                                                   max_value=6)))]
+    held = data.draw(st.sampled_from([("bc",), ("projection",),
+                                      grassmann.EMBEDDINGS]))
+    view = kernels.grams([kernels.KernelSpec(embedding, "linear", p)
+                          for embedding in held], points)
+    for spec in data.draw(st.lists(kernel_specs(st.just(p)), min_size=1,
+                                   max_size=3)):
+        token = spec.label()
+        if spec.embedding not in held:
+            with pytest.raises(KeyError):
+                view[spec]
+            continue
+        try:
+            expected = kernels.gram(spec, points).values
+        except NumericalOverflow:
+            with pytest.raises(NumericalOverflow):
+                view[spec]
+            continue
+        assert view[spec].values.tobytes() == expected.tobytes(), token
+    for embedding in held:
+        with pytest.raises(ValueError, match=f"configured for p={p + 1}"):
+            view[kernels.KernelSpec(embedding, "linear", p + 1)]
 
 
 token_parts = st.one_of(
