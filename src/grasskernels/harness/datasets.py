@@ -109,7 +109,7 @@ class Dataset:
     def class_count(self):
         if self.labels is None:
             return 0
-        return int(np.unique(self.labels).size)
+        return int(numerics.distinct(self.labels).size)
 
 
 NAME_RULE = "be one line without '=' or surrounding whitespace"
@@ -312,11 +312,12 @@ def class_ranks(labels, rng):
     """Each point's rank in a seeded shuffle of its class, and the size of
     its class.
 
-    Each class is shuffled by one `rng.permutation`, in `np.unique` order.
+    Each class is shuffled by one `rng.permutation`, in ascending label
+    order.
     """
     rank = np.empty(labels.size, dtype=np.intp)
     size = np.empty(labels.size, dtype=np.intp)
-    for value in np.unique(labels):
+    for value in numerics.distinct(labels):
         members = np.flatnonzero(labels == value)
         rank[members[rng.permutation(members.size)]] = np.arange(members.size)
         size[members] = members.size

@@ -284,7 +284,7 @@ def _fit_predict(gram_matrix, labels, train_idx, test_idx, c):
     """
     from ..machines.svm import svm_decision_from_rows, svm_train
     train_labels = labels[train_idx]
-    classes = np.unique(train_labels)
+    classes = numerics.distinct(train_labels)
     positive = classes[1:] if classes.size == 2 else classes
     trained = svm_train(
         gram_matrix.take(train_idx),
@@ -341,9 +341,9 @@ def _tune_spec(spec, grams, dataset, train_idx, config, seed):
     folds = rank % min(config.cv_folds, train_idx.size)
     # a fold can be fit when the other folds hold two or more classes
     splits = [(np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
-              for fold in np.unique(folds)]
+              for fold in numerics.distinct(folds)]
     splits = [(fit, held) for fit, held in splits
-              if np.unique(labels[fit]).size >= 2]
+              if numerics.distinct(labels[fit]).size >= 2]
     if not splits:
         raise InputError(
             f"cannot tune {spec.label()!r} on split seed {seed}: no "

@@ -74,8 +74,9 @@ def _seed_rows(sq, n_clusters, rngs):
             else:
                 # all remaining points coincide with a seed; take the
                 # lowest index not already chosen
-                chosen[row, step] = np.setdiff1d(np.arange(n),
-                                                 chosen[row, :step])[0]
+                free = np.ones(n, dtype=bool)
+                free[chosen[row, :step]] = False
+                chosen[row, step] = np.argmax(free)
         np.minimum(closest, sq[chosen[:, step]], out=closest)
     return chosen
 

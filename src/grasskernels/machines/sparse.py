@@ -61,6 +61,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .. import numerics
 from ..exceptions import NotPositiveSemidefinite
 from ..kernels import certify_pd
 
@@ -169,7 +170,7 @@ def _targets(kmat, k, lam, signs):
     active = signs != 0.0
     sizes = active.sum(axis=1)
     target = np.zeros(signs.shape)
-    for size in np.unique(sizes).tolist():
+    for size in numerics.distinct(sizes).tolist():
         mask = sizes == size
         rows = mask.nonzero()[0][:, None]
         cols = active[mask].nonzero()[1].reshape(-1, size)

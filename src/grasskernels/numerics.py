@@ -10,7 +10,9 @@ stack bit for bit the result of that matrix alone.  The principal-angle
 SVD in `grassmann`, the eigendecomposition in `machines.klsh` and the
 active-set solves in `machines.sparse` still call numpy directly.
 `one_blas_thread` runs a block on one OpenBLAS thread, so its floats do
-not depend on the thread count.
+not depend on the thread count.  `distinct` gives an integer array's
+sorted distinct values from one sort: numpy's plain `np.unique` checks
+for a masked array and so imports `numpy.ma` in every labeled task run.
 """
 
 import contextlib
@@ -87,6 +89,17 @@ def one_blas_thread():
         yield
     finally:
         set_threads(before)
+
+
+def distinct(values):
+    """The sorted distinct entries of an integer array, as `np.unique`
+    gives them in values and dtype: one sort and a mask of the entries
+    that differ from their left neighbour, the first always kept."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def as_matrix(values):

@@ -1857,7 +1857,8 @@ def test_task_run_imports_only_its_layers(task, tmp_path):
     only the kernels and machine modules the task calls.  Without a
     bytecode cache every module a run imports is compiled from source,
     so generate skips both layers and pd-check every machine.  numpy is
-    the only run-time dependency, so no task loads a scipy module."""
+    the only run-time dependency, so no task loads a scipy module; nor
+    does any load `numpy.ma`, which plain `np.unique` imports."""
     assert sorted(_TASK_LAYERS) == sorted(TASKS)
     src = os.path.dirname(os.path.dirname(grasskernels.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -1867,7 +1868,7 @@ def test_task_run_imports_only_its_layers(task, tmp_path):
              "print(code, sorted(m.removeprefix('grasskernels.')\n"
              "    for m in sys.modules\n"
              "    if m.split('.')[0] == 'scipy' or m.split('.')[:2] in (\n"
-             "        ['grasskernels', 'kernels'],\n"
+             "        ['numpy', 'ma'], ['grasskernels', 'kernels'],\n"
              "        ['grasskernels', 'machines'])))\n")
     result = subprocess.run([sys.executable, "-c", probe, task], env=env,
                             cwd=tmp_path, capture_output=True, text=True,

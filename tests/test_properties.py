@@ -1,6 +1,7 @@
-"""Property tests: principal angles and the Pluecker embedding, the
-kernel token grammar, the Gram view, the config parser, the dataset parser, the
-dataset fingerprint and the command line as a whole.
+"""Property tests: distinct integer values, principal angles and the
+Pluecker embedding, the kernel token grammar, the Gram view, the config
+parser, the dataset parser, the dataset fingerprint and the command line
+as a whole.
 
 Every draw is derandomized so the suite stays reproducible.
 """
@@ -14,10 +15,10 @@ from typing import get_origin
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from grasskernels import grassmann, kernels
+from grasskernels import grassmann, kernels, numerics
 from grasskernels.exceptions import (InputError, InvalidKernelParameter,
                                      NumericalOverflow)
 from grasskernels.grassmann import (Subspace, plucker_embed,
@@ -39,6 +40,27 @@ scales = st.floats(min_value=1e-3, max_value=1e3)
 # arccos keeps only half the digits of a small angle (see
 # principal_angles), so angles agree to about sqrt(eps)
 ANGLE_TOL = 1e-7
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@SETTINGS
+@given(st.lists(st.integers(min_value=-3, max_value=3)
+                | st.integers(min_value=INT64.min, max_value=INT64.max),
+                max_size=40),
+       st.sampled_from([np.int64, np.intp]))
+@example([], np.int64)
+@example([7], np.intp)
+@example([2, 2, 2, 2], np.int64)
+@example([INT64.max, INT64.min, 0, INT64.max, INT64.min], np.intp)
+def test_distinct_equals_np_unique(values, dtype):
+    """`numerics.distinct` gives `np.unique`'s values in its dtype, for
+    an empty array too."""
+    x = np.array(values, dtype=dtype)
+    got, want = numerics.distinct(x), np.unique(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 @st.composite

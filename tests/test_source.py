@@ -1,6 +1,7 @@
 """Checks on the source tree itself: the error rule, unused imports,
-the tests that docstrings cite, the one module of file I/O, the order
-of the layers and the one loop over the seeds and over the kernels."""
+the tests that docstrings cite, the one module of file I/O, the numpy
+set routines that import `numpy.ma`, the order of the layers and the one
+loop over the seeds and over the kernels."""
 
 import ast
 import inspect
@@ -155,6 +156,53 @@ def test_file_io_check_sees_each_call():
     tree = ast.parse("import os\nopen(p)\nos.makedirs(d)\nf.open()\n"
                      "makedirs(d)\n")
     assert _file_io_calls(tree) == [(2, "open"), (3, "os.makedirs")]
+
+
+# numpy's set routines that reach plain `np.unique`, whose masked-array
+# check imports numpy.ma; `np.unique` with one of _INDEX_FLAGS sorts
+# without that check
+_SET_ROUTINES = ("setdiff1d", "intersect1d", "union1d", "setxor1d")
+_INDEX_FLAGS = ("return_index", "return_inverse", "return_counts")
+
+
+def _masked_set_calls(tree):
+    """(line, name) of each `np.unique` call without a keyword of
+    _INDEX_FLAGS, and of each call of one of _SET_ROUTINES."""
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            continue
+        name = node.func.attr
+        flagged = any(k.arg in _INDEX_FLAGS for k in node.keywords)
+        if name in _SET_ROUTINES or (name == "unique" and not flagged):
+            calls.append((node.lineno, f"np.{name}"))
+    return sorted(calls)
+
+
+def test_no_call_imports_numpy_ma():
+    """Distinct values come from `numerics.distinct`, so no task run
+    imports `numpy.ma` (+1.3 MB resident).  The import probe of
+    `test_task_run_imports_only_its_layers` runs the default data only
+    and never reaches the `--tune` folds or k-means++'s coincident
+    points, so this check covers every call site."""
+    found = {path.relative_to(SRC).as_posix(): _masked_set_calls(
+                 ast.parse(path.read_text()))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {path: calls for path, calls in found.items() if calls} == {}
+
+
+def test_numpy_ma_check_sees_each_call():
+    tree = ast.parse("np.unique(a)\nnp.unique(a, return_inverse=True)\n"
+                     "numpy.setdiff1d(a, b)\nnp.intersect1d(a, b)\n"
+                     "np.union1d(a, b)\nnp.setxor1d(a, b)\n"
+                     "np.unique(a, return_counts=True, axis=0)\n"
+                     "unique(a)\nnumerics.distinct(a)\n")
+    assert _masked_set_calls(tree) == [
+        (1, "np.unique"), (3, "np.setdiff1d"), (4, "np.intersect1d"),
+        (5, "np.union1d"), (6, "np.setxor1d")]
 
 
 # the package's layers, lowest first; a module imports only from its own
