@@ -448,25 +448,26 @@ def _cluster_step(config, dataset, spec, grams):
 def _nearest(distance, top_m):
     """Each point's top_m nearest other points under the (n, n)
     `distance`, ties to lower index.  Each row ranks every other point,
-    the query itself last: the diagonal of `distance` is set to +inf.
+    the query itself last.  Entries off the diagonal must be finite;
+    `distance` is overwritten, its chosen entries set to +inf.
 
-    The first top_m of each row's stable sort, by selection: every
-    entry below the row's top_m-th smallest value, then the entries
-    equal to it in index order until top_m are chosen, and a stable
-    sort of those few.
+    The first top_m of each row's stable sort, by rounds of `argmin`:
+    each round takes every row's first smallest entry and sets it to
+    +inf.  Time O(top_m n^2), no memory beyond the (n, top_m) result.
     """
+    n = distance.shape[0]
+    rows = np.arange(n)
     np.fill_diagonal(distance, np.inf)
-    # like a slice of the sort, a top_m past n keeps all n
-    top_m = min(top_m, distance.shape[1])
-    cut = np.partition(distance, top_m - 1, axis=1)[:, top_m - 1, None]
-    below = distance < cut
-    at = distance == cut
-    wanted = top_m - np.count_nonzero(below, axis=1)
-    chosen = below | (at & (np.cumsum(at, axis=1) <= wanted[:, None]))
-    columns = np.nonzero(chosen)[1].reshape(-1, top_m)
-    order = np.argsort(np.take_along_axis(distance, columns, axis=1),
-                       axis=1, kind="stable")
-    return np.take_along_axis(columns, order, axis=1)
+    # like a slice of the sort, a top_m past n keeps all n: once the
+    # n - 1 others are taken a row is all +inf and argmin would give
+    # column 0, so the diagonal, last in the stable sort, is placed
+    columns = np.empty((n, min(top_m, n)), dtype=np.intp)
+    for rank in range(min(top_m, n - 1)):
+        columns[:, rank] = distance.argmin(axis=1)
+        distance[rows, columns[:, rank]] = np.inf
+    if top_m >= n:
+        columns[:, -1] = rows
+    return columns
 
 
 def _hash_cell(keys, labels, top_m, exact):
@@ -474,7 +475,9 @@ def _hash_cell(keys, labels, top_m, exact):
     `nn_accuracy` under one family's (n, bits) keys.
 
     `exact` is `_nearest(-gram_matrix.values, top_m)`, the exact
-    neighbours.
+    neighbours.  The overlap of each row's exact and approximate
+    neighbours reads an (n, n) mask of the exact ones at the approximate
+    ones, so memory is O(n^2) at any top_m.
     """
     bits = keys.shape[1]
     # as signs, agreeing bits add 1 to a product and differing ones
@@ -483,8 +486,11 @@ def _hash_cell(keys, labels, top_m, exact):
     signs = 2.0 * keys - 1.0
     distance = (bits - signs @ signs.T) / 2.0
     approx = _nearest(distance, top_m)
-    # neither ranking repeats a point, so equal pairs count the overlap
-    overlap = np.sum(exact[:, :, None] == approx[:, None, :], axis=(1, 2))
+    rows = np.arange(keys.shape[0])[:, None]
+    is_exact = np.zeros(distance.shape, dtype=bool)
+    is_exact[rows, exact] = True
+    # neither ranking repeats a point, so the hits count the overlap
+    overlap = np.count_nonzero(is_exact[rows, approx], axis=1)
     scores = {"recall": float(np.mean(overlap / top_m))}
     if labels is not None:
         scores["nn_accuracy"] = float(np.mean(labels[approx[:, 0]] == labels))

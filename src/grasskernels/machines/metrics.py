@@ -2,19 +2,29 @@
 
 import numpy as np
 
+from .. import numerics
+
 
 def _contingency(predicted, truth):
+    """The (distinct predicted, distinct truth) table of label pair
+    counts, rows and columns in ascending label order.
+
+    Each label's index among its vector's `numerics.distinct` values is
+    its `np.searchsorted` position, and one `np.bincount` of the flat
+    cell indices counts the table.
+    """
     a = np.asarray(predicted).ravel()
     b = np.asarray(truth).ravel()
     if a.size != b.size or a.size == 0:
         raise ValueError(
             f"label vectors must have equal nonzero length, "
             f"got {a.size} and {b.size}")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+    a_values = numerics.distinct(a)
+    b_values = numerics.distinct(b)
+    cells = (np.searchsorted(a_values, a) * b_values.size
+             + np.searchsorted(b_values, b))
+    shape = (a_values.size, b_values.size)
+    return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def normalized_mutual_information(predicted, truth):

@@ -918,18 +918,51 @@ def test_hash_ranking_matches_per_row_loop():
 
 
 def test_nearest_selection_matches_full_stable_sort():
-    """Selecting each row's top_m equals the first top_m of its full
-    stable sort, ties to the lower index, on rows of small integers that
-    tie often; a top_m past n keeps the whole row, as a slice does."""
+    """Each row's top_m by argmin rounds equals the first top_m of its
+    full stable sort, ties to the lower index: on rows of small integers
+    that tie often, on Hamming distances of random sign keys as the hash
+    task makes them, and on a negated catalog Gram.  A top_m past n
+    keeps the whole row, as a slice does."""
     rng = np.random.default_rng(7)
+    cases = []
     for n, values in ((2, 2), (5, 2), (12, 3), (40, 4), (40, 40)):
         for top_m in sorted({1, max(1, n // 3), max(1, n - 2), n - 1, n + 3}):
-            distance = rng.integers(-values, values, (n, n)).astype(float)
-            expected = distance.copy()
-            np.fill_diagonal(expected, np.inf)
-            expected = np.argsort(expected, axis=1, kind="stable")[:, :top_m]
-            assert np.array_equal(experiments._nearest(distance, top_m),
-                                  expected), (n, values, top_m)
+            cases.append((rng.integers(-values, values, (n, n)).astype(float),
+                          top_m))
+    for n in (120, 300):
+        signs = rng.choice([-1.0, 1.0], (n, 16))
+        hamming = (16 - signs @ signs.T) / 2.0
+        cases += [(hamming, top_m) for top_m in (1, 10, n - 1, n, n + 3)]
+    data = generate_planted(d=6, p=2, classes=3, per_class=20,
+                            noise_angle=0.2, seed=1)
+    g = kernels.gram(kernels.catalog(2)[0], data.subspaces)
+    cases += [(-g.values, top_m) for top_m in (1, 10, 59, 60)]
+    for distance, top_m in cases:
+        expected = distance.copy()
+        np.fill_diagonal(expected, np.inf)
+        expected = np.argsort(expected, axis=1, kind="stable")[:, :top_m]
+        assert np.array_equal(experiments._nearest(distance.copy(), top_m),
+                              expected), (distance.shape, top_m)
+
+
+def test_hash_overlap_memory_is_quadratic():
+    """At n=300 and top_m=299 a hash cell's traced peak stays within six
+    (n, n) float64 arrays, 4.3 MB (it reads 1.7 MB): the overlap reads
+    an (n, n) mask.  An (n, top_m, top_m) equality cube of the two
+    rankings alone takes 26.8 MB (a 28.4 MB peak)."""
+    n, top_m = 300, 299
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 2, (n, 16), dtype=np.uint8)
+    exact = experiments._nearest(rng.random((n, n)), top_m)
+    labels = rng.integers(0, 5, n)
+    experiments._hash_cell(keys, labels, top_m, exact)
+    tracemalloc.start()
+    try:
+        experiments._hash_cell(keys, labels, top_m, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n * 8
 
 
 def test_hash_task_rejects_oversized_anchor_count():

@@ -30,6 +30,7 @@ from grasskernels.harness.config import (ExperimentConfig, build_config,
 from grasskernels.harness.datasets import (Dataset, generate_planted,
                                            name_round_trips, parse_dataset,
                                            serialize_dataset)
+from grasskernels.machines.metrics import _contingency
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
@@ -59,6 +60,30 @@ def test_distinct_equals_np_unique(values, dtype):
     an empty array too."""
     x = np.array(values, dtype=dtype)
     got, want = numerics.distinct(x), np.unique(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+# labels as clusterings and classes give them, and some that they never
+# do: negative, repeated, with gaps, at the int64 extremes
+LABELS = (st.sampled_from([-9, -2, 0, 3, 40, 1000])
+          | st.integers(min_value=INT64.min, max_value=INT64.max))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=60))
+@example([(-2, 3)])
+@example([(5, -1), (5, -1), (-7, 9), (5, 9), (1000, -1)])
+@example([(INT64.min, INT64.max), (INT64.max, INT64.min), (0, 0)])
+def test_contingency_equals_unique_and_add_at(pairs):
+    """`metrics._contingency` counts the table that `np.unique`'s
+    inverse indices and `np.add.at` give."""
+    predicted, truth = np.array(pairs, dtype=np.int64).T
+    _, rows = np.unique(predicted, return_inverse=True)
+    _, cols = np.unique(truth, return_inverse=True)
+    want = np.zeros((rows.max() + 1, cols.max() + 1), dtype=np.int64)
+    np.add.at(want, (rows, cols), 1)
+    got = _contingency(predicted, truth)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 

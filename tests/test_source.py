@@ -1,7 +1,8 @@
 """Checks on the source tree itself: the error rule, unused imports,
 the tests that docstrings cite, the one module of file I/O, the numpy
-set routines that import `numpy.ma`, the order of the layers and the one
-loop over the seeds and over the kernels."""
+set routines that import `numpy.ma`, numpy's selection and unique code,
+the order of the layers and the one loop over the seeds and over the
+kernels."""
 
 import ast
 import inspect
@@ -203,6 +204,49 @@ def test_numpy_ma_check_sees_each_call():
     assert _masked_set_calls(tree) == [
         (1, "np.unique"), (3, "np.setdiff1d"), (4, "np.intersect1d"),
         (5, "np.union1d"), (6, "np.setxor1d")]
+
+
+# numpy's selection and every form of its `np.unique`
+_SELECTION_AND_UNIQUE = ("partition", "argpartition", "unique",
+                         "unique_all", "unique_counts", "unique_inverse",
+                         "unique_values")
+
+
+def _selection_unique_calls(tree):
+    """(line, name) of each call of `np.<name>` for a name of
+    _SELECTION_AND_UNIQUE."""
+    return sorted(
+        (node.lineno, f"np.{node.func.attr}") for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in _SELECTION_AND_UNIQUE)
+
+
+def test_no_call_of_selection_or_unique():
+    """Top-m neighbours come from argmin rounds and contingency tables
+    from `numerics.distinct`, `np.searchsorted` and `np.bincount`, so no
+    task run pages in numpy's selection or `np.unique` code: after
+    perfbench's imports, the first 40 x 40 `np.partition` in a fresh
+    interpreter raised `ru_maxrss` by 128 KiB and the first
+    `np.unique(..., return_inverse=True)` by 384 KiB, and the two
+    together raised a fresh-process `bench --seeds 0` run's peak
+    resident size by about 0.4 MB."""
+    found = {path.relative_to(SRC).as_posix(): _selection_unique_calls(
+                 ast.parse(path.read_text()))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {path: calls for path, calls in found.items() if calls} == {}
+
+
+def test_selection_unique_check_sees_each_call():
+    tree = ast.parse("np.partition(a, 3)\nnumpy.argpartition(a, 3)\n"
+                     "np.unique(a, return_inverse=True)\n"
+                     "np.unique_values(a)\nline.partition('=')\n"
+                     "a.argmin(axis=1)\nnumerics.distinct(a)\n")
+    assert _selection_unique_calls(tree) == [
+        (1, "np.partition"), (2, "np.argpartition"), (3, "np.unique"),
+        (4, "np.unique_values")]
 
 
 # the package's layers, lowest first; a module imports only from its own
