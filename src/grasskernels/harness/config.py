@@ -193,16 +193,17 @@ def coerce_value(key, value):
 
 
 def load_config_file(path, loads_dataset=False):
-    """Read a config file into a {key: typed value} mapping, each value
-    checked against its field's range; errors name the file and line.
+    """Read a config file, line by line, into a {key: typed value}
+    mapping, each value checked against its field's range; errors name
+    the file and line.
 
     The generation options go unchecked when the run loads a dataset
     file, named by the file's own `dataset` key or, with
     `loads_dataset`, by a flag.
     """
-    def parse(text):
+    def parse(source):
         values, lines = {}, {}
-        for lineno, key, value in key_value_lines(text, _FIELD_TYPES):
+        for lineno, key, value in key_value_lines(source, _FIELD_TYPES):
             try:
                 values[key] = coerce_value(key, value)
             except InputError as exc:

@@ -19,6 +19,7 @@ it is a sha256 over the parsed name, sizes, labels and bases (see
 it, and a loaded file is fingerprinted without being written out again.
 """
 
+import array
 import functools
 import hashlib
 import math
@@ -143,14 +144,35 @@ def serialize_dataset(dataset):
 
 
 def parse_dataset(text):
-    """Parse the canonical text form back into a Dataset.  Lines are read
-    by `key_value_lines`, as config files are; a bad line is named."""
+    """Parse the canonical text form back into a Dataset: `parse_lines`
+    of `text.splitlines()`."""
+    return parse_lines(text.splitlines())
+
+
+def parse_lines(source):
+    """The Dataset of the lines of `source`, an open dataset file or a
+    list of its lines, read one at a time by `key_value_lines`, as config
+    files are; a bad line is named.
+
+    Each subspace line's floats go, as the line is read, into one
+    growing float64 buffer, and a line whose values do not convert keeps
+    only its text, so no more than the parsed values and those lines are
+    held.  Errors come in the order of the whole text's checks: a line
+    that `key_value_lines` refuses, then the header fields, then the
+    first bad subspace line, then the labels and the name."""
     fields, lines, subspace_lines = {}, {}, []
-    for lineno, key, value in key_value_lines(text, _KEYS, ("subspace",)):
-        if key == "subspace":
+    values = array.array("d")
+    for lineno, key, value in key_value_lines(source, _KEYS, ("subspace",)):
+        if key != "subspace":
+            fields[key], lines[key] = value, lineno
+            continue
+        try:
+            floats = list(map(float, value.split()))
+        except ValueError:
             subspace_lines.append((lineno, value))
         else:
-            fields[key], lines[key] = value, lineno
+            values.fromlist(floats)
+            subspace_lines.append((lineno, len(floats)))
 
     def field(key, convert, problem):
         try:
@@ -175,7 +197,7 @@ def parse_dataset(text):
     if len(subspace_lines) != n:
         raise InputError(f"line {lines['n']}: expected {n} subspace lines, "
                          f"found {len(subspace_lines)}")
-    subspaces = _subspaces(subspace_lines, d, p)
+    subspaces = _subspaces(subspace_lines, values, d, p)
 
     labels = None
     if "labels" in fields:
@@ -192,29 +214,33 @@ def parse_dataset(text):
     return Dataset(subspaces=tuple(subspaces), labels=labels, name=name)
 
 
-def _subspaces(subspace_lines, d, p):
-    """The Subspaces of the subspace lines, each line converted into its
-    basis in one (n, d, p) stack and every basis checked in that stack.
-    A bad line is named: the first whose values do not convert, or whose
-    basis a Subspace refuses, whichever comes first."""
-    bases = None
-    for row, (lineno, value) in enumerate(subspace_lines):
-        parts = value.split()
-        try:
-            if len(parts) != d * p:
-                raise ValueError(f"expected {d * p} values, got {len(parts)}")
-            values = list(map(float, parts))
-        except ValueError as exc:
-            if bases is not None:
-                _check_bases(bases[:row], subspace_lines)
-            raise InputError(f"line {lineno}: {exc}") from exc
-        if bases is None:
-            # allocated once a line has held d * p values
-            bases = np.empty((len(subspace_lines), d, p))
-            columns = bases.swapaxes(1, 2)
-        # a line lists the basis column by column
-        columns[row].flat = values
+def _subspaces(subspace_lines, values, d, p):
+    """The Subspaces of the subspace lines, each (lineno, count of its
+    floats in `values`) or (lineno, text) for a line whose values did not
+    convert.  The bases are copied out of `values` into one C-ordered
+    (n, d, p) stack and checked in that stack.  A bad line is named: the
+    first that does not hold d * p floats, or whose basis a Subspace
+    refuses, whichever comes first."""
+    size = d * p
+    # a text entry never equals an int, so a line that did not convert
+    # is bad too; every line before the first bad one holds d * p floats
+    good = next((row for row, (_, entry) in enumerate(subspace_lines)
+                 if entry != size), len(subspace_lines))
+    # a line lists its basis column by column
+    bases = np.ascontiguousarray(
+        np.frombuffer(values, count=good * size).reshape(good, p, d)
+        .swapaxes(1, 2))
     _check_bases(bases, subspace_lines)
+    if good < len(subspace_lines):
+        lineno, entry = subspace_lines[good]
+        count = len(entry.split()) if isinstance(entry, str) else entry
+        try:
+            if count != size:
+                raise ValueError(f"expected {size} values, got {count}")
+            # the line's own conversion error
+            list(map(float, entry.split()))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
     return checked_subspaces(bases)
 
 
@@ -231,8 +257,9 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """parse_dataset of the file at `path`, its errors naming the file."""
-    return read_input(path, parse_dataset)
+    """parse_lines of the file at `path`, read line by line, its errors
+    naming the file."""
+    return read_input(path, parse_lines)
 
 
 def generate_planted(d, p, classes, per_class, noise_angle, seed=0,

@@ -5,7 +5,8 @@ no timestamps or machine identifiers.  Result floats are rendered with 17
 significant digits and `[config]` values with repr, both of which
 round-trip exactly, so rerunning an experiment with the same resolved
 configuration reproduces the report byte for byte.  Config and dataset
-files are read by `key_value_lines` and `read_input`, and every file is
+files are read by `read_input` and `key_value_lines` one line at a time,
+so a task run never holds an input file's text, and every file is
 written by `write_text`.
 """
 
@@ -73,12 +74,18 @@ def write_text(path, text):
         raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
-def key_value_lines(text, keys, repeatable=()):
+def key_value_lines(lines, keys, repeatable=()):
     """(lineno, key, value) of each `key=value` line, both stripped, past
-    blank and `#` lines.  A line without '=', an unknown key and a second
-    line of a key not in `repeatable` raise InputError("line N: ...")."""
+    blank and `#` lines, read from `lines` one at a time: an open text
+    file or a list such as `str.splitlines()` gives.  Each item is split
+    again by `str.splitlines()`, so a file's lines are numbered and
+    broken exactly as its whole text's `splitlines()` would be.  A line
+    without '=', an unknown key and a second line of a key not in
+    `repeatable` raise InputError("line N: ...") as soon as it is read."""
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # "" (a blank item of a splitlines() list) is one line, not none
+    logical = (line for item in lines for line in item.splitlines() or [""])
+    for lineno, raw in enumerate(logical, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -96,11 +103,37 @@ def key_value_lines(text, keys, repeatable=()):
 
 
 def read_input(path, parse):
-    """parse(text) of the UTF-8 file at `path`; its errors name the path."""
+    """parse(lines) of the UTF-8 file at `path`, handed the open file, so
+    a parser reads it line by line and never holds its whole text; its
+    errors name the path.  A decode error surfaces when the parser reaches
+    the chunk that holds it, so a bad line ahead of it is the error
+    reported; its position still counts from the start of the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
+            try:
+                return parse(handle)
+            except UnicodeDecodeError as exc:
+                error, problem = exc, _decode_problem(exc, handle)
+    except OSError as exc:
+        error, problem = exc, exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    raise InputError(f"cannot read {path!r}: {problem}") from error
+
+
+def _decode_problem(exc, handle):
+    """The message of `exc`, met decoding one chunk of `handle`, with its
+    position counted from the start of the file, as str(exc) gives it
+    for a decode of the whole file.  The failed bytes, `exc.object`, are
+    the chunk and any bytes of a character the last chunk left open, and
+    they end where the file now stands."""
+    try:
+        shift = handle.buffer.tell() - len(exc.object)
+    except OSError:
+        return str(exc)
+    start, end = exc.start + shift, exc.end + shift
+    if exc.end == exc.start + 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"

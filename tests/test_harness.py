@@ -278,6 +278,68 @@ def test_parse_dataset_reads_lines_as_config_files_do(tmp_path, capsys):
     assert captured.err == f"error: {path}: line 6: unknown key 'lables'\n"
 
 
+@pytest.mark.parametrize("classes", [10, 50])
+def test_loading_holds_less_than_the_file(classes, tmp_path):
+    """A loaded file is read line by line and never held whole: loading
+    the n=100 and n=500 files (d=100, p=2) peaks below the file's size
+    in traced allocations.  Reading the whole text, splitting it into
+    lines and keeping each subspace line's text peaked at about three
+    times the file's size (1.29 MB for the 0.42 MB n=100 file)."""
+    data = generate_planted(d=100, p=2, classes=classes, per_class=10,
+                            noise_angle=0.3, seed=0)
+    path = tmp_path / "data.txt"
+    save_dataset(data, str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.fingerprint == data.fingerprint
+    assert peak < os.path.getsize(path), (peak, os.path.getsize(path))
+
+
+def test_a_bad_line_before_an_undecodable_byte_is_named(tmp_path, capsys):
+    """A file is decoded as its lines are read, so a bad line ahead of
+    an invalid UTF-8 byte far later in the file is the error reported,
+    where reading the whole text first met the decode error.  Without
+    the bad line, or with the byte first, the decode error is reported
+    with the message, and the position in the file, that decoding the
+    whole file gives.  Each exits 2."""
+    lines = serialize_dataset(generate_planted(
+        d=100, p=2, classes=10, per_class=10, noise_angle=0.3, seed=0)
+    ).splitlines()
+    path = tmp_path / "data.txt"
+    out = str(tmp_path / "out" / "report.txt")
+
+    def run(data):
+        path.write_bytes(data)
+        assert cli.main(["pd-check", "--dataset", str(path),
+                         "--out", out]) == 2
+        return capsys.readouterr().err
+
+    def whole_read_error(data):
+        with pytest.raises(UnicodeDecodeError) as caught:
+            data.decode("utf-8")
+        return f"error: cannot read {str(path)!r}: {caught.value}\n"
+
+    def undecodable(text, back):
+        data = text.encode()
+        return data[:-back] + b"\xff" + data[-back:]
+
+    good = "\n".join(lines) + "\n"
+    bad = "\n".join(lines[:2] + ["not a key value line"] + lines[2:]) + "\n"
+    # an invalid byte over 64 KiB past line 3, chunks of text later
+    assert len(good) > 2**16 + 5000
+    assert run(undecodable(bad, 5000)) == (
+        f"error: {path}: line 3: expected key=value, "
+        "got 'not a key value line'\n")
+    for data in (undecodable(good, 5000), undecodable(bad, len(bad) - 17)):
+        assert run(data) == whole_read_error(data)
+    assert "in position 17: invalid start byte" in whole_read_error(data)
+    assert not os.path.exists(out)
+
+
 def test_generate_planted_geometry():
     """With zero noise, members coincide with orthogonal prototypes."""
     data = generate_planted(d=8, p=2, classes=3, per_class=2,

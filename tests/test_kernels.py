@@ -446,8 +446,8 @@ def test_similarity_matches_pair_products(monkeypatch):
     with pytest.raises(ValueError):
         grassmann.similarity("chordal", pts, pts)
     # queries and refs of different lengths: 90 rows against 100 or 97
-    # refs make an uneven last row block (81 rows per block at p=2,
-    # d=100), 97 refs at p=2 and 31 at p=4 make column counts that are no
+    # refs make an uneven last row block (22 and 21 rows per block at
+    # p=2, d=100, since no block outgrows the 90-row result), 97 refs at p=2 and 31 at p=4 make column counts that are no
     # multiple of the padding width, then lines and the 1 x 1 case; each
     # again with a cap of a row or two per block
     cases = ((100, 2, 90, 100), (100, 2, 90, 97), (12, 4, 25, 31),
@@ -523,6 +523,29 @@ def test_similarity_peak_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, embedding
+
+
+def test_product_blocks_never_outgrow_the_result():
+    """Each row block of `_products`, and the matrix product behind it,
+    holds at most the len(xs) len(ys) entries of the similarity matrix it
+    fills, as well as at most _BLOCK_ENTRIES (or one row), on the lines
+    path and the p > 1 path; the blocks cover the rows in order."""
+    cap = grassmann._BLOCK_ENTRIES
+    for d, p, n, m in ((100, 2, 100, 100), (100, 2, 40, 40),
+                       (100, 2, 300, 300), (12, 4, 25, 31),
+                       (100, 1, 30, 37), (100, 1, 300, 200), (7, 3, 1, 1)):
+        pts = random_points(n + m, d, p, [d, p, n, m, 2])
+        width = -(-m * p // grassmann._COLUMN_MULTIPLE) \
+            * grassmann._COLUMN_MULTIPLE
+        per_row = m if p == 1 else width * p
+        rows = [block.shape[0]
+                for block in grassmann._products(pts[:n], pts[n:])]
+        assert sum(rows) == n, (d, p, n, m)
+        for count in rows:
+            assert count == 1 or count * per_row <= min(cap, n * m), \
+                (d, p, n, m, rows)
+        # and no smaller than the caps make them
+        assert rows[0] == min(n, max(1, min(cap, n * m) // per_row))
 
 
 def test_mirror_matches_the_index_copy():

@@ -1,6 +1,6 @@
 """Property tests: distinct integer values, principal angles and the
 Pluecker embedding, the kernel token grammar, the Gram view, the config
-parser, the dataset parser, the dataset fingerprint and the command line
+parser, key=value lines over an open file, the dataset parser, the dataset fingerprint and the command line
 as a whole.
 
 Every draw is derandomized so the suite stays reproducible.
@@ -30,6 +30,7 @@ from grasskernels.harness.config import (ExperimentConfig, build_config,
 from grasskernels.harness.datasets import (Dataset, generate_planted,
                                            name_round_trips, parse_dataset,
                                            serialize_dataset)
+from grasskernels.harness.reports import key_value_lines, read_input
 from grasskernels.machines.metrics import _contingency
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200,
@@ -293,6 +294,51 @@ def test_config_file_text_loads_or_raises_input_error(config_path, text):
         assert str(exc).startswith("p must be less than d, got ")
         return
     assert isinstance(config, ExperimentConfig)
+
+
+# every line break of `str.splitlines()`; a file read in text mode turns
+# "\r\n" and "\r" into "\n"
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+               "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@st.composite
+def key_value_texts(draw):
+    """Pieces of key=value, blank, comment and other lines, each ended
+    by any line break or by none."""
+    piece = st.sampled_from(["a=1", " b = x y ", "c=", "c=2", "# a=1",
+                             "  #", "", "  ", "a", "d=3"]) | file_text
+    ends = st.sampled_from(LINE_BREAKS + ("",))
+    return "".join(a + b for a, b in draw(st.lists(st.tuples(piece, ends),
+                                                   max_size=8)))
+
+
+def key_value_outcome(lines):
+    """What `key_value_lines` gives for `lines` with keys a, b and c (c
+    repeatable): its items, then the message of the InputError that
+    stopped it, if one did."""
+    got = []
+    try:
+        got.extend(key_value_lines(lines, ("a", "b", "c"), ("c",)))
+    except InputError as exc:
+        got.append(str(exc))
+    return got
+
+
+@settings(SETTINGS, max_examples=500)
+@given(key_value_texts())
+# line breaks across the reader's first 8192-byte chunk: "\r\n" split
+# between two chunks, and a 3-byte U+2028 over the chunk edge
+@example("a=" + "x" * 8189 + "\r\nb=1\r\rc=2\n")
+@example("# " + "x" * 8189 + "\u2028b=1\x85\x85c=\x0b")
+def test_key_value_lines_read_a_file_as_its_splitlines(config_path, text):
+    """Over an open file, `key_value_lines` gives the lines, line numbers
+    and errors it gives over `text.splitlines()`, with or without the
+    line ends, for every line break `str.splitlines()` knows."""
+    config_path.write_bytes(text.encode("utf-8"))
+    expected = key_value_outcome(text.splitlines())
+    assert read_input(str(config_path), key_value_outcome) == expected
+    assert key_value_outcome(text.splitlines(keepends=True)) == expected
 
 
 # a small valid dataset file, one line per key, and what may replace each

@@ -1,6 +1,6 @@
 """Checks on the source tree itself: the error rule, unused imports,
-the tests that docstrings cite, the one module of file I/O, the numpy
-set routines that import `numpy.ma`, numpy's selection and unique code,
+the tests that docstrings cite, the one module of file I/O, input files
+read line by line, the numpy set routines that import `numpy.ma`, numpy's selection and unique code,
 the order of the layers and the one loop over the seeds and over the
 kernels."""
 
@@ -157,6 +157,40 @@ def test_file_io_check_sees_each_call():
     tree = ast.parse("import os\nopen(p)\nos.makedirs(d)\nf.open()\n"
                      "makedirs(d)\n")
     assert _file_io_calls(tree) == [(2, "open"), (3, "os.makedirs")]
+
+
+# methods that read a file's whole content at once
+_WHOLE_READS = ("read", "readlines", "read_text", "read_bytes")
+
+
+def _whole_reads(tree):
+    """(line, name) of each call of a method named in _WHOLE_READS."""
+    return sorted(
+        (node.lineno, node.func.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _WHOLE_READS)
+
+
+def test_no_input_file_is_read_whole():
+    """`reports.read_input` hands each parser the open file, which reads
+    it line by line, so no task run holds an input file's text: reading
+    it whole, splitting it into lines and keeping each subspace line
+    peaked at about three times the file's size
+    (`test_loading_holds_less_than_the_file`)."""
+    found = {path.relative_to(SRC).as_posix(): _whole_reads(
+                 ast.parse(path.read_text()))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {path: calls for path, calls in found.items() if calls} == {}
+
+
+def test_whole_read_check_sees_each_call():
+    tree = ast.parse("handle.read()\nparse(f.read())\nf.readlines()\n"
+                     "path.read_text()\npath.read_bytes()\nread(f)\n"
+                     "handle.readline()\nfor line in handle:\n    pass\n")
+    assert _whole_reads(tree) == [
+        (1, "read"), (2, "read"), (3, "readlines"), (4, "read_text"),
+        (5, "read_bytes")]
 
 
 # numpy's set routines that reach plain `np.unique`, whose masked-array
